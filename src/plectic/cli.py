@@ -35,6 +35,7 @@ from .sampling import SampleConfig, pole_rejector, sample_points
 from .splitting import (
     NotClosedError,
     build_split_frame,
+    kernel_dimensions,
     multisymplectic_orthogonal,
     verify_constant_rank,
 )
@@ -90,6 +91,8 @@ def _sample_config(spec: ManifoldSpec, args) -> SampleConfig:
             raise SpecError("PLECTIC_SEED", f"not an integer: {env!r}")
     if args.seed is not None:
         seed = args.seed
+    if args.samples is not None and args.samples <= 0:
+        raise SpecError("--samples", "must be a positive integer")
     count = args.samples if args.samples is not None else spec.samples.count
     return SampleConfig(count, seed, spec.samples.low, spec.samples.high)
 
@@ -133,16 +136,12 @@ def cmd_check(args) -> int:
         manifold = None
     if manifold is not None:
         points = sample_points(spec.chart.dim, config, pole_rejector(spec.form))
-        rank_report = verify_constant_rank(manifold, points, config)
-        from .splitting import kernel_at
-
-        per_sample = []
-        for p in points:
-            try:
-                dim = len(kernel_at(manifold, p))
-            except PlecticError:
-                dim = None
-            per_sample.append({"point": [str(x) for x in p], "kernel_dim": dim})
+        dims = kernel_dimensions(manifold, points)
+        rank_report = verify_constant_rank(manifold, points, config, dims)
+        per_sample = [
+            {"point": [str(x) for x in p], "kernel_dim": dim}
+            for p, dim in zip(points, dims)
+        ]
         if args.json:
             rank_report.details["per_sample"] = per_sample
         else:
@@ -176,17 +175,9 @@ def cmd_thicken(args) -> int:
         monomial_basis=args.monomial_basis,
         **config.describe(),
     )
-    basis = args.monomial_basis
-    out.info(
-        f"theta_0 = {_render_form(thickening.theta0, spec, basis, thickening)}",
-        payload={"theta_0": _render_form(thickening.theta0, spec, basis, thickening)},
-        key="form",
-    )
-    out.info(
-        f"omega_tilde = {_render_form(thickening.omega_tilde, spec, basis, thickening)}",
-        payload={"omega_tilde": _render_form(thickening.omega_tilde, spec, basis, thickening)},
-        key="form",
-    )
+    for name, form in (("theta_0", thickening.theta0), ("omega_tilde", thickening.omega_tilde)):
+        text = _render_form(form, spec, args.monomial_basis, thickening)
+        out.info(f"{name} = {text}", payload={name: text}, key="form")
     coiso = SampleConfig(
         max(1, config.count // 2), config.seed, config.low, config.high
     )

@@ -186,9 +186,6 @@ class Poly:
             total += v
         return total
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def degree_in(self, idx: int) -> int:
         return max((e[idx] for e in self.terms), default=0)
 

@@ -116,12 +116,6 @@ class Form:
             acc[idx] = acc[idx] + coeff if idx in acc else coeff
         return cls(chart, degree, acc)
 
-    @classmethod
-    def monomial(cls, chart: Chart, coeff, coord_names: Sequence[str]) -> "Form":
-        """coeff * d(name1) ^ ... ^ d(namek)."""
-        idx = [chart.axis(n) for n in coord_names]
-        return cls.from_terms(chart, len(idx), [(idx, coeff)])
-
     # -- helpers ---------------------------------------------------------
 
     def _check_chart(self, other) -> None:

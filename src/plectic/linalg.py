@@ -1,24 +1,22 @@
 """Exact linear algebra over Q and over symbolic rational functions.
 
-Matrices are plain lists of rows.  Rational-number routines (rank, kernels,
-containment) drive every pointwise verdict in the package and must be exact:
-rank uses fraction-free Bareiss elimination on denominator-cleared integer
-rows, kernels come from a reduced row echelon form over Fraction.  The
-symbolic routines (inversion, products) run Gauss-Jordan over ScalarExpr with
-exact zero tests.
+Matrices are plain lists of rows.  Rank, kernels and containment over Q drive
+every pointwise verdict in the package and all run through one exact
+elimination, ``rref``: Gauss-Jordan over Fraction on sparse {column: value}
+rows, so zero rows and zero entries cost nothing.  The symbolic routines
+(inversion, products) run Gauss-Jordan over ScalarExpr with exact zero tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 from .coeff import ScalarExpr
 from .errors import PlecticError
 
 Vector = List[Fraction]
-Matrix = List[List[Fraction]]
+SparseRow = Dict[int, Fraction]
 
 
 class SingularMatrixError(PlecticError):
@@ -29,63 +27,48 @@ class DimensionMismatchError(PlecticError):
     pass
 
 
-def _as_integer_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
-    out = []
+def _reduce(v: SparseRow, reduced: Dict[int, SparseRow]) -> None:
+    """Clear v's pivot columns in place; each reduced row is 0 at the others."""
+    for p in [p for p in v if p in reduced]:
+        f = v[p]
+        for j, x in reduced[p].items():
+            s = v.get(j, 0) - f * x
+            if s:
+                v[j] = s
+            else:
+                del v[j]
+
+
+def rref(rows: Sequence[Sequence[Fraction]]) -> Dict[int, SparseRow]:
+    """Reduced row echelon form over Q of dense rows, keyed by pivot column.
+
+    Each row is reduced against the rows so far, scaled to 1 at its leading
+    column (the new pivot), and cleared from the earlier rows.  Zero rows
+    vanish, so the rank is the number of sparse rows returned.  The form is
+    unique, so results do not depend on the order of the rows.
+    """
+    ncols = len(rows[0]) if rows else 0
+    reduced: Dict[int, SparseRow] = {}
     for row in rows:
-        row = [Fraction(x) for x in row]
-        scale = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * scale) for x in row])
-    return out
+        if len(reduced) == ncols:
+            break
+        v = {j: Fraction(x) for j, x in enumerate(row) if x}
+        _reduce(v, reduced)
+        if not v:
+            continue
+        q = min(v)
+        inv = 1 / v[q]
+        v = {j: x * inv for j, x in v.items()}
+        for r in reduced.values():
+            if q in r:
+                _reduce(r, {q: v})
+        reduced[q] = v
+    return reduced
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q via fraction-free (Bareiss) elimination."""
-    m = _as_integer_rows(rows)
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-    return r
-
-
-def rref(rows: Sequence[Sequence[Fraction]]):
-    """Reduced row echelon form over Fraction; returns (rows, pivot_columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    """Rank over Q."""
+    return len(rref(rows))
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int = None) -> List[Vector]:
@@ -98,16 +81,16 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int = None) -> List[
         if not rows:
             raise ValueError("ncols required for an empty row list")
         ncols = len(rows[0])
-    if not rows:
-        return [[Fraction(i == j) for j in range(ncols)] for i in range(ncols)]
-    m, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    reduced = rref(rows)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in reduced:
+            continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
+        for pc, row in reduced.items():
+            if fc in row:
+                v[pc] = -row[fc]
         basis.append(v)
     return basis
 
@@ -117,10 +100,11 @@ def subspace_contained(span_a: Sequence[Vector], span_b: Sequence[Vector]) -> bo
     dims = {len(v) for v in list(span_a) + list(span_b)}
     if len(dims) > 1:
         raise DimensionMismatchError(f"ambient dimensions differ: {sorted(dims)}")
-    base = [list(v) for v in span_b]
-    r_b = rank(base)
+    reduced = rref(span_b)
     for a in span_a:
-        if rank(base + [list(a)]) != r_b:
+        v = {j: Fraction(x) for j, x in enumerate(a) if x}
+        _reduce(v, reduced)
+        if v:
             return False
     return True
 

@@ -2,7 +2,8 @@
 
 Verdicts: PASS for symbolic identities, EVIDENCE for checks certified
 exactly at finitely many sample points (evidence, not proof), FAIL for a
-detected violation.  FAIL reports always carry an explicit witness.
+detected violation.  FAIL reports always carry an explicit witness, and a
+sampled check over zero points is a FAIL, never EVIDENCE.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from typing import Any, Dict, List
 PASS = "PASS"
 EVIDENCE = "EVIDENCE"
 FAIL = "FAIL"
+# FAIL witness message of a sampled check that was given no points
+NO_POINTS = "no sample points to check"
 
 
 @dataclass

@@ -64,25 +64,25 @@ class PreMultisymplecticManifold:
 
 
 def contraction_matrix(form: Form, point: Sequence[Fraction]):
-    """Matrix of X |-> i_X form at a point.
+    """Matrix of X |-> i_X form at a point, built from its nonzero terms.
 
-    Rows are indexed by the strictly increasing (degree-1)-tuples of
-    coordinate positions (lexicographic order), columns by coordinates.
+    Only nonzero rows are returned: dense lists of length dim, indexed by the
+    strictly increasing (degree-1)-tuples of coordinate positions that carry
+    a nonzero entry (lexicographic order); columns by coordinates.
     """
-    chart = form.chart
-    d = chart.dim
-    consts = form.eval_coefficients(point)
-    row_index = {
-        idx: r
-        for r, idx in enumerate(itertools.combinations(range(d), form.degree - 1))
-    }
-    rows = [[Fraction(0)] * d for _ in row_index]
-    for idx, c in consts.items():
+    d = form.chart.dim
+    by_rest: Dict[Index, List[Fraction]] = {}
+    for idx, c in form.eval_coefficients(point).items():
+        if not c:
+            continue
         for pos, axis in enumerate(idx):
             rest = idx[:pos] + idx[pos + 1 :]
-            sign = 1 if pos % 2 == 0 else -1
-            rows[row_index[rest]][axis] += sign * c
-    return rows, list(row_index)
+            row = by_rest.get(rest)
+            if row is None:
+                row = by_rest[rest] = [Fraction(0)] * d
+            row[axis] = c if pos % 2 == 0 else -c
+    row_indices = sorted(by_rest)
+    return [by_rest[rest] for rest in row_indices], row_indices
 
 
 def kernel_at(manifold: PreMultisymplecticManifold, point: Sequence[Fraction]) -> List[List[Fraction]]:
@@ -91,43 +91,61 @@ def kernel_at(manifold: PreMultisymplecticManifold, point: Sequence[Fraction]) -
     return linalg.kernel_basis(rows, manifold.chart.dim)
 
 
+def kernel_dimensions(
+    manifold: PreMultisymplecticManifold, points: Sequence[Sequence[Fraction]]
+) -> List[Optional[int]]:
+    """Kernel dimension at each point; None where a coefficient has a pole."""
+    dims = []
+    for p in points:
+        try:
+            rows, _ = contraction_matrix(manifold.omega, p)
+        except PoleError:
+            dims.append(None)
+        else:
+            dims.append(manifold.chart.dim - linalg.rank(rows))
+    return dims
+
+
 def verify_constant_rank(
     manifold: PreMultisymplecticManifold,
     points: Optional[Sequence[Sequence[Fraction]]] = None,
     config: SampleConfig = SampleConfig(),
+    dims: Optional[Sequence[Optional[int]]] = None,
 ) -> VerificationReport:
     """Sampled constant-rank check: kernel dimension at every sample point.
 
     This is sampling evidence, not a proof; the verdict is EVIDENCE when all
     sampled dimensions agree and FAIL (with the two disagreeing points as
     witnesses) otherwise.  Samples where a coefficient has a pole are skipped
-    and noted.
+    and noted.  ``dims`` may pass in kernel_dimensions(manifold, points).
     """
     start = time.perf_counter()
     sampled = points is None
     if sampled:
         points = sample_points(manifold.chart.dim, config, pole_rejector(manifold.omega))
-    dims: Dict[Tuple[Fraction, ...], int] = {}
+    if dims is None:
+        dims = kernel_dimensions(manifold, points)
+    by_point: Dict[Tuple[Fraction, ...], int] = {}
     skipped = []
-    for p in points:
-        try:
-            dims[tuple(p)] = len(kernel_at(manifold, p))
-        except PoleError:
+    for p, k in zip(points, dims):
+        if k is None:
             skipped.append([str(x) for x in p])
+        else:
+            by_point[tuple(p)] = k
     details = {
         **(config.describe() if sampled else {"points_supplied": len(points)}),
-        "kernel_dimensions": sorted(set(dims.values())),
-        "samples_evaluated": len(dims),
+        "kernel_dimensions": sorted(set(by_point.values())),
+        "samples_evaluated": len(by_point),
         "samples_skipped_at_poles": skipped,
     }
     witnesses = []
     seen = {}
-    for p, k in dims.items():
+    for p, k in by_point.items():
         seen.setdefault(k, p)
     if len(seen) > 1:
         for k, p in sorted(seen.items()):
             witnesses.append({"point": [str(x) for x in p], "kernel_dim": k})
-    elif not dims:
+    elif not by_point:
         witnesses.append({"error": "no sample could be evaluated (all at poles)"})
     verdict = EVIDENCE if len(seen) == 1 else FAIL
     return VerificationReport(

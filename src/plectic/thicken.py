@@ -33,7 +33,7 @@ from . import linalg
 from .coeff import ScalarExpr
 from .errors import PlecticError
 from .exterior import Chart, CoordinateMap, Form, Index, sort_index
-from .report import EVIDENCE, FAIL, PASS, VerificationReport
+from .report import EVIDENCE, FAIL, NO_POINTS, PASS, VerificationReport
 from .sampling import SampleConfig, pole_rejector, sample_points
 from .splitting import (
     PreMultisymplecticManifold,
@@ -119,11 +119,11 @@ def tautological_form(
 ) -> Form:
     """theta_0 = sum_I p_I * (coframe monomial I pulled back along tau)."""
     total = Form.zero(big_chart, degree)
-    coframe = frame.coframe
+    pulled = [tau.pullback(covector) for covector in frame.coframe]
     for idx, name in zip(fiber_index, fiber_names):
         mono = Form.scalar(big_chart, 1)
         for j in idx:
-            mono = mono.wedge(tau.pullback(coframe[j]))
+            mono = mono.wedge(pulled[j])
         total = total + mono * ScalarExpr.var(big_chart.coords, name)
     return total
 
@@ -247,21 +247,27 @@ def nondegeneracy_report(
     config: Optional[SampleConfig] = None,
     name: str = "non-degeneracy",
 ) -> VerificationReport:
-    """Exact trivial-kernel check of the contraction map at each point."""
+    """Exact full-rank check of the contraction map at each point.
+
+    A kernel basis is computed only for a FAIL witness; no points is a FAIL.
+    """
     start = time.perf_counter()
+    d = form.chart.dim
     witnesses = []
     for p in points:
-        kernel = linalg.kernel_basis(
-            contraction_matrix(form, p)[0], form.chart.dim
+        rows = contraction_matrix(form, p)[0]
+        if linalg.rank(rows) == d:
+            continue
+        kernel = linalg.kernel_basis(rows, d)
+        witnesses.append(
+            {
+                "point": [str(x) for x in p],
+                "kernel_dim": len(kernel),
+                "kernel_basis": [[str(x) for x in v] for v in kernel],
+            }
         )
-        if kernel:
-            witnesses.append(
-                {
-                    "point": [str(x) for x in p],
-                    "kernel_dim": len(kernel),
-                    "kernel_basis": [[str(x) for x in v] for v in kernel],
-                }
-            )
+    if not points:
+        witnesses.append({"error": NO_POINTS})
     details = {"points_checked": len(points)}
     if config is not None:
         details.update(config.describe())
@@ -368,6 +374,8 @@ def verify_coisotropic(
                     "escaping_vectors": [[str(x) for x in v] for v in offending],
                 }
             )
+    if not points:
+        witnesses.append({"error": NO_POINTS})
     details = {
         "ell": ell,
         "points_checked": len(points),

@@ -289,3 +289,17 @@ def test_plectic_seed_env_override(capsys, monkeypatch):
 
 def test_console_script_installed():
     assert shutil.which("plectic") is not None
+
+
+def test_thicken_rejects_zero_samples(capsys):
+    code, out, err = run(capsys, "thicken", fixture_path("scalar_field_2d.json"), "--samples", "0")
+    assert code == 2
+    assert "EVIDENCE" not in out
+    assert "--samples" in err and "positive" in err
+
+
+def test_check_rejects_negative_samples(capsys):
+    code, out, err = run(capsys, "check", fixture_path("scalar_field_2d.json"), "--json", "--samples", "-3")
+    assert code == 2
+    assert out == ""
+    assert "--samples" in err and "positive" in err

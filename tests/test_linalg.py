@@ -38,7 +38,8 @@ def test_kernel_of_scalar_field_contraction(manifold4):
     from plectic.splitting import contraction_matrix
 
     rows, _ = contraction_matrix(manifold4.omega, [0, 0, 0, 1, 0])
-    assert len(rows) == 10 and len(rows[0]) == 5
+    # only the nonzero rows of the 10 x 5 matrix
+    assert len(rows) == 5 and all(len(row) == 5 and any(row) for row in rows)
     basis = kernel_basis(rows)
     assert len(basis) == 2
     expected = [
@@ -129,3 +130,40 @@ def test_rank_invariant_under_permutations():
         rng.shuffle(cols)
         shuffled = [[row[c] for c in cols] for row in rows]
         assert rank(shuffled) == r
+
+
+def _random_matrix(rng, nrows, ncols):
+    """Small rationals, with zero rows and duplicate rows mixed in."""
+    m = []
+    for _ in range(nrows):
+        roll = rng.random()
+        if roll < 0.15:
+            m.append([F(0)] * ncols)
+        elif roll < 0.3 and m:
+            m.append(list(rng.choice(m)))
+        else:
+            m.append([
+                F(0) if rng.random() < 0.4 else F(rng.randint(-4, 4), rng.randint(1, 3))
+                for _ in range(ncols)
+            ])
+    return m
+
+
+def test_rank_kernel_and_containment_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2024)
+    for trial in range(120):
+        # wide, tall and square shapes
+        nrows, ncols = [(2, 7), (9, 3), (5, 5)][trial % 3]
+        m = _random_matrix(rng, nrows, ncols)
+        s = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m])
+        assert rank(m) == s.rank()
+        expected = [[F(int(x.p), int(x.q)) for x in v] for v in s.nullspace()]
+        assert kernel_basis(m) == expected
+        span_a = _random_matrix(rng, rng.randint(1, 3), ncols)
+        if trial % 2:
+            # a combination of m's rows, so containment holds
+            span_a.append([sum(row[j] * (i + 1) for i, row in enumerate(m)) for j in range(ncols)])
+        sa = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in span_a])
+        assert subspace_contained(span_a, m) == (s.col_join(sa).rank() == s.rank())
+        assert subspace_contained(expected, [[F(0)] * ncols] + expected)

@@ -84,14 +84,36 @@ def test_kernel_of_r4_form():
 
 def test_kernel_of_nondegenerate_form(chart4):
     manifold = PreMultisymplecticManifold(chart4, 3, _hamiltonian_form(chart4))
-    # oracle: exact rank of the 10x5 contraction matrix
+    # oracle: exact rank of the nonzero rows of the 10x5 contraction matrix
     from plectic.splitting import contraction_matrix
 
     point = [2, -1, 3, 1, 4]
     rows, _ = contraction_matrix(manifold.omega, point)
-    assert (len(rows), len(rows[0])) == (10, 5)
+    assert (len(rows), len(rows[0])) == (9, 5)
     assert linalg.rank(rows) == 5
     assert kernel_at(manifold, point) == []
+
+
+def test_contraction_matrix_keeps_only_nonzero_rows():
+    # oracle: column v of the full matrix is i_{e_v} of the constant form
+    from plectic.exterior import contract_constant
+    from plectic.splitting import contraction_matrix
+
+    rng = random.Random(8)
+    chart = Chart("c6", tuple(f"y{i}" for i in range(6)))
+    for degree in (2, 3, 4):
+        form = random_form(rng, chart, degree, max_terms=4)
+        point = [F(rng.randint(-3, 3)) for _ in range(6)]
+        consts = form.eval_coefficients(point)
+        columns = [contract_constant([F(int(i == v)) for i in range(6)], consts) for v in range(6)]
+        full = {
+            rest: [columns[v].get(rest, F(0)) for v in range(6)]
+            for rest in itertools.combinations(range(6), degree - 1)
+        }
+        rows, indices = contraction_matrix(form, point)
+        assert indices == [rest for rest, row in full.items() if any(row)]
+        assert rows == [full[rest] for rest in indices]
+        assert all(len(row) == 6 and any(row) for row in rows)
 
 
 def test_kernel_dimension_invariant_under_relabeling(manifold4):

@@ -240,6 +240,18 @@ def test_verify_nondegenerate_consistent_with_kernel_at(manifold4):
     assert report.witnesses[0]["kernel_dim"] == len(kernel_at(manifold4, point))
 
 
+def test_sampled_verifiers_fail_on_empty_point_lists(manifold4, thickening4):
+    # EVIDENCE needs at least one evaluated point
+    for report in (
+        nondegeneracy_report(manifold4.omega, []),
+        verify_nondegenerate(thickening4, points=[]),
+        verify_coisotropic(thickening4, points=[]),
+    ):
+        assert report.verdict == FAIL
+        assert report.details["points_checked"] == 0
+        assert report.witnesses == [{"error": "no sample points to check"}]
+
+
 def test_verify_zero_section_detects_mutated_tautological_form(thickening4):
     big = thickening4.big_chart
     mutated_theta = thickening4.theta0 + Form.from_terms(big, 2, [(("t", "u"), "x")])
