@@ -30,7 +30,7 @@ from .manifoldspec import (
     save_spec_dict,
     thickened_spec_dict,
 )
-from .report import VerificationReport
+from .report import EVIDENCE, FAIL, VerificationReport
 from .sampling import SampleConfig, pole_rejector, sample_points
 from .splitting import (
     NotClosedError,
@@ -97,7 +97,7 @@ def _sample_config(spec: ManifoldSpec, args) -> SampleConfig:
     return SampleConfig(count, seed, spec.samples.low, spec.samples.high)
 
 
-def _render_form(form: Form, spec: ManifoldSpec, basis: str, thickening: Optional[Thickening] = None) -> str:
+def _render_form(form: Form, basis: str, thickening: Optional[Thickening] = None) -> str:
     if basis == "frame" and thickening is not None:
         coeffs = present_in_frame_basis(thickening, form)
         frame = thickening.frame
@@ -176,7 +176,7 @@ def cmd_thicken(args) -> int:
         **config.describe(),
     )
     for name, form in (("theta_0", thickening.theta0), ("omega_tilde", thickening.omega_tilde)):
-        text = _render_form(form, spec, args.monomial_basis, thickening)
+        text = _render_form(form, args.monomial_basis, thickening)
         out.info(f"{name} = {text}", payload={name: text}, key="form")
     coiso = SampleConfig(
         max(1, config.count // 2), config.seed, config.low, config.high
@@ -243,7 +243,7 @@ def cmd_orthogonal(args) -> int:
     witnesses = []
     for p in points:
         ortho = multisymplectic_orthogonal(spec.form, p, n_basis, ell)
-        contained = linalg.subspace_contained(ortho, n_basis) if ortho else True
+        contained = linalg.subspace_contained(ortho, n_basis)
         entry = {
             "point": [str(x) for x in p],
             "orthogonal_basis": [[str(x) for x in v] for v in ortho],
@@ -260,7 +260,7 @@ def cmd_orthogonal(args) -> int:
             witnesses.append(entry)
     verdict_report = VerificationReport(
         f"{ell}-coisotropic-containment",
-        "EVIDENCE" if not witnesses else "FAIL",
+        EVIDENCE if not witnesses else FAIL,
         {"points_checked": len(points), "ell": ell, **config.describe()},
         witnesses,
     )

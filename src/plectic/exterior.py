@@ -66,6 +66,41 @@ def sort_index(indices: Sequence[int]):
     return sign, tuple(indices)
 
 
+def add_term(out: Dict[Index, ScalarExpr], idx: Index, c: ScalarExpr) -> None:
+    """Add c to out[idx] in place, dropping the entry when the sum is zero."""
+    s = out[idx] + c if idx in out else c
+    if s.is_zero():
+        out.pop(idx, None)
+    else:
+        out[idx] = s
+
+
+def substitute(
+    terms: Iterable[Tuple[Index, ScalarExpr]],
+    rows: Sequence[Sequence[Tuple[int, ScalarExpr]]],
+) -> Dict[Index, ScalarExpr]:
+    """Change of basis: replace each factor i of every monomial by rows[i].
+
+    ``rows[i]`` lists the (j, e) pairs of dq^i = sum_j e * dy^j.  Each term
+    (idx, c) expands into c * prod(e) over every choice of one pair per
+    factor, sign-normalized; the result maps new index tuples to coefficients.
+    Zero coefficients are skipped.
+    """
+    out: Dict[Index, ScalarExpr] = {}
+    for idx, c in terms:
+        if c.is_zero():
+            continue
+        for combo in itertools.product(*(rows[i] for i in idx)):
+            sign, nidx = sort_index([j for j, _ in combo])
+            if sign == 0:
+                continue
+            coeff = c
+            for _, e in combo:
+                coeff = coeff * e
+            add_term(out, nidx, coeff if sign > 0 else -coeff)
+    return out
+
+
 class Form:
     """Differential form of fixed degree with exact rational-function coefficients."""
 
@@ -157,11 +192,7 @@ class Form:
             raise DegreeError("cannot add forms of different degree")
         out = dict(self.terms)
         for idx, c in other.terms.items():
-            s = out[idx] + c if idx in out else c
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
+            add_term(out, idx, c)
         return Form(self.chart, self.degree, out)
 
     def __neg__(self) -> "Form":
@@ -186,13 +217,7 @@ class Form:
                 if sign == 0:
                     continue
                 c = c1 * c2
-                if sign < 0:
-                    c = -c
-                s = out[idx] + c if idx in out else c
-                if s.is_zero():
-                    out.pop(idx, None)
-                else:
-                    out[idx] = s
+                add_term(out, idx, c if sign > 0 else -c)
         return Form(self.chart, self.degree + other.degree, out)
 
     def interior(self, field: "VectorField") -> "Form":
@@ -208,12 +233,7 @@ class Form:
                 if comp.is_zero():
                     continue
                 coeff = c * comp if pos % 2 == 0 else -(c * comp)
-                rest = idx[:pos] + idx[pos + 1 :]
-                s = out[rest] + coeff if rest in out else coeff
-                if s.is_zero():
-                    out.pop(rest, None)
-                else:
-                    out[rest] = s
+                add_term(out, idx[:pos] + idx[pos + 1 :], coeff)
         return Form(self.chart, self.degree - 1, out)
 
     def d(self) -> "Form":
@@ -227,13 +247,7 @@ class Form:
                 sign, nidx = sort_index((axis,) + idx)
                 if sign == 0:
                     continue
-                if sign < 0:
-                    dc = -dc
-                s = out[nidx] + dc if nidx in out else dc
-                if s.is_zero():
-                    out.pop(nidx, None)
-                else:
-                    out[nidx] = s
+                add_term(out, nidx, dc if sign > 0 else -dc)
         return Form(self.chart, self.degree + 1, out)
 
     # -- evaluation ------------------------------------------------------
@@ -390,29 +404,8 @@ class CoordinateMap:
                 if not p.is_zero():
                     row.append((j, p))
             partials.append(row)
-        out: Dict[Index, ScalarExpr] = {}
-        for idx, c in form.terms.items():
-            c_src = c.compose(self.components)
-            if c_src.is_zero():
-                continue
-            rows = [partials[i] for i in idx]
-            if any(not row for row in rows):
-                continue
-            for combo in itertools.product(*rows):
-                sign, nidx = sort_index([j for j, _ in combo])
-                if sign == 0:
-                    continue
-                coeff = c_src
-                for _, p in combo:
-                    coeff = coeff * p
-                if sign < 0:
-                    coeff = -coeff
-                s = out[nidx] + coeff if nidx in out else coeff
-                if s.is_zero():
-                    out.pop(nidx, None)
-                else:
-                    out[nidx] = s
-        return Form(src, form.degree, out)
+        composed = ((idx, c.compose(self.components)) for idx, c in form.terms.items())
+        return Form(src, form.degree, substitute(composed, partials))
 
     def pushforward_vector(self, point: Sequence[Fraction], vector: Sequence[Fraction]) -> List[Fraction]:
         """Differential applied to a tangent vector at a rational point."""

@@ -23,13 +23,12 @@ no solution -- are reported as obstructions rather than silently dropped.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .coeff import Poly, ScalarExpr
 from .errors import DegreeError, PlecticError
-from .exterior import Chart, CoordinateMap, Form, VectorField, sort_index
+from .exterior import Chart, CoordinateMap, Form, VectorField, substitute
 
 JET_SEP = "__"
 
@@ -166,24 +165,8 @@ def _formal_pullback(
                     for b in fibered.base
                 ]
             )
-    out: Dict[Tuple[int, ...], ScalarExpr] = {}
-    for idx, c in omega.terms.items():
-        coeff0 = c.subs_rename(jets.coords)
-        for combo in itertools.product(*(rows[i] for i in idx)):
-            sign, nidx = sort_index([j for j, _ in combo])
-            if sign == 0:
-                continue
-            coeff = coeff0
-            for _, e in combo:
-                coeff = coeff * e
-            if sign < 0:
-                coeff = -coeff
-            s = out[nidx] + coeff if nidx in out else coeff
-            if s.is_zero():
-                out.pop(nidx, None)
-            else:
-                out[nidx] = s
-    return out
+    renamed = ((idx, c.subs_rename(jets.coords)) for idx, c in omega.terms.items())
+    return substitute(renamed, rows)
 
 
 @dataclass

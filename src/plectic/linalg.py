@@ -3,8 +3,8 @@
 Matrices are plain lists of rows.  Rank, kernels and containment over Q drive
 every pointwise verdict in the package and all run through one exact
 elimination, ``rref``: Gauss-Jordan over Fraction on sparse {column: value}
-rows, so zero rows and zero entries cost nothing.  The symbolic routines
-(inversion, products) run Gauss-Jordan over ScalarExpr with exact zero tests.
+rows, so zero rows and zero entries cost nothing.  Symbolic inversion runs
+Gauss-Jordan over ScalarExpr with exact zero tests.
 """
 
 from __future__ import annotations
@@ -107,23 +107,6 @@ def subspace_contained(span_a: Sequence[Vector], span_b: Sequence[Vector]) -> bo
         if v:
             return False
     return True
-
-
-def matmul(a: Sequence[Sequence], b: Sequence[Sequence]):
-    """Matrix product; works for Fraction or ScalarExpr entries."""
-    if not a or not b:
-        return []
-    n, k, mcols = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(mcols):
-            acc = a[i][0] * b[0][j]
-            for t in range(1, k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 def invert(rows: Sequence[Sequence[ScalarExpr]]) -> List[List[ScalarExpr]]:

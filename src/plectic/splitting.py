@@ -29,7 +29,7 @@ from .exterior import (
     Index,
     VectorField,
     contract_constant,
-    sort_index,
+    substitute,
 )
 from .report import EVIDENCE, FAIL, VerificationReport
 from .sampling import SampleConfig, pole_rejector, sample_points
@@ -70,9 +70,15 @@ def contraction_matrix(form: Form, point: Sequence[Fraction]):
     strictly increasing (degree-1)-tuples of coordinate positions that carry
     a nonzero entry (lexicographic order); columns by coordinates.
     """
-    d = form.chart.dim
+    by_rest = _contraction_rows(form.eval_coefficients(point), form.chart.dim)
+    row_indices = sorted(by_rest)
+    return [by_rest[rest] for rest in row_indices], row_indices
+
+
+def _contraction_rows(cterms: Dict[Index, Fraction], d: int) -> Dict[Index, List[Fraction]]:
+    """Nonzero rows of X |-> i_X of a constant form, keyed by the remaining index."""
     by_rest: Dict[Index, List[Fraction]] = {}
-    for idx, c in form.eval_coefficients(point).items():
+    for idx, c in cterms.items():
         if not c:
             continue
         for pos, axis in enumerate(idx):
@@ -81,8 +87,7 @@ def contraction_matrix(form: Form, point: Sequence[Fraction]):
             if row is None:
                 row = by_rest[rest] = [Fraction(0)] * d
             row[axis] = c if pos % 2 == 0 else -c
-    row_indices = sorted(by_rest)
-    return [by_rest[rest] for rest in row_indices], row_indices
+    return by_rest
 
 
 def kernel_at(manifold: PreMultisymplecticManifold, point: Sequence[Fraction]) -> List[List[Fraction]]:
@@ -294,35 +299,16 @@ def frame_expansion(form: Form, frame: SplitFrame) -> Dict[Index, ScalarExpr]:
         [(j, matrix[i][j]) for j in range(d) if not matrix[i][j].is_zero()]
         for i in range(d)
     ]
-    out: Dict[Index, ScalarExpr] = {}
-    for idx, c in form.terms.items():
-        for combo in itertools.product(*(rows[i] for i in idx)):
-            sign, nidx = sort_index([j for j, _ in combo])
-            if sign == 0:
-                continue
-            coeff = c
-            for _, e in combo:
-                coeff = coeff * e
-            if sign < 0:
-                coeff = -coeff
-            s = out[nidx] + coeff if nidx in out else coeff
-            if s.is_zero():
-                out.pop(nidx, None)
-            else:
-                out[nidx] = s
-    return out
+    return substitute(form.terms.items(), rows)
 
 
 def from_frame_expansion(frame: SplitFrame, degree: int, coeffs: Dict[Index, ScalarExpr]) -> Form:
-    """Rebuild a coordinate-basis Form from coframe-monomial coefficients."""
-    total = Form.zero(frame.chart, degree)
-    coframe = frame.coframe
-    for idx, c in coeffs.items():
-        mono = Form.scalar(frame.chart, 1)
-        for j in idx:
-            mono = mono.wedge(coframe[j])
-        total = total + mono * c
-    return total
+    """Rebuild a coordinate-basis Form from coframe-monomial coefficients.
+
+    The inverse change of basis eta^j = sum_i coframe[j][i] dq^i.
+    """
+    rows = [[(i, c) for (i,), c in covector.terms.items()] for covector in frame.coframe]
+    return Form(frame.chart, degree, substitute(coeffs.items(), rows))
 
 
 @dataclass(frozen=True)
@@ -371,22 +357,12 @@ def multisymplectic_orthogonal(
         raise PlecticError("ell must be >= 1")
     d = form.chart.dim
     consts = form.eval_coefficients(point)
-    # coefficient matrix: one column per component of the unknown V
-    columns = []
-    for v in range(d):
-        ev = [Fraction(int(i == v)) for i in range(d)]
-        columns.append(contract_constant(ev, consts))
     rows: List[List[Fraction]] = []
     for ws in itertools.combinations(range(len(n_basis)), ell):
-        contracted = []
-        for v in range(d):
-            c = columns[v]
-            for w in ws:
-                c = contract_constant(n_basis[w], c)
-            contracted.append(c)
-        residual_indices = set()
-        for c in contracted:
-            residual_indices.update(c)
-        for ridx in sorted(residual_indices):
-            rows.append([contracted[v].get(ridx, Fraction(0)) for v in range(d)])
+        # i_V i_{W...} form differs from i_{W...} i_V form by one sign per
+        # tuple, so the rows for V span the same space either way
+        c = consts
+        for w in ws:
+            c = contract_constant(n_basis[w], c)
+        rows.extend(_contraction_rows(c, d).values())
     return linalg.kernel_basis(rows, d)

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .coeff import ScalarExpr
 from .errors import PlecticError
-from .exterior import Chart, CoordinateMap, Form, Index, sort_index
+from .exterior import Chart, CoordinateMap, Form, Index, substitute
 from .report import EVIDENCE, FAIL, NO_POINTS, PASS, VerificationReport
 from .sampling import SampleConfig, pole_rejector, sample_points
 from .splitting import (
@@ -201,40 +201,28 @@ def present_in_frame_basis(thickening: Thickening, form: Form) -> Dict[Index, Sc
             )
         else:
             rows.append([(i, ScalarExpr.one(big.coords))])
-    out: Dict[Index, ScalarExpr] = {}
-    for idx, c in form.terms.items():
-        for combo in itertools.product(*(rows[i] for i in idx)):
-            sign, nidx = sort_index([j for j, _ in combo])
-            if sign == 0:
-                continue
-            coeff = c
-            for _, e in combo:
-                coeff = coeff * e
-            if sign < 0:
-                coeff = -coeff
-            s = out[nidx] + coeff if nidx in out else coeff
-            if s.is_zero():
-                out.pop(nidx, None)
-            else:
-                out[nidx] = s
-    return out
+    return substitute(form.terms.items(), rows)
 
 
 # -- verifiers ---------------------------------------------------------------
 
 
-def closedness_report(form: Form, name: str = "closedness") -> VerificationReport:
-    """Symbolic d(form) == 0 check; FAIL carries the residual terms."""
-    start = time.perf_counter()
-    residual = form.d()
+def _residual_report(name: str, residual: Form, start: float) -> VerificationReport:
+    """PASS for a zero residual; otherwise FAIL with one witness per term."""
     elapsed = (time.perf_counter() - start) * 1000
     if residual.is_zero():
         return VerificationReport(name, PASS, {"residual": "0"}, [], elapsed)
     witnesses = [
-        {"index": [form.chart.coords[i] for i in idx], "coefficient": str(c)}
+        {"index": [residual.chart.coords[i] for i in idx], "coefficient": str(c)}
         for idx, c in residual.sorted_terms()
     ]
     return VerificationReport(name, FAIL, {"residual_terms": len(witnesses)}, witnesses, elapsed)
+
+
+def closedness_report(form: Form, name: str = "closedness") -> VerificationReport:
+    """Symbolic d(form) == 0 check; FAIL carries the residual terms."""
+    start = time.perf_counter()
+    return _residual_report(name, form.d(), start)
 
 
 def verify_closed(thickening: Thickening) -> VerificationReport:
@@ -316,19 +304,7 @@ def verify_zero_section_pullback(thickening: Thickening) -> VerificationReport:
     """Symbolic check that the zero section pulls omega_tilde back to omega."""
     start = time.perf_counter()
     pulled = thickening.zero_section.pullback(thickening.omega_tilde)
-    residual = pulled - thickening.base.omega
-    elapsed = (time.perf_counter() - start) * 1000
-    if residual.is_zero():
-        return VerificationReport(
-            "zero-section-pullback", PASS, {"residual": "0"}, [], elapsed
-        )
-    witnesses = [
-        {"index": [thickening.base.chart.coords[i] for i in idx], "coefficient": str(c)}
-        for idx, c in residual.sorted_terms()
-    ]
-    return VerificationReport(
-        "zero-section-pullback", FAIL, {"residual_terms": len(witnesses)}, witnesses, elapsed
-    )
+    return _residual_report("zero-section-pullback", pulled - thickening.base.omega, start)
 
 
 def verify_coisotropic(

@@ -1,6 +1,10 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 
+import plectic
 from plectic.cli import main
 
 from conftest import fixture_path
@@ -303,3 +307,34 @@ def test_check_rejects_negative_samples(capsys):
     assert code == 2
     assert out == ""
     assert "--samples" in err and "positive" in err
+
+
+def test_json_is_byte_stable_across_hash_seeds(tmp_path):
+    # string hashing changes set and dict order between interpreter runs;
+    # neither --json nor the emitted spec may depend on it
+    emitted = tmp_path / "thick.json"
+    commands = [
+        ["check", fixture_path("scalar_field_2d.json")],
+        ["thicken", fixture_path("scalar_field_2d.json"), "--emit", str(emitted)],
+        ["orthogonal", fixture_path("r6_thickening.json"), "--submanifold", "x5=0,x6=0", "--ell", "2"],
+        ["eom", str(emitted), "--symbolic"],
+    ]
+    src = os.path.dirname(os.path.dirname(plectic.__file__))
+    outputs = []
+    for seed in range(4):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=str(seed),
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        )
+        run_outputs = []
+        for argv in commands:
+            proc = subprocess.run(
+                [sys.executable, "-m", "plectic.cli", *argv, "--json", "--samples", "3"],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            run_outputs.append(proc.stdout)
+        run_outputs.append(emitted.read_text())
+        outputs.append(run_outputs)
+    assert all(run_outputs == outputs[0] for run_outputs in outputs[1:])

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,7 +7,13 @@ import pytest
 from plectic.errors import ChartMismatchError, DegreeError
 from plectic.exterior import Chart, CoordinateMap, Form, VectorField, interior_multi
 
-from conftest import random_form, random_poly_expr, random_vector_field, scalar_field_form
+from conftest import (
+    random_form,
+    random_poly_expr,
+    random_scalar,
+    random_vector_field,
+    scalar_field_form,
+)
 
 F = Fraction
 
@@ -191,6 +198,103 @@ def test_pullback_commutes_with_d():
         )
         alpha = random_form(rng, CHART3, rng.randint(0, 2))
         assert phi.pullback(alpha.d()) == phi.pullback(alpha).d()
+
+
+# -- differential checks against sympy ---------------------------------------
+
+
+def _sympy_expr(sympy, expr, symbols):
+    def poly(p):
+        return sympy.Add(*[
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*[s**k for s, k in zip(symbols, e)])
+            for e, c in p.terms.items()
+        ])
+
+    return poly(expr.num) / poly(expr.den)
+
+
+def _sympy_components(sympy, form, symbols):
+    """Every increasing index tuple of the form mapped to its sympy coefficient."""
+    return {
+        idx: _sympy_expr(sympy, form.coefficient(idx), symbols)
+        for idx in itertools.combinations(range(form.chart.dim), form.degree)
+    }
+
+
+def _assert_components(sympy, form, expected, symbols):
+    for idx, got in _sympy_components(sympy, form, symbols).items():
+        assert sympy.cancel(got - expected[idx]) == 0, (idx, got, expected[idx])
+
+
+def test_d_agrees_with_sympy():
+    # (d a)_I = sum_j (-1)^j d/dx_{I_j} a_{I without I_j}
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(101)
+    symbols = sympy.symbols(CHART3.coords)
+    for _ in range(20):
+        alpha = random_form(rng, CHART3, rng.randint(0, 2), max_terms=3, rational=True)
+        a = _sympy_components(sympy, alpha, symbols)
+        expected = {
+            idx: sum(
+                (-1) ** j * sympy.diff(a[idx[:j] + idx[j + 1 :]], symbols[i])
+                for j, i in enumerate(idx)
+            )
+            for idx in itertools.combinations(range(3), alpha.degree + 1)
+        }
+        _assert_components(sympy, alpha.d(), expected, symbols)
+
+
+def test_wedge_agrees_with_sympy():
+    # (a ^ b)_I = sum over shuffles S of I of sign(S, I - S) a_S b_{I - S}
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(103)
+    chart = Chart("c4", ("x", "y", "z", "w"))
+    symbols = sympy.symbols(chart.coords)
+    for _ in range(20):
+        p, q = rng.randint(0, 2), rng.randint(0, 2)
+        alpha = random_form(rng, chart, p, max_terms=3, rational=True)
+        beta = random_form(rng, chart, q, max_terms=3, rational=True)
+        a = _sympy_components(sympy, alpha, symbols)
+        b = _sympy_components(sympy, beta, symbols)
+        expected = {}
+        for idx in itertools.combinations(range(4), p + q):
+            total = 0
+            for first in itertools.combinations(idx, p):
+                rest = tuple(i for i in idx if i not in first)
+                inversions = sum(1 for s in first for t in rest if s > t)
+                total += (-1) ** inversions * a[first] * b[rest]
+            expected[idx] = total
+        _assert_components(sympy, alpha.wedge(beta), expected, symbols)
+
+
+def test_pullback_agrees_with_sympy():
+    # (phi^* a)_J = sum_I a_I(phi) det(d phi^I / d s^J)
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(107)
+    src = Chart("src", ("a", "b", "c"))
+    target = Chart("tgt", ("x", "y", "z", "w"))
+    s_syms = sympy.symbols(src.coords)
+    t_syms = sympy.symbols(target.coords)
+    for trial in range(20):
+        comps = [random_poly_expr(rng, src.coords, max_terms=2, max_exp=1) for _ in range(4)]
+        if trial % 4 == 0:
+            comps[0] = random_scalar(rng, src.coords)
+        phi = CoordinateMap(src, target, comps)
+        alpha = random_form(rng, target, rng.randint(0, 3), max_terms=3)
+        phi_s = [_sympy_expr(sympy, c, s_syms) for c in comps]
+        jacobian = sympy.Matrix([[sympy.diff(f, s) for s in s_syms] for f in phi_s])
+        a = _sympy_components(sympy, alpha, t_syms)
+        k = alpha.degree
+        expected = {
+            cols: sum(
+                a[rows].subs(dict(zip(t_syms, phi_s)), simultaneous=True)
+                * jacobian.extract(list(rows), list(cols)).det()
+                for rows in itertools.combinations(range(4), k)
+            )
+            for cols in itertools.combinations(range(3), k)
+        }
+        _assert_components(sympy, phi.pullback(alpha), expected, s_syms)
 
 
 # -- evaluation --------------------------------------------------------------

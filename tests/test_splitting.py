@@ -350,6 +350,38 @@ def test_orthogonal_nesting():
         assert linalg.subspace_contained(o1, o2)
 
 
+def test_orthogonal_matches_brute_force_evaluation():
+    # rows V -> omega(V, W..., e_rest...) read off Form.evaluate, which goes
+    # through its own determinant rather than through term contraction
+    rng = random.Random(83)
+    chart = Chart("c5", ("a", "b", "c", "d", "e"))
+    units = [[F(int(i == j)) for i in range(5)] for j in range(5)]
+    proper = 0
+    for trial in range(60):
+        k = 3 + trial % 2
+        omega = random_form(rng, chart, k, max_terms=5)
+        point = [F(rng.randint(-3, 3)) for _ in range(5)]
+        nb = [
+            [F(rng.randint(-2, 2)) for _ in range(5)]
+            for _ in range(rng.randint(1, 3))
+        ]
+        ell = rng.randint(1, k)
+        rows = []
+        if ell < k:
+            for ws in itertools.combinations(nb, ell):
+                for rest in itertools.combinations(units, k - 1 - ell):
+                    rows.append(
+                        [omega.evaluate(point, [units[v], *ws, *rest]) for v in range(5)]
+                    )
+        expected = linalg.kernel_basis(rows, 5)
+        ortho = multisymplectic_orthogonal(omega, point, nb, ell)
+        assert len(ortho) == len(expected)
+        assert linalg.subspace_contained(ortho, expected)
+        assert linalg.subspace_contained(expected, ortho)
+        proper += len(ortho) < 5
+    assert proper >= 20
+
+
 def test_r4_inside_r5_is_2_coisotropic_at_origin():
     omega = _r5_form()
     tangent = [[F(int(i == j)) for i in range(5)] for j in range(4)]
