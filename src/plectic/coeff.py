@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence, Tuple, Union
 
 from .errors import PlecticError, PoleError
 
@@ -92,6 +92,9 @@ class Poly:
     def is_const(self) -> bool:
         return all(not any(e) for e in self.terms)
 
+    def is_one(self) -> bool:
+        return len(self.terms) == 1 and self.terms.get((0,) * len(self.variables)) == 1
+
     def const_value(self) -> Fraction:
         if not self.terms:
             return Fraction(0)
@@ -138,6 +141,11 @@ class Poly:
             other = Fraction(other)
             return Poly(self.variables, {e: c * other for e, c in self.terms.items()})
         self._check(other)
+        # a constant factor only scales the other operand, keeping its term order
+        if other.is_const():
+            return self * other.const_value()
+        if self.is_const():
+            return other * self.const_value()
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -176,7 +184,7 @@ class Poly:
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         if len(point) != len(self.variables):
             raise ValueError("point dimension mismatch")
-        point = [Fraction(p) for p in point]
+        point = [p if isinstance(p, Fraction) else Fraction(p) for p in point]
         total = Fraction(0)
         for e, c in self.terms.items():
             v = c
@@ -520,12 +528,24 @@ class ScalarExpr:
         """Partial derivative: (p/q)' = (q p' - p q') / q^2."""
         if name not in self.variables:
             raise PlecticError(f"unknown variable {name!r}")
+        if self.den.is_one():
+            return ScalarExpr(self.num.diff(name), self.den)
         return ScalarExpr(
             self.den * self.num.diff(name) - self.num * self.den.diff(name),
             self.den * self.den,
         )
 
+    def support(self) -> Tuple[int, ...]:
+        """Positions of the variables that occur in num or den, in order.
+
+        Every partial derivative along a variable outside the support is zero.
+        """
+        exponents = list(self.num.terms) + list(self.den.terms)
+        return tuple(i for i, column in enumerate(zip(*exponents)) if any(column))
+
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
+        if self.den.is_one():
+            return self.num.evaluate(point)
         den = self.den.evaluate(point)
         if den == 0:
             raise PoleError(f"pole at {tuple(map(str, point))}: denominator {self.den} vanishes")
@@ -575,7 +595,7 @@ class ScalarExpr:
     # -- display ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.den == Poly.const(self.variables, 1):
+        if self.den.is_one():
             return str(self.num)
         return f"({self.num})/({self.den})"
 
@@ -587,6 +607,9 @@ def _reduce(num: Poly, den: Poly):
     """Divide out the gcd and normalize so den is primitive with positive lead."""
     if num.is_zero():
         return num, Poly.const(num.variables, 1)
+    # an integer polynomial over 1 is already reduced: the gcd is 1, the scale 1
+    if den.is_one() and all(c.denominator == 1 for c in num.terms.values()):
+        return num, den
     g = poly_gcd(num, den)
     if not (g.is_const() and g.const_value() == 1):
         qn, qd = _div_exact(num, g), _div_exact(den, g)

@@ -238,10 +238,11 @@ class Form:
 
     def d(self) -> "Form":
         """Exterior derivative; d(d(a)) = 0."""
+        coords = self.chart.coords
         out: Dict[Index, ScalarExpr] = {}
         for idx, c in self.terms.items():
-            for axis, name in enumerate(self.chart.coords):
-                dc = c.diff(name)
+            for axis in c.support():
+                dc = c.diff(coords[axis])
                 if dc.is_zero():
                     continue
                 sign, nidx = sort_index((axis,) + idx)
@@ -394,28 +395,26 @@ class CoordinateMap:
             raise ChartMismatchError(
                 f"form lives on {form.chart.name!r}, map targets {self.target.name!r}"
             )
-        src = self.source
-        # differential of each target coordinate, as a row of nonzero partials
-        partials: List[List[Tuple[int, ScalarExpr]]] = []
-        for comp in self.components:
-            row = []
-            for j, name in enumerate(src.coords):
-                p = comp.diff(name)
-                if not p.is_zero():
-                    row.append((j, p))
-            partials.append(row)
+        partials = [self._partials(comp) for comp in self.components]
         composed = ((idx, c.compose(self.components)) for idx, c in form.terms.items())
-        return Form(src, form.degree, substitute(composed, partials))
+        return Form(self.source, form.degree, substitute(composed, partials))
+
+    def _partials(self, comp: ScalarExpr) -> List[Tuple[int, ScalarExpr]]:
+        """The differential of comp as its nonzero (j, d comp / d source_j) pairs.
+
+        Only the source axes in comp's support are differentiated along.
+        """
+        coords = self.source.coords
+        row = [(j, comp.diff(coords[j])) for j in comp.support()]
+        return [(j, p) for j, p in row if not p.is_zero()]
 
     def pushforward_vector(self, point: Sequence[Fraction], vector: Sequence[Fraction]) -> List[Fraction]:
         """Differential applied to a tangent vector at a rational point."""
         out = []
         for comp in self.components:
             acc = Fraction(0)
-            for j, name in enumerate(self.source.coords):
-                p = comp.diff(name)
-                if not p.is_zero():
-                    acc += p.evaluate(point) * Fraction(vector[j])
+            for j, p in self._partials(comp):
+                acc += p.evaluate(point) * Fraction(vector[j])
             out.append(acc)
         return out
 

@@ -146,12 +146,12 @@ def _jet_chart(fibered: FiberedChart) -> Chart:
     return Chart(fibered.total.name + "_jets", tuple(names))
 
 
-def _formal_pullback(
-    omega: Form, fibered: FiberedChart, jets: Chart
-) -> Dict[Tuple[int, ...], ScalarExpr]:
-    """Pull a form through the formal graph: d(fiber f) -> sum_b f__b d(base b).
+def _formal_graph_rows(
+    fibered: FiberedChart, jets: Chart
+) -> List[List[Tuple[int, ScalarExpr]]]:
+    """Differentials along the formal graph: d(fiber f) -> sum_b f__b d(base b).
 
-    Returns base-axis index tuples mapped to jet-chart coefficients.
+    One row per total coordinate, as (base axis, jet-chart coefficient) pairs.
     """
     base_axes = {n: i for i, n in enumerate(fibered.base)}
     rows = []
@@ -165,8 +165,7 @@ def _formal_pullback(
                     for b in fibered.base
                 ]
             )
-    renamed = ((idx, c.subs_rename(jets.coords)) for idx, c in omega.terms.items())
-    return substitute(renamed, rows)
+    return rows
 
 
 @dataclass
@@ -316,10 +315,13 @@ def eom_symbolic_system(omega_hat: Form, fibered: FiberedChart) -> EOMSystem:
         for b in fibered.base:
             aux_axes.add(jets.axis(jet_symbol(a, b)))
     volume_index = tuple(range(len(fibered.base)))
+    rows = _formal_graph_rows(fibered, jets)
     equations = []
     for name in fibered.fiber:
         contracted = omega_hat.interior(VectorField.coordinate(fibered.total, name))
-        pulled = _formal_pullback(contracted, fibered, jets)
+        pulled = substitute(
+            ((idx, c.subs_rename(jets.coords)) for idx, c in contracted.terms.items()), rows
+        )
         residual = pulled.get(volume_index, ScalarExpr.zero(jets.coords))
         if residual.is_zero():
             continue

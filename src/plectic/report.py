@@ -16,6 +16,8 @@ EVIDENCE = "EVIDENCE"
 FAIL = "FAIL"
 # FAIL witness message of a sampled check that was given no points
 NO_POINTS = "no sample points to check"
+# details keys in which a sampled check states how many points it evaluated
+POINT_COUNTS = ("points_checked", "samples_evaluated")
 
 
 @dataclass
@@ -31,6 +33,8 @@ class VerificationReport:
             raise ValueError(f"unknown verdict {self.verdict!r}")
         if self.verdict == FAIL and not self.witnesses:
             raise ValueError("FAIL reports must carry a witness")
+        if self.verdict == EVIDENCE and any(self.details.get(k) == 0 for k in POINT_COUNTS):
+            raise ValueError("EVIDENCE reports must evaluate at least one point")
 
     @property
     def ok(self) -> bool:

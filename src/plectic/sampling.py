@@ -58,12 +58,14 @@ def sample_points(
 
 
 def pole_rejector(form) -> Callable[[Tuple[Fraction, ...]], bool]:
-    """Rejection predicate: any coefficient denominator vanishes at the point."""
+    """Rejection predicate: any coefficient denominator vanishes at the point.
+
+    A constant denominator is nonzero, so only the distinct non-constant ones
+    are evaluated.
+    """
+    dens = list(dict.fromkeys(c.den for c in form.terms.values() if not c.den.is_const()))
 
     def reject(point) -> bool:
-        for coeff in form.terms.values():
-            if coeff.den.evaluate(point) == 0:
-                return True
-        return False
+        return any(den.evaluate(point) == 0 for den in dens)
 
     return reject

@@ -10,7 +10,10 @@ from plectic.coeff import (
     Poly,
     ScalarExpr,
     UnknownVariableError,
+    _div_exact,
+    _reduce,
     parse_expr,
+    poly_gcd,
 )
 from plectic.errors import PoleError
 
@@ -170,3 +173,122 @@ def test_gcd_reduction_keeps_values_exact():
         a = x**2 * n(-3, 3) + t * n(-3, 3) + n(1, 3)
         b = x + n(1, 4)
         assert (a * b) / b == a
+
+
+# -- polynomial fast path against the code it short-cuts ---------------------
+# The references below are the general routines without their shortcuts; the
+# fast paths must reproduce them term for term, in the same dict order.
+
+
+def _reduce_ladder(num, den):
+    """_reduce without the integer-polynomial shortcut: always run the gcd ladder."""
+    if num.is_zero():
+        return num, Poly.const(num.variables, 1)
+    g = poly_gcd(num, den)
+    if not (g.is_const() and g.const_value() == 1):
+        qn, qd = _div_exact(num, g), _div_exact(den, g)
+        if qn is not None and qd is not None:
+            num, den = qn, qd
+    scale = den.content()
+    if den.terms[den._lead()] < 0:
+        scale = -scale
+    if scale != 1:
+        num = num * (1 / scale)
+        den = den * (1 / scale)
+    return num, den
+
+
+def _mul_loop(a, b):
+    """Poly product by the general term-by-term loop."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(e, Fraction(0)) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return Poly(a.variables, out)
+
+
+def _ordered(p):
+    return list(p.terms.items())
+
+
+_FRACTIONS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_INTEGERS = st.integers(-6, 6).map(Fraction)
+
+
+def _polys(variables, coeffs, max_size=4, min_size=0):
+    exps = st.tuples(*(st.integers(0, 2) for _ in variables))
+    return st.dictionaries(exps, coeffs, min_size=min_size, max_size=max_size).map(
+        lambda terms: Poly(variables, terms)
+    )
+
+
+@st.composite
+def _reduce_inputs(draw):
+    """(num, den) over 3-5 variables with each kind of denominator."""
+    variables = tuple(f"v{i}" for i in range(draw(st.integers(3, 5))))
+    kind = draw(st.sampled_from(["one/int", "one/frac", "const", "poly"]))
+    num = draw(_polys(variables, _INTEGERS if kind == "one/int" else _FRACTIONS))
+    if kind.startswith("one"):
+        den = Poly.const(variables, 1)
+    elif kind == "const":
+        den = Poly.const(variables, draw(_FRACTIONS.filter(lambda c: c not in (0, 1))))
+    else:
+        den = draw(_polys(variables, _FRACTIONS, min_size=1).filter(lambda p: not p.is_const()))
+    return num, den
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_reduce_inputs())
+def test_reduce_matches_gcd_ladder_term_order_included(pair):
+    num, den = pair
+    got_num, got_den = _reduce(num, den)
+    want_num, want_den = _reduce_ladder(num, den)
+    assert _ordered(got_num) == _ordered(want_num)
+    assert _ordered(got_den) == _ordered(want_den)
+
+
+def test_reduce_keeps_integer_polynomials_over_one_as_given():
+    variables = ("a", "b", "c")
+    num = Poly(variables, {(0, 0, 1): Fraction(2), (1, 0, 0): Fraction(-3)})
+    one = Poly.const(variables, 1)
+    assert _reduce(num, one) == (num, one)
+    assert _reduce(num, one)[0] is num
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_constant_factor_product_matches_general_loop(data):
+    variables = ("a", "b", "c", "d")
+    p = data.draw(_polys(variables, _FRACTIONS, max_size=5))
+    c = Poly.const(variables, data.draw(_FRACTIONS))
+    for got, want in ((p * c, _mul_loop(p, c)), (c * p, _mul_loop(c, p))):
+        assert _ordered(got) == _ordered(want)
+
+
+def _quotient_rule(a, name):
+    return ScalarExpr(a.den * a.num.diff(name) - a.num * a.den.diff(name), a.den * a.den)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(_scalars(), _poly_exprs()), st.sampled_from(VARS))
+def test_diff_matches_quotient_rule(a, name):
+    got, want = a.diff(name), _quotient_rule(a, name)
+    assert got == want
+    assert (_ordered(got.num), _ordered(got.den)) == (_ordered(want.num), _ordered(want.den))
+
+
+def test_support_covers_numerator_and_denominator():
+    assert parse_expr("t/(x+1)", ("x", "t", "u")).support() == (0, 1)
+    assert parse_expr("u^2*x - 3", ("x", "t", "u")).support() == (0, 2)
+    assert ScalarExpr.const(("x", "t"), 5).support() == ()
+
+
+def test_evaluate_mixes_fractions_and_ints():
+    e = parse_expr("x*t/3 + 1", VARS)
+    assert e.evaluate([Fraction(1, 2), 4]) == Fraction(5, 3)
+    assert parse_expr("1/(x - t)", VARS).evaluate([Fraction(3), 1]) == Fraction(1, 2)

@@ -4,8 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from plectic.errors import ChartMismatchError, DegreeError
-from plectic.exterior import Chart, CoordinateMap, Form, VectorField, interior_multi
+from plectic.errors import ChartMismatchError, DegreeError, PoleError
+from plectic.exterior import (
+    Chart,
+    CoordinateMap,
+    Form,
+    VectorField,
+    add_term,
+    interior_multi,
+    sort_index,
+    substitute,
+)
 
 from conftest import (
     random_form,
@@ -295,6 +304,80 @@ def test_pullback_agrees_with_sympy():
             for cols in itertools.combinations(range(3), k)
         }
         _assert_components(sympy, phi.pullback(alpha), expected, s_syms)
+
+
+# -- support-restricted differentiation against all-axes loops --------------
+# Form.d, pullback and pushforward differentiate only along the variables a
+# coefficient uses; these references differentiate along every chart axis.
+
+
+def _d_all_axes(form):
+    out = {}
+    for idx, c in form.terms.items():
+        for axis, name in enumerate(form.chart.coords):
+            dc = c.diff(name)
+            if dc.is_zero():
+                continue
+            sign, nidx = sort_index((axis,) + idx)
+            if sign == 0:
+                continue
+            add_term(out, nidx, dc if sign > 0 else -dc)
+    return Form(form.chart, form.degree + 1, out)
+
+
+def _jacobian_all_axes(phi):
+    rows = []
+    for comp in phi.components:
+        row = []
+        for j, name in enumerate(phi.source.coords):
+            p = comp.diff(name)
+            if not p.is_zero():
+                row.append((j, p))
+        rows.append(row)
+    return rows
+
+
+def _pullback_all_axes(phi, form):
+    composed = ((idx, c.compose(phi.components)) for idx, c in form.terms.items())
+    return Form(phi.source, form.degree, substitute(composed, _jacobian_all_axes(phi)))
+
+
+def _term_lists(form):
+    return [
+        (idx, list(c.num.terms.items()), list(c.den.terms.items()))
+        for idx, c in form.terms.items()
+    ]
+
+
+def test_d_matches_all_axes_loop():
+    rng = random.Random(211)
+    chart = Chart("c4", ("x", "y", "z", "w"))
+    for _ in range(40):
+        alpha = random_form(rng, chart, rng.randint(0, 3), max_terms=3, rational=True)
+        assert _term_lists(alpha.d()) == _term_lists(_d_all_axes(alpha))
+
+
+def test_pullback_and_pushforward_match_all_axes_loops():
+    rng = random.Random(223)
+    src = Chart("src", ("a", "b", "c"))
+    target = Chart("tgt", ("x", "y", "z", "w"))
+    for trial in range(30):
+        comps = [random_poly_expr(rng, src.coords, max_terms=2, max_exp=1) for _ in range(4)]
+        if trial % 3 == 0:
+            comps[rng.randrange(4)] = random_scalar(rng, src.coords)
+        phi = CoordinateMap(src, target, comps)
+        alpha = random_form(rng, target, rng.randint(0, 3), max_terms=3, rational=True)
+        assert _term_lists(phi.pullback(alpha)) == _term_lists(_pullback_all_axes(phi, alpha))
+        point = [F(rng.randint(-5, 5)) for _ in src.coords]
+        vector = [F(rng.randint(-3, 3)) for _ in src.coords]
+        try:
+            want = [
+                sum((p.evaluate(point) * vector[j] for j, p in row), F(0))
+                for row in _jacobian_all_axes(phi)
+            ]
+        except PoleError:
+            continue
+        assert phi.pushforward_vector(point, vector) == want
 
 
 # -- evaluation --------------------------------------------------------------

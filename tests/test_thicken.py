@@ -8,8 +8,11 @@ import pytest
 
 from plectic import linalg
 from plectic.exterior import Chart, Form, VectorField
-from plectic.report import EVIDENCE, FAIL, PASS
-from plectic.sampling import SampleConfig, sample_points
+from plectic import coeff
+from plectic.coeff import ScalarExpr
+from plectic.fieldtheory import FiberedChart, eom_symbolic_system
+from plectic.report import EVIDENCE, FAIL, PASS, VerificationReport
+from plectic.sampling import SampleConfig, pole_rejector, sample_points
 from plectic.splitting import PreMultisymplecticManifold, build_split_frame, kernel_at
 from plectic.thicken import (
     DegreeTooLowError,
@@ -252,6 +255,14 @@ def test_sampled_verifiers_fail_on_empty_point_lists(manifold4, thickening4):
         assert report.witnesses == [{"error": "no sample points to check"}]
 
 
+def test_evidence_report_needs_an_evaluated_point():
+    for key in ("points_checked", "samples_evaluated"):
+        with pytest.raises(ValueError, match="at least one point"):
+            VerificationReport("sampled", EVIDENCE, {key: 0})
+        assert VerificationReport("sampled", EVIDENCE, {key: 1}).ok
+    assert VerificationReport("sampled", FAIL, {"points_checked": 0}, [{"error": "x"}]).verdict == FAIL
+
+
 def test_verify_zero_section_detects_mutated_tautological_form(thickening4):
     big = thickening4.big_chart
     mutated_theta = thickening4.theta0 + Form.from_terms(big, 2, [(("t", "u"), "x")])
@@ -361,3 +372,65 @@ def test_r5_inclusion_pulls_back_to_base_form():
     assert inclusion.pullback(omega) == Form.from_terms(
         small, 3, [(("x1", "x2", "x3"), "1")]
     )
+
+
+# -- work done by the polynomial fast path -------------------------------------
+
+
+def _dw3_thickening():
+    """The DeDonder-Weyl scalar field on 3 base dimensions, thickened (38 dims)."""
+    chart = Chart("dw3", ("x1", "x2", "x3", "u", "rho1", "rho2", "rho3"))
+    omega = Form.from_terms(
+        chart, 4, [(("rho1", "u", "x2", "x3"), "1"), (("rho1", "x1", "x2", "x3"), "-rho1")]
+    )
+    manifold = PreMultisymplecticManifold(chart, 4, omega)
+    vertical = [VectorField.from_mapping(chart, {"x1": "1", "u": "rho1"})] + [
+        VectorField.coordinate(chart, n) for n in ("rho2", "rho3")
+    ]
+    horizontal = [VectorField.coordinate(chart, n) for n in ("x2", "x3", "u", "rho1")]
+    return build_thickening(manifold, build_split_frame(manifold, vertical, horizontal))
+
+
+def _counting(monkeypatch, owner, attr):
+    calls = [0]
+    original = getattr(owner, attr)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+def test_d_differentiates_only_along_each_coefficients_support(monkeypatch):
+    omega_tilde = _dw3_thickening().omega_tilde
+    assert omega_tilde.chart.dim == 38
+    expected = sum(len(c.support()) for c in omega_tilde.terms.values())
+    calls = _counting(monkeypatch, ScalarExpr, "diff")
+    assert omega_tilde.d().is_zero()
+    assert calls[0] == expected < 38 * len(omega_tilde.terms)
+
+
+def test_polynomial_pipeline_runs_no_gcd(monkeypatch, thickening4, manifold4):
+    calls = _counting(monkeypatch, coeff, "poly_gcd")
+    assert verify_closed(thickening4).verdict == PASS
+    base = FiberedChart(manifold4.chart, ("x", "t"))
+    thick = FiberedChart(thickening4.big_chart, ("x", "t"), thickening4.fiber_names)
+    assert eom_symbolic_system(manifold4.omega, base).equations
+    assert eom_symbolic_system(thickening4.omega_tilde, thick).equations
+    assert calls[0] == 0
+
+
+def test_pole_rejector_evaluates_each_distinct_nonconstant_denominator_once(monkeypatch):
+    chart = Chart("c3", ("x", "y", "z"))
+    form = Form.from_terms(
+        chart, 1, [(("x",), "1/(x - 1)"), (("y",), "y/(x - 1)"), (("z",), "3/2 + z/(y + 2)")]
+    )
+    reject = pole_rejector(form)
+    calls = _counting(monkeypatch, coeff.Poly, "evaluate")
+    assert reject((F(1), F(0), F(0)))
+    assert reject((F(0), F(-2), F(0)))
+    assert not reject((F(2), F(3), F(4)))
+    assert calls[0] <= 2 * 3
+    assert not pole_rejector(Form.from_terms(chart, 1, [(("x",), "x*y - 1/2")]))((F(0),) * 3)
