@@ -97,8 +97,8 @@ def _sample_config(spec: ManifoldSpec, args) -> SampleConfig:
     return SampleConfig(count, seed, spec.samples.low, spec.samples.high)
 
 
-def _render_form(form: Form, basis: str, thickening: Optional[Thickening] = None) -> str:
-    if basis == "frame" and thickening is not None:
+def _render_form(form: Form, basis: str, thickening: Thickening) -> str:
+    if basis == "frame":
         coeffs = present_in_frame_basis(thickening, form)
         frame = thickening.frame
         d = frame.chart.dim

@@ -453,6 +453,10 @@ class ScalarExpr:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def __bool__(self) -> bool:
+        """Nonzero test, so sparse rows and pivots treat ScalarExpr like Fraction."""
+        return not self.num.is_zero()
+
     def is_const(self) -> bool:
         return self.num.is_const() and self.den.is_const()
 

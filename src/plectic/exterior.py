@@ -424,10 +424,11 @@ class CoordinateMap:
 
 def contract_constant(values: Sequence[Fraction], cterms: Mapping[Index, Fraction]) -> Dict[Index, Fraction]:
     """Interior product of a constant form by a constant vector (first slot)."""
+    values = [Fraction(x) for x in values]
     out: Dict[Index, Fraction] = {}
     for idx, c in cterms.items():
         for pos, axis in enumerate(idx):
-            v = Fraction(values[axis])
+            v = values[axis]
             if not v:
                 continue
             coeff = c * v if pos % 2 == 0 else -c * v

@@ -1,10 +1,11 @@
 """Exact linear algebra over Q and over symbolic rational functions.
 
-Matrices are plain lists of rows.  Rank, kernels and containment over Q drive
-every pointwise verdict in the package and all run through one exact
-elimination, ``rref``: Gauss-Jordan over Fraction on sparse {column: value}
-rows, so zero rows and zero entries cost nothing.  Symbolic inversion runs
-Gauss-Jordan over ScalarExpr with exact zero tests.
+A matrix is a list of sparse rows ``{column: value}`` that carry no zero
+entries; the values are Fractions or ScalarExprs.  One exact elimination,
+``rref``, is field-generic and serves rank, kernels and containment over Q
+(every pointwise verdict in the package) and the symbolic inverse of a frame
+over Q(x), which is the rref of [M | I].  Zero rows and zero entries cost
+nothing.  Dense vectors, such as kernel bases, enter through ``sparse``.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
-from .coeff import ScalarExpr
 from .errors import PlecticError
 
 Vector = List[Fraction]
-SparseRow = Dict[int, Fraction]
+SparseRow = Dict[int, object]
 
 
 class SingularMatrixError(PlecticError):
@@ -27,38 +27,43 @@ class DimensionMismatchError(PlecticError):
     pass
 
 
+def sparse(vector: Sequence) -> SparseRow:
+    """The sparse row of a dense rational vector: its nonzero entries as Fractions."""
+    return {j: Fraction(x) for j, x in enumerate(vector) if x}
+
+
 def _reduce(v: SparseRow, reduced: Dict[int, SparseRow]) -> None:
     """Clear v's pivot columns in place; each reduced row is 0 at the others."""
     for p in [p for p in v if p in reduced]:
-        f = v[p]
+        g = -v[p]
         for j, x in reduced[p].items():
-            s = v.get(j, 0) - f * x
+            s = v[j] + g * x if j in v else g * x
             if s:
                 v[j] = s
             else:
                 del v[j]
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> Dict[int, SparseRow]:
-    """Reduced row echelon form over Q of dense rows, keyed by pivot column.
+def rref(rows: Sequence[SparseRow], ncols: int) -> Dict[int, SparseRow]:
+    """Reduced row echelon form of sparse rows, keyed by pivot column.
 
     Each row is reduced against the rows so far, scaled to 1 at its leading
     column (the new pivot), and cleared from the earlier rows.  Zero rows
-    vanish, so the rank is the number of sparse rows returned.  The form is
-    unique, so results do not depend on the order of the rows.
+    vanish, so the rank is the number of rows returned.  The form is unique,
+    so results do not depend on the order of the rows.  Works over any field
+    whose values test nonzero with ``bool``: Fraction and ScalarExpr.
     """
-    ncols = len(rows[0]) if rows else 0
     reduced: Dict[int, SparseRow] = {}
     for row in rows:
         if len(reduced) == ncols:
             break
-        v = {j: Fraction(x) for j, x in enumerate(row) if x}
+        v = dict(row)
         _reduce(v, reduced)
         if not v:
             continue
         q = min(v)
-        inv = 1 / v[q]
-        v = {j: x * inv for j, x in v.items()}
+        p = v[q]
+        v = {j: x / p for j, x in v.items()}
         for r in reduced.values():
             if q in r:
                 _reduce(r, {q: v})
@@ -66,22 +71,18 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> Dict[int, SparseRow]:
     return reduced
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q."""
-    return len(rref(rows))
+def rank(rows: Sequence[SparseRow], ncols: int) -> int:
+    """Rank of sparse rows with ncols columns."""
+    return len(rref(rows, ncols))
 
 
-def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int = None) -> List[Vector]:
-    """Exact basis of the right null space {v : M v = 0}.
+def kernel_basis(rows: Sequence[SparseRow], ncols: int) -> List[Vector]:
+    """Exact basis of the right null space {v : M v = 0}, as dense vectors.
 
     Basis size always equals ncols - rank(M); basis vectors carry a 1 in
     their defining free coordinate.
     """
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty row list")
-        ncols = len(rows[0])
-    reduced = rref(rows)
+    reduced = rref(rows, ncols)
     basis = []
     for fc in range(ncols):
         if fc in reduced:
@@ -96,48 +97,29 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int = None) -> List[
 
 
 def subspace_contained(span_a: Sequence[Vector], span_b: Sequence[Vector]) -> bool:
-    """True iff every vector of span_a lies in span(span_b), decided exactly."""
+    """True iff every dense vector of span_a lies in span(span_b), decided exactly."""
     dims = {len(v) for v in list(span_a) + list(span_b)}
     if len(dims) > 1:
         raise DimensionMismatchError(f"ambient dimensions differ: {sorted(dims)}")
-    reduced = rref(span_b)
+    reduced = rref([sparse(b) for b in span_b], max(dims, default=0))
     for a in span_a:
-        v = {j: Fraction(x) for j, x in enumerate(a) if x}
+        v = sparse(a)
         _reduce(v, reduced)
         if v:
             return False
     return True
 
 
-def invert(rows: Sequence[Sequence[ScalarExpr]]) -> List[List[ScalarExpr]]:
-    """Exact inverse of a square ScalarExpr matrix via Gauss-Jordan.
+def invert(rows: Sequence[SparseRow], n: int) -> List[SparseRow]:
+    """Exact inverse of an n x n matrix of sparse rows: the rref of [M | I].
 
-    Raises SingularMatrixError when elimination finds a column without a
-    symbolically nonzero pivot (determinant is the zero expression).
+    Raises SingularMatrixError naming the first column of M without a pivot
+    (M is singular); each inverse row lists its entries by column.
     """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    if len(rows) != n or any(not 0 <= j < n for row in rows for j in row):
         raise DimensionMismatchError("matrix is not square")
-    if n == 0:
-        return []
-    variables = rows[0][0].variables
-    one = ScalarExpr.one(variables)
-    zero = ScalarExpr.zero(variables)
-    m = [list(r) for r in rows]
-    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    reduced = rref([{**row, n + i: Fraction(1)} for i, row in enumerate(rows)], 2 * n)
     for c in range(n):
-        pivot_row = next((i for i in range(c, n) if not m[i][c].is_zero()), None)
-        if pivot_row is None:
+        if c not in reduced:
             raise SingularMatrixError(f"no nonzero pivot in column {c}")
-        m[c], m[pivot_row] = m[pivot_row], m[c]
-        inv[c], inv[pivot_row] = inv[pivot_row], inv[c]
-        p = m[c][c]
-        m[c] = [x / p for x in m[c]]
-        inv[c] = [x / p for x in inv[c]]
-        for i in range(n):
-            if i == c or m[i][c].is_zero():
-                continue
-            f = m[i][c]
-            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-            inv[i] = [a - f * b for a, b in zip(inv[i], inv[c])]
-    return inv
+    return [{j - n: x for j, x in sorted(reduced[c].items()) if j >= n} for c in range(n)]

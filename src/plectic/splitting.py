@@ -66,27 +66,24 @@ class PreMultisymplecticManifold:
 def contraction_matrix(form: Form, point: Sequence[Fraction]):
     """Matrix of X |-> i_X form at a point, built from its nonzero terms.
 
-    Only nonzero rows are returned: dense lists of length dim, indexed by the
-    strictly increasing (degree-1)-tuples of coordinate positions that carry
-    a nonzero entry (lexicographic order); columns by coordinates.
+    Only nonzero rows are returned: sparse {coordinate position: value} rows,
+    indexed by the strictly increasing (degree-1)-tuples of coordinate
+    positions that carry a nonzero entry (lexicographic order).
     """
-    by_rest = _contraction_rows(form.eval_coefficients(point), form.chart.dim)
+    by_rest = _contraction_rows(form.eval_coefficients(point))
     row_indices = sorted(by_rest)
     return [by_rest[rest] for rest in row_indices], row_indices
 
 
-def _contraction_rows(cterms: Dict[Index, Fraction], d: int) -> Dict[Index, List[Fraction]]:
+def _contraction_rows(cterms: Dict[Index, Fraction]) -> Dict[Index, linalg.SparseRow]:
     """Nonzero rows of X |-> i_X of a constant form, keyed by the remaining index."""
-    by_rest: Dict[Index, List[Fraction]] = {}
+    by_rest: Dict[Index, linalg.SparseRow] = {}
     for idx, c in cterms.items():
         if not c:
             continue
         for pos, axis in enumerate(idx):
             rest = idx[:pos] + idx[pos + 1 :]
-            row = by_rest.get(rest)
-            if row is None:
-                row = by_rest[rest] = [Fraction(0)] * d
-            row[axis] = c if pos % 2 == 0 else -c
+            by_rest.setdefault(rest, {})[axis] = c if pos % 2 == 0 else -c
     return by_rest
 
 
@@ -107,7 +104,7 @@ def kernel_dimensions(
         except PoleError:
             dims.append(None)
         else:
-            dims.append(manifold.chart.dim - linalg.rank(rows))
+            dims.append(manifold.chart.dim - linalg.rank(rows, manifold.chart.dim))
     return dims
 
 
@@ -197,25 +194,30 @@ class SplitFrame:
     def labels(self) -> Tuple[str, ...]:
         return self.vertical_labels + self.horizontal_labels
 
-    def matrix(self) -> List[List[ScalarExpr]]:
-        """d x d matrix whose columns are the frame fields."""
-        fields = self.fields
-        return [
-            [fields[j].components[i] for j in range(len(fields))]
-            for i in range(self.chart.dim)
-        ]
+    def rows(self) -> List[linalg.SparseRow]:
+        """Sparse rows of the frame matrix E: dq^i = sum_j E[i][j] eta^j."""
+        return _frame_rows(self.fields, self.chart.dim)
 
 
-def _assign_labels(matrix: List[List[ScalarExpr]], coords: Sequence[str]) -> List[str]:
+def _frame_rows(fields: Sequence[VectorField], d: int) -> List[linalg.SparseRow]:
+    """Row i holds the nonzero i-th components of the fields, by field position."""
+    return [
+        {j: f.components[i] for j, f in enumerate(fields) if f.components[i]}
+        for i in range(d)
+    ]
+
+
+def _assign_labels(rows: Sequence[linalg.SparseRow], coords: Sequence[str]) -> List[str]:
     """Assign each frame field a distinct coordinate with a nonzero component.
 
     Greedy bipartite matching; a perfect matching exists whenever the frame
     matrix is invertible (some generalized diagonal is nonzero).
     """
     d = len(coords)
-    candidates = [
-        [i for i in range(d) if not matrix[i][j].is_zero()] for j in range(d)
-    ]
+    candidates: List[List[int]] = [[] for _ in range(d)]
+    for i, row in enumerate(rows):
+        for j in row:
+            candidates[j].append(i)
     match_of_coord: Dict[int, int] = {}
 
     def try_assign(j: int, visited: set) -> bool:
@@ -246,10 +248,11 @@ def build_split_frame(
     omega, and the d fields are independent (frame matrix invertible).
     """
     chart = manifold.chart
-    for f in list(vertical) + list(horizontal):
+    fields = list(vertical) + list(horizontal)
+    for f in fields:
         if f.chart != chart:
             raise ChartMismatchError("frame field on a different chart")
-    if len(vertical) + len(horizontal) != chart.dim:
+    if len(fields) != chart.dim:
         raise FrameError(
             f"{len(vertical)} vertical + {len(horizontal)} horizontal != dim {chart.dim}"
         )
@@ -259,20 +262,13 @@ def build_split_frame(
             raise FrameError(
                 f"vertical field #{n} is not in the kernel: i_V omega = {contraction}"
             )
-    fields = list(vertical) + list(horizontal)
-    matrix = [
-        [fields[j].components[i] for j in range(chart.dim)]
-        for i in range(chart.dim)
-    ]
+    rows = _frame_rows(fields, chart.dim)
     try:
-        inverse = linalg.invert(matrix)
+        inverse = linalg.invert(rows, chart.dim)
     except linalg.SingularMatrixError as exc:
         raise FrameError(f"fields do not form a frame: {exc}") from exc
-    coframe = [
-        Form(chart, 1, {(i,): inverse[j][i] for i in range(chart.dim)})
-        for j in range(chart.dim)
-    ]
-    labels = _assign_labels(matrix, chart.coords)
+    coframe = [Form(chart, 1, {(i,): c for i, c in row.items()}) for row in inverse]
+    labels = _assign_labels(rows, chart.coords)
     r = len(vertical)
     return SplitFrame(
         chart,
@@ -293,13 +289,7 @@ def frame_expansion(form: Form, frame: SplitFrame) -> Dict[Index, ScalarExpr]:
     """
     if form.chart != frame.chart:
         raise ChartMismatchError("form and frame charts differ")
-    matrix = frame.matrix()
-    d = frame.chart.dim
-    rows = [
-        [(j, matrix[i][j]) for j in range(d) if not matrix[i][j].is_zero()]
-        for i in range(d)
-    ]
-    return substitute(form.terms.items(), rows)
+    return substitute(form.terms.items(), [row.items() for row in frame.rows()])
 
 
 def from_frame_expansion(frame: SplitFrame, degree: int, coeffs: Dict[Index, ScalarExpr]) -> Form:
@@ -355,14 +345,13 @@ def multisymplectic_orthogonal(
     """
     if ell < 1:
         raise PlecticError("ell must be >= 1")
-    d = form.chart.dim
     consts = form.eval_coefficients(point)
-    rows: List[List[Fraction]] = []
+    rows: List[linalg.SparseRow] = []
     for ws in itertools.combinations(range(len(n_basis)), ell):
         # i_V i_{W...} form differs from i_{W...} i_V form by one sign per
         # tuple, so the rows for V span the same space either way
         c = consts
         for w in ws:
             c = contract_constant(n_basis[w], c)
-        rows.extend(_contraction_rows(c, d).values())
-    return linalg.kernel_basis(rows, d)
+        rows.extend(_contraction_rows(c).values())
+    return linalg.kernel_basis(rows, form.chart.dim)

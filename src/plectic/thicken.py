@@ -185,22 +185,13 @@ def present_in_frame_basis(thickening: Thickening, form: Form) -> Dict[Index, Sc
     d.. to the fiber coordinate differentials, matching how the construction
     is usually displayed.
     """
-    frame = thickening.frame
-    d = frame.chart.dim
-    matrix = frame.matrix()  # dq^i = sum_j E[i][j] eta^j (base block only)
     big = thickening.big_chart
-    rows = []
-    for i in range(big.dim):
-        if i < d:
-            rows.append(
-                [
-                    (j, matrix[i][j].subs_rename(big.coords))
-                    for j in range(d)
-                    if not matrix[i][j].is_zero()
-                ]
-            )
-        else:
-            rows.append([(i, ScalarExpr.one(big.coords))])
+    # dq^i = sum_j E[i][j] eta^j on the base block; fiber differentials stay
+    rows = [
+        [(j, e.subs_rename(big.coords)) for j, e in row.items()]
+        for row in thickening.frame.rows()
+    ]
+    rows += [[(i, ScalarExpr.one(big.coords))] for i in range(len(rows), big.dim)]
     return substitute(form.terms.items(), rows)
 
 
@@ -244,7 +235,7 @@ def nondegeneracy_report(
     witnesses = []
     for p in points:
         rows = contraction_matrix(form, p)[0]
-        if linalg.rank(rows) == d:
+        if linalg.rank(rows, d) == d:
             continue
         kernel = linalg.kernel_basis(rows, d)
         witnesses.append(
@@ -275,24 +266,20 @@ def verify_nondegenerate(
     Validity away from the zero section is part of the claim, so the sample
     set is required to contain at least one point with a nonzero fiber
     coordinate (uniform integer sampling essentially guarantees this; the
-    guard resamples if not).
+    guard resamples with the next seed if not, and reports that seed).
     """
+    d = thickening.base_dim
     if points is None:
-        points = sample_points(
-            thickening.big_chart.dim, config, pole_rejector(thickening.omega_tilde)
-        )
-        d = thickening.base_dim
+        reject = pole_rejector(thickening.omega_tilde)
+        points = sample_points(thickening.big_chart.dim, config, reject)
         if thickening.fiber_count and not any(
             any(x != 0 for x in p[d:]) for p in points
         ):
-            bumped = SampleConfig(config.count, config.seed + 1, config.low, config.high)
-            points = sample_points(
-                thickening.big_chart.dim, bumped, pole_rejector(thickening.omega_tilde)
-            )
+            config = SampleConfig(config.count, config.seed + 1, config.low, config.high)
+            points = sample_points(thickening.big_chart.dim, config, reject)
     report = nondegeneracy_report(
         thickening.omega_tilde, points, config, "thickened-form-non-degenerate"
     )
-    d = thickening.base_dim
     report.details["points_with_nonzero_fiber_part"] = sum(
         1 for p in points if any(x != 0 for x in p[d:])
     )

@@ -306,6 +306,41 @@ def test_pullback_agrees_with_sympy():
         _assert_components(sympy, phi.pullback(alpha), expected, s_syms)
 
 
+def test_evaluate_agrees_with_sympy():
+    # a(v_1, ..., v_k) = sum_I a_I(point) det(v_j^i for i in I), so this also
+    # checks the row-swap signs of exterior._det
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(109)
+    chart = Chart("c5", ("a", "b", "c", "d", "e"))
+    symbols = sympy.symbols(chart.coords)
+
+    def rational():
+        return F(0) if rng.random() < 0.4 else F(rng.randint(-3, 3), rng.randint(1, 3))
+
+    evaluated = 0
+    for trial in range(60):
+        k = rng.randint(1, 5)
+        alpha = random_form(rng, chart, k, max_terms=4, rational=trial % 2 == 1)
+        point = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(5)]
+        vectors = [[rational() for _ in range(5)] for _ in range(k)]
+        try:
+            got = alpha.evaluate(point, vectors)
+        except PoleError:
+            continue
+        at = {s: sympy.Rational(x.numerator, x.denominator) for s, x in zip(symbols, point)}
+        columns = sympy.Matrix(
+            [[sympy.Rational(v[i].numerator, v[i].denominator) for v in vectors] for i in range(5)]
+        )
+        a = _sympy_components(sympy, alpha, symbols)
+        expected = sum(
+            a[idx].subs(at) * columns.extract(list(idx), list(range(k))).det()
+            for idx in itertools.combinations(range(5), k)
+        )
+        assert sympy.Rational(got.numerator, got.denominator) == expected, trial
+        evaluated += 1
+    assert evaluated >= 50
+
+
 # -- support-restricted differentiation against all-axes loops --------------
 # Form.d, pullback and pushforward differentiate only along the variables a
 # coefficient uses; these references differentiate along every chart axis.

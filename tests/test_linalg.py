@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from plectic.linalg import (
     invert,
     kernel_basis,
     rank,
+    sparse,
     subspace_contained,
 )
 
@@ -20,16 +22,20 @@ def _e(i, n):
     return [F(int(j == i)) for j in range(n)]
 
 
+def _rows(m):
+    return [sparse(row) for row in m]
+
+
 def test_kernel_of_identity_is_trivial():
-    m = [_e(i, 3) for i in range(3)]
-    assert kernel_basis(m) == []
+    m = _rows(_e(i, 3) for i in range(3))
+    assert kernel_basis(m, 3) == []
 
 
 def test_kernel_of_zero_map_is_everything():
-    m = [[F(0)] * 3 for _ in range(2)]
-    basis = kernel_basis(m)
+    m = _rows([F(0)] * 3 for _ in range(2))
+    basis = kernel_basis(m, 3)
     assert len(basis) == 3
-    assert rank(basis) == 3
+    assert rank(_rows(basis), 3) == 3
 
 
 def test_kernel_of_scalar_field_contraction(manifold4):
@@ -38,8 +44,8 @@ def test_kernel_of_scalar_field_contraction(manifold4):
 
     rows, _ = contraction_matrix(manifold4.omega, [0, 0, 0, 1, 0])
     # only the nonzero rows of the 10 x 5 matrix
-    assert len(rows) == 5 and all(len(row) == 5 and any(row) for row in rows)
-    basis = kernel_basis(rows)
+    assert len(rows) == 5 and all(row and all(row.values()) and max(row) < 5 for row in rows)
+    basis = kernel_basis(rows, 5)
     assert len(basis) == 2
     expected = [
         [F(1), F(0), F(1), F(0), F(0)],  # e_x + rho_x e_u at rho_x = 1
@@ -62,25 +68,30 @@ def test_subspace_dimension_mismatch():
 
 def test_invert_identity():
     variables = ("x",)
-    one, zero = ScalarExpr.one(variables), ScalarExpr.zero(variables)
-    m = [[one, zero], [zero, one]]
-    assert invert(m) == m
+    one = ScalarExpr.one(variables)
+    m = [{0: one}, {1: one}]
+    assert invert(m, 2) == m
 
 
 def test_invert_unipotent_and_multiply_back():
     variables = ("x",)
     m = [
-        [parse_expr("1", variables), parse_expr("x", variables)],
-        [parse_expr("0", variables), parse_expr("1", variables)],
+        {0: parse_expr("1", variables), 1: parse_expr("x", variables)},
+        {1: parse_expr("1", variables)},
     ]
-    inv = invert(m)
+    inv = invert(m, 2)
     assert inv[0][1] == parse_expr("0-x", variables)
     identity = [
         [ScalarExpr.one(variables), ScalarExpr.zero(variables)],
         [ScalarExpr.zero(variables), ScalarExpr.one(variables)],
     ]
+    zero = ScalarExpr.zero(variables)
+
     def product(a, b):
-        return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)] for i in range(2)]
+        return [
+            [sum((a[i].get(k, zero) * b[k].get(j, zero) for k in range(2)), zero) for j in range(2)]
+            for i in range(2)
+        ]
 
     assert product(m, inv) == identity
     assert product(inv, m) == identity
@@ -90,7 +101,7 @@ def test_invert_singular_raises():
     variables = ("x",)
     x = parse_expr("x", variables)
     with pytest.raises(SingularMatrixError):
-        invert([[x, x], [x, x]])
+        invert([{0: x, 1: x}, {0: x, 1: x}], 2)
 
 
 def test_rank_transpose_invariance():
@@ -99,7 +110,7 @@ def test_rank_transpose_invariance():
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
         m = [[F(rng.randint(-4, 4)) for _ in range(ncols)] for _ in range(nrows)]
         mt = [list(col) for col in zip(*m)]
-        assert rank(m) == rank(mt)
+        assert rank(_rows(m), ncols) == rank(_rows(mt), nrows)
 
 
 def test_kernel_invariants_on_random_matrices():
@@ -110,14 +121,14 @@ def test_kernel_invariants_on_random_matrices():
             [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
             for _ in range(nrows)
         ]
-        basis = kernel_basis(m)
-        assert len(basis) == ncols - rank(m)
+        basis = kernel_basis(_rows(m), ncols)
+        assert len(basis) == ncols - rank(_rows(m), ncols)
         for v in basis:
             assert all(
                 sum(row[j] * v[j] for j in range(ncols)) == 0 for row in m
             )
         if basis:
-            assert rank(basis) == len(basis)
+            assert rank(_rows(basis), ncols) == len(basis)
 
 
 def test_rank_invariant_under_permutations():
@@ -125,13 +136,13 @@ def test_rank_invariant_under_permutations():
     for _ in range(30):
         nrows, ncols = rng.randint(2, 5), rng.randint(2, 5)
         m = [[F(rng.randint(-3, 3)) for _ in range(ncols)] for _ in range(nrows)]
-        r = rank(m)
+        r = rank(_rows(m), ncols)
         rows = m[:]
         rng.shuffle(rows)
         cols = list(range(ncols))
         rng.shuffle(cols)
         shuffled = [[row[c] for c in cols] for row in rows]
-        assert rank(shuffled) == r
+        assert rank(_rows(shuffled), ncols) == r
 
 
 def _random_matrix(rng, nrows, ncols):
@@ -159,9 +170,9 @@ def test_rank_kernel_and_containment_agree_with_sympy():
         nrows, ncols = [(2, 7), (9, 3), (5, 5)][trial % 3]
         m = _random_matrix(rng, nrows, ncols)
         s = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m])
-        assert rank(m) == s.rank()
+        assert rank(_rows(m), ncols) == s.rank()
         expected = [[F(int(x.p), int(x.q)) for x in v] for v in s.nullspace()]
-        assert kernel_basis(m) == expected
+        assert kernel_basis(_rows(m), ncols) == expected
         span_a = _random_matrix(rng, rng.randint(1, 3), ncols)
         if trial % 2:
             # a combination of m's rows, so containment holds
@@ -169,3 +180,70 @@ def test_rank_kernel_and_containment_agree_with_sympy():
         sa = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in span_a])
         assert subspace_contained(span_a, m) == (s.col_join(sa).rank() == s.rank())
         assert subspace_contained(expected, [[F(0)] * ncols] + expected)
+
+
+def _random_expr(rng, variables, rational):
+    """A random polynomial or rational ScalarExpr; zero about a third of the time."""
+    if rng.random() < 0.35:
+        return ScalarExpr.zero(variables)
+    expr = ScalarExpr.const(variables, F(rng.randint(-3, 3), rng.randint(1, 2)))
+    for v in variables:
+        expr = expr + rng.randint(-2, 2) * ScalarExpr.var(variables, v)
+    if rational and rng.random() < 0.25:
+        expr = expr / (ScalarExpr.var(variables, rng.choice(variables)) + rng.randint(1, 3))
+    return expr
+
+
+def _sympy_of(sympy, expr, symbols):
+    def poly(p):
+        return sympy.Add(*[
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*[s**k for s, k in zip(symbols, e)])
+            for e, c in p.terms.items()
+        ])
+
+    return poly(expr.num) / poly(expr.den)
+
+
+def test_invert_agrees_with_sympy_on_random_scalar_matrices():
+    # M M^-1 = I exactly; a singular M reports the first non-pivot column of
+    # its reduced row echelon form
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(61)
+    variables = ("x", "y")
+    symbols = sympy.symbols(variables)
+    zero, one = ScalarExpr.zero(variables), ScalarExpr.one(variables)
+    singular = 0
+    for trial in range(40):
+        rational, dependent = trial % 3 == 2, trial % 2 == 1
+        # 4 x 4 only where the elimination stays small
+        n = rng.randint(1, 3 if rational or dependent else 4)
+        cols = [[_random_expr(rng, variables, rational) for _ in range(n)] for _ in range(n)]
+        if dependent:
+            # make one or two columns combinations of the earlier ones
+            for k in rng.sample(range(n), rng.randint(1, min(2, n))):
+                coeffs = [_random_expr(rng, variables, False) for _ in range(k)]
+                cols[k] = [sum((c * cols[j][i] for j, c in enumerate(coeffs)), zero) for i in range(n)]
+        dense = [[cols[j][i] for j in range(n)] for i in range(n)]
+        for row in dense:
+            assert all(bool(e) == (not e.is_zero()) for e in row)
+        m = [{j: e for j, e in enumerate(row) if e} for row in dense]
+        _, pivots = DomainMatrix.from_Matrix(sympy.Matrix(
+            [[_sympy_of(sympy, e, symbols) for e in row] for row in dense]
+        )).to_field().rref()
+        if len(pivots) < n:
+            singular += 1
+            with pytest.raises(SingularMatrixError) as info:
+                invert(m, n)
+            column = min(set(range(n)) - set(pivots))
+            assert re.search(rf"column {column}$", str(info.value)), (trial, pivots)
+            continue
+        inv = invert(m, n)
+        assert all(e and bool(e) == (not e.is_zero()) for row in inv for e in row.values())
+        for i in range(n):
+            for j in range(n):
+                entry = sum((m[i].get(k, zero) * inv[k].get(j, zero) for k in range(n)), zero)
+                assert entry == (one if i == j else zero), (trial, i, j)
+    assert 10 <= singular <= 30

@@ -255,6 +255,20 @@ def test_sampled_verifiers_fail_on_empty_point_lists(manifold4, thickening4):
         assert report.witnesses == [{"error": "no sample points to check"}]
 
 
+def test_verify_nondegenerate_reports_the_seed_it_sampled_with(thickening4):
+    # one point from [0, 1] with seed 31 lies on the zero section, so the
+    # guard resamples; the echoed config must reproduce the point checked
+    config = SampleConfig(1, 31, 0, 1)
+    big, d = thickening4.big_chart.dim, thickening4.base_dim
+    reject = pole_rejector(thickening4.omega_tilde)
+    assert not any(sample_points(big, config, reject)[0][d:])
+    details = verify_nondegenerate(thickening4, config).details
+    used = SampleConfig(details["samples"], details["seed"], *details["coordinate_range"])
+    assert used == SampleConfig(1, 32, 0, 1)
+    assert any(sample_points(big, used, reject)[0][d:])
+    assert details["points_with_nonzero_fiber_part"] == 1
+
+
 def test_evidence_report_needs_an_evaluated_point():
     for key in ("points_checked", "samples_evaluated"):
         with pytest.raises(ValueError, match="at least one point"):
