@@ -423,7 +423,11 @@ class CoordinateMap:
 
 
 def contract_constant(values: Sequence[Fraction], cterms: Mapping[Index, Fraction]) -> Dict[Index, Fraction]:
-    """Interior product of a constant form by a constant vector (first slot)."""
+    """Interior product of a constant form by a constant vector (first slot).
+
+    Serves the general-basis path of ``splitting.multisymplectic_orthogonal``;
+    coordinate subspaces are read off the terms there instead.
+    """
     values = [Fraction(x) for x in values]
     out: Dict[Index, Fraction] = {}
     for idx, c in cterms.items():

@@ -342,16 +342,51 @@ def multisymplectic_orthogonal(
     choices of W_j from n_basis}.  Tuples range over unordered combinations
     (the contraction alternates, so ordered tuples add nothing); if fewer
     than ell spanning vectors exist the result is the full tangent space.
+
+    When every basis vector has exactly one nonzero entry (a coordinate
+    subspace) the rows are read off the evaluated terms; any other basis is
+    contracted tuple by tuple.  Both give the same row space, so the same
+    basis.
     """
     if ell < 1:
         raise PlecticError("ell must be >= 1")
     consts = form.eval_coefficients(point)
-    rows: List[linalg.SparseRow] = []
-    for ws in itertools.combinations(range(len(n_basis)), ell):
-        # i_V i_{W...} form differs from i_{W...} i_V form by one sign per
-        # tuple, so the rows for V span the same space either way
-        c = consts
-        for w in ws:
-            c = contract_constant(n_basis[w], c)
-        rows.extend(_contraction_rows(c).values())
+    supports = [[j for j, x in enumerate(w) if x] for w in n_basis]
+    if all(len(s) == 1 for s in supports):
+        rows = _coordinate_rows(consts, {s[0] for s in supports}, ell)
+    else:
+        rows = []
+        for ws in itertools.combinations(range(len(n_basis)), ell):
+            # i_V i_{W...} form differs from i_{W...} i_V form by one sign per
+            # tuple, so the rows for V span the same space either way
+            c = consts
+            for w in ws:
+                c = contract_constant(n_basis[w], c)
+            rows.extend(_contraction_rows(c).values())
     return linalg.kernel_basis(rows, form.chart.dim)
+
+
+def _coordinate_rows(
+    cterms: Dict[Index, Fraction], axes: set, ell: int
+) -> List[linalg.SparseRow]:
+    """Rows V -> i_{V ^ e_S} of a constant form, S ranging over ell-subsets of axes.
+
+    One row per (S, remaining index) that carries a nonzero entry.  A scaled or repeated unit
+    vector only scales a tuple's rows or repeats them, so these rows span the
+    contraction rows of any basis whose vectors sit on exactly these axes.
+    """
+    by_key: Dict[Tuple[Index, Index], linalg.SparseRow] = {}
+    for idx, c in cterms.items():
+        if not c:
+            continue
+        inside = [pos for pos, axis in enumerate(idx) if axis in axes]
+        for s in itertools.combinations(inside, ell):
+            # moving the positions s to the front, in order, passes
+            # sum(s[t] - t) other entries
+            parity = sum(s) - ell * (ell - 1) // 2
+            w = tuple(idx[pos] for pos in s)
+            rest = [axis for pos, axis in enumerate(idx) if pos not in s]
+            for p, axis in enumerate(rest):
+                key = (w, tuple(rest[:p] + rest[p + 1 :]))
+                by_key.setdefault(key, {})[axis] = c if (parity + p) % 2 == 0 else -c
+    return list(by_key.values())

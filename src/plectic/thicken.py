@@ -269,7 +269,8 @@ def verify_nondegenerate(
     guard resamples with the next seed if not, and reports that seed).
     """
     d = thickening.base_dim
-    if points is None:
+    sampled = points is None
+    if sampled:
         reject = pole_rejector(thickening.omega_tilde)
         points = sample_points(thickening.big_chart.dim, config, reject)
         if thickening.fiber_count and not any(
@@ -278,8 +279,11 @@ def verify_nondegenerate(
             config = SampleConfig(config.count, config.seed + 1, config.low, config.high)
             points = sample_points(thickening.big_chart.dim, config, reject)
     report = nondegeneracy_report(
-        thickening.omega_tilde, points, config, "thickened-form-non-degenerate"
+        thickening.omega_tilde, points, config if sampled else None,
+        "thickened-form-non-degenerate",
     )
+    if not sampled:
+        report.details["points_supplied"] = len(points)
     report.details["points_with_nonzero_fiber_part"] = sum(
         1 for p in points if any(x != 0 for x in p[d:])
     )
@@ -312,7 +316,8 @@ def verify_coisotropic(
         ell = thickening.base.degree - 1
     d = thickening.base_dim
     big_dim = thickening.big_chart.dim
-    if points is None:
+    sampled = points is None
+    if sampled:
         base_points = sample_points(d, config, pole_rejector(thickening.base.omega))
         points = [tuple(p) + (Fraction(0),) * thickening.fiber_count for p in base_points]
     else:
@@ -343,7 +348,7 @@ def verify_coisotropic(
         "ell": ell,
         "points_checked": len(points),
         "orthogonal_dimensions_seen": sorted(orthogonal_dims),
-        **config.describe(),
+        **(config.describe() if sampled else {"points_supplied": len(points)}),
         "frame": thickening.describe_frame(),
     }
     verdict = EVIDENCE if not witnesses else FAIL

@@ -16,7 +16,7 @@ from plectic.splitting import (
     multisymplectic_orthogonal,
     verify_constant_rank,
 )
-from plectic.sampling import SampleConfig
+from plectic.sampling import SampleConfig, pole_rejector
 
 from conftest import random_form
 
@@ -350,36 +350,63 @@ def test_orthogonal_nesting():
         assert linalg.subspace_contained(o1, o2)
 
 
-def test_orthogonal_matches_brute_force_evaluation():
+def _brute_force_orthogonal(omega, point, nb, ell):
     # rows V -> omega(V, W..., e_rest...) read off Form.evaluate, which goes
     # through its own determinant rather than through term contraction
+    dim, k = omega.chart.dim, omega.degree
+    units = [[F(int(i == j)) for i in range(dim)] for j in range(dim)]
+    rows = []
+    if ell < k:
+        for ws in itertools.combinations(nb, ell):
+            for rest in itertools.combinations(units, k - 1 - ell):
+                rows.append(linalg.sparse(
+                    [omega.evaluate(point, [units[v], *ws, *rest]) for v in range(dim)]
+                ))
+    return linalg.kernel_basis(rows, dim)
+
+
+def _unit_basis(rng, dim):
+    """Scaled unit vectors on random axes in random order, sometimes one axis twice."""
+    axes = rng.sample(range(dim), rng.randint(1, dim))
+    if rng.random() < 0.3:
+        axes.append(axes[0])
+    return [
+        [F(rng.choice((1, 2, -3, F(1, 2)))) * (i == a) for i in range(dim)]
+        for a in axes
+    ]
+
+
+def test_orthogonal_matches_brute_force_evaluation():
+    # unit bases take the read-off of coordinate subspaces, other bases the
+    # tuple-by-tuple contraction; a zero vector adds nothing to the span but
+    # sends any basis down the contraction path, which must give the same list
     rng = random.Random(83)
     chart = Chart("c5", ("a", "b", "c", "d", "e"))
-    units = [[F(int(i == j)) for i in range(5)] for j in range(5)]
-    proper = 0
-    for trial in range(60):
+    zero = [F(0)] * 5
+    proper = {"general": 0, "unit": 0}
+    for trial in range(100):
         k = 3 + trial % 2
-        omega = random_form(rng, chart, k, max_terms=5)
+        omega = random_form(rng, chart, k, max_terms=8, rational=trial % 4 >= 2)
         point = [F(rng.randint(-3, 3)) for _ in range(5)]
-        nb = [
-            [F(rng.randint(-2, 2)) for _ in range(5)]
-            for _ in range(rng.randint(1, 3))
-        ]
-        ell = rng.randint(1, k)
-        rows = []
-        if ell < k:
-            for ws in itertools.combinations(nb, ell):
-                for rest in itertools.combinations(units, k - 1 - ell):
-                    rows.append(linalg.sparse(
-                        [omega.evaluate(point, [units[v], *ws, *rest]) for v in range(5)]
-                    ))
-        expected = linalg.kernel_basis(rows, 5)
-        ortho = multisymplectic_orthogonal(omega, point, nb, ell)
-        assert len(ortho) == len(expected)
-        assert linalg.subspace_contained(ortho, expected)
-        assert linalg.subspace_contained(expected, ortho)
-        proper += len(ortho) < 5
-    assert proper >= 20
+        if pole_rejector(omega)(point):
+            continue
+        bases = {
+            "general": [
+                [F(rng.randint(-2, 2)) for _ in range(5)]
+                for _ in range(rng.randint(1, 3))
+            ],
+            "unit": _unit_basis(rng, 5),
+        }
+        for kind, nb in bases.items():
+            ell = rng.randint(1, k + 1)
+            expected = _brute_force_orthogonal(omega, point, nb, ell)
+            ortho = multisymplectic_orthogonal(omega, point, nb, ell)
+            assert len(ortho) == len(expected)
+            assert linalg.subspace_contained(ortho, expected)
+            assert linalg.subspace_contained(expected, ortho)
+            assert ortho == multisymplectic_orthogonal(omega, point, nb + [zero], ell)
+            proper[kind] += len(ortho) < 5
+    assert min(proper.values()) >= 20, proper
 
 
 def test_r4_inside_r5_is_2_coisotropic_at_origin():

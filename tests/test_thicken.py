@@ -6,14 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from plectic import linalg
+from plectic import cli, linalg, splitting
 from plectic.exterior import Chart, Form, VectorField
 from plectic import coeff
 from plectic.coeff import ScalarExpr
 from plectic.fieldtheory import FiberedChart, eom_symbolic_system
 from plectic.report import EVIDENCE, FAIL, PASS, VerificationReport
 from plectic.sampling import SampleConfig, pole_rejector, sample_points
-from plectic.splitting import PreMultisymplecticManifold, build_split_frame, kernel_at
+from plectic.splitting import (
+    PreMultisymplecticManifold,
+    build_split_frame,
+    kernel_at,
+    multisymplectic_orthogonal,
+)
 from plectic.thicken import (
     DegreeTooLowError,
     build_thickening,
@@ -26,6 +31,8 @@ from plectic.thicken import (
     verify_nondegenerate,
     verify_zero_section_pullback,
 )
+
+from conftest import fixture_path
 
 F = Fraction
 
@@ -269,6 +276,18 @@ def test_verify_nondegenerate_reports_the_seed_it_sampled_with(thickening4):
     assert details["points_with_nonzero_fiber_part"] == 1
 
 
+def test_sampled_verifiers_echo_supplied_points_not_a_config(thickening4):
+    # explicit points are not sampled, so no sampling config may be echoed
+    point = (F(1), F(2), F(0), F(3), F(1)) + (F(0),) * thickening4.fiber_count
+    for report in (
+        verify_nondegenerate(thickening4, points=[point]),
+        verify_coisotropic(thickening4, points=[point]),
+    ):
+        assert report.details["points_checked"] == 1
+        assert report.details["points_supplied"] == 1
+        assert not {"samples", "seed", "coordinate_range"} & set(report.details)
+
+
 def test_evidence_report_needs_an_evaluated_point():
     for key in ("points_checked", "samples_evaluated"):
         with pytest.raises(ValueError, match="at least one point"):
@@ -448,3 +467,19 @@ def test_pole_rejector_evaluates_each_distinct_nonconstant_denominator_once(monk
     assert not reject((F(2), F(3), F(4)))
     assert calls[0] <= 2 * 3
     assert not pole_rejector(Form.from_terms(chart, 1, [(("x",), "x*y - 1/2")]))((F(0),) * 3)
+
+
+def test_coordinate_subspace_orthogonals_contract_no_tuples(monkeypatch, capsys):
+    # both production callers pass unit vectors, whose rows are read off the
+    # form's terms; any other basis is contracted tuple by tuple
+    calls = _counting(monkeypatch, splitting, "contract_constant")
+    report = verify_coisotropic(_dw3_thickening(), config=SampleConfig(count=2, seed=0))
+    assert report.verdict == EVIDENCE
+    argv = ["orthogonal", fixture_path("r5_thickening.json"), "--submanifold", "x5=0",
+            "--ell", "2", "--samples", "3"]
+    assert cli.main(argv) == 0
+    assert calls[0] == 0
+    skew = [[F(1), F(1), F(0), F(0), F(0)], [F(0), F(0), F(1), F(0), F(0)]]
+    ortho = multisymplectic_orthogonal(_r5_tilde(), [F(0)] * 5, skew, 2)
+    assert calls[0] == 2
+    assert len(ortho) == 4  # the one tuple imposes v1 = v2
