@@ -631,42 +631,38 @@ def _reduce(num: Poly, den: Poly):
 # -- parser ----------------------------------------------------------------
 
 
-class _Tokenizer:
-    def __init__(self, src: str):
-        self.src = src
-        self.pos = 0
-
-    def tokens(self):
-        src, n = self.src, len(self.src)
-        i = 0
-        while i < n:
-            ch = src[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < n and src[j].isdigit():
-                    j += 1
-                yield ("num", src[i:j], i)
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (src[j].isalnum() or src[j] == "_"):
-                    j += 1
-                yield ("ident", src[i:j], i)
-                i = j
-            elif ch in "+-*/^()":
-                yield (ch, ch, i)
-                i += 1
-            else:
-                raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-        yield ("end", "", n)
+def _tokens(src: str):
+    """Yield (kind, text, position) tokens of an expression, then an end token."""
+    n = len(src)
+    i = 0
+    while i < n:
+        ch = src[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and src[j].isdigit():
+                j += 1
+            yield ("num", src[i:j], i)
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            yield ("ident", src[i:j], i)
+            i = j
+        elif ch in "+-*/^()":
+            yield (ch, ch, i)
+            i += 1
+        else:
+            raise ExprSyntaxError(f"unexpected character {ch!r}", i)
+    yield ("end", "", n)
 
 
 class _Parser:
     def __init__(self, src: str, variables: Sequence[str]):
-        self.toks = list(_Tokenizer(src).tokens())
+        self.toks = list(_tokens(src))
         self.i = 0
         self.variables = tuple(variables)
 

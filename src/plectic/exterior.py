@@ -67,12 +67,12 @@ def sort_index(indices: Sequence[int]):
 
 
 def add_term(out: Dict[Index, ScalarExpr], idx: Index, c: ScalarExpr) -> None:
-    """Add c to out[idx] in place, dropping the entry when the sum is zero."""
+    """Add c to out[idx] in place, dropping a zero sum (ScalarExpr or Fraction)."""
     s = out[idx] + c if idx in out else c
-    if s.is_zero():
-        out.pop(idx, None)
-    else:
+    if s:
         out[idx] = s
+    else:
+        out.pop(idx, None)
 
 
 def substitute(
@@ -226,15 +226,7 @@ class Form:
             raise ChartMismatchError("vector field lives on a different chart")
         if self.degree == 0:
             raise DegreeError("cannot contract a 0-form")
-        out: Dict[Index, ScalarExpr] = {}
-        for idx, c in self.terms.items():
-            for pos, axis in enumerate(idx):
-                comp = field.components[axis]
-                if comp.is_zero():
-                    continue
-                coeff = c * comp if pos % 2 == 0 else -(c * comp)
-                add_term(out, idx[:pos] + idx[pos + 1 :], coeff)
-        return Form(self.chart, self.degree - 1, out)
+        return Form(self.chart, self.degree - 1, _interior(self.terms, field.components))
 
     def d(self) -> "Form":
         """Exterior derivative; d(d(a)) = 0."""
@@ -419,27 +411,30 @@ class CoordinateMap:
         return out
 
 
-# -- pointwise (constant-coefficient) contraction helpers -------------------
+# -- the interior-product loop, over Q(x) and over Q -------------------------
+
+
+def _interior(terms: Mapping[Index, object], components: Sequence) -> Dict[Index, object]:
+    """Terms of i_X into the first slot, X given by its components.
+
+    Field-generic: serves ScalarExpr forms over Q(x) and evaluated forms over
+    Q alike; zero components are skipped.
+    """
+    out: Dict[Index, object] = {}
+    for idx, c in terms.items():
+        for pos, axis in enumerate(idx):
+            comp = components[axis]
+            if not comp:
+                continue
+            add_term(out, idx[:pos] + idx[pos + 1 :], c * comp if pos % 2 == 0 else -(c * comp))
+    return out
 
 
 def contract_constant(values: Sequence[Fraction], cterms: Mapping[Index, Fraction]) -> Dict[Index, Fraction]:
-    """Interior product of a constant form by a constant vector (first slot).
+    """Interior product of an evaluated form by a rational vector (first slot).
 
-    Serves the general-basis path of ``splitting.multisymplectic_orthogonal``;
-    coordinate subspaces are read off the terms there instead.
+    The Fraction entry point of the interior-product loop ``Form.interior``
+    runs over Q(x); ``splitting.multisymplectic_orthogonal`` contracts
+    general (non-coordinate) bases with it.
     """
-    values = [Fraction(x) for x in values]
-    out: Dict[Index, Fraction] = {}
-    for idx, c in cterms.items():
-        for pos, axis in enumerate(idx):
-            v = values[axis]
-            if not v:
-                continue
-            coeff = c * v if pos % 2 == 0 else -c * v
-            rest = idx[:pos] + idx[pos + 1 :]
-            s = out.get(rest, Fraction(0)) + coeff
-            if s:
-                out[rest] = s
-            else:
-                out.pop(rest, None)
-    return out
+    return _interior(cterms, [Fraction(x) for x in values])

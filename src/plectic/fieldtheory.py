@@ -24,7 +24,7 @@ no solution -- are reported as obstructions rather than silently dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .coeff import Poly, ScalarExpr
 from .errors import DegreeError, PlecticError
@@ -112,14 +112,19 @@ class EOMResidual:
         return {n: f for n, f in self.residuals.items() if n in self.fibered.auxiliary}
 
 
-def eom_residual(omega_hat: Form, fibered: FiberedChart, section: Section) -> EOMResidual:
-    """Residuals of a concrete section: pullback of each i_V omega_hat."""
+def _check_top_degree(omega_hat: Form, fibered: FiberedChart) -> None:
+    """omega_hat must live on the fibered chart with degree base dimension + 1."""
     if omega_hat.chart != fibered.total:
         raise PlecticError("form does not live on the fibered chart")
     if omega_hat.degree != len(fibered.base) + 1:
         raise DegreeError(
             f"form degree {omega_hat.degree} != base dimension + 1 = {len(fibered.base) + 1}"
         )
+
+
+def eom_residual(omega_hat: Form, fibered: FiberedChart, section: Section) -> EOMResidual:
+    """Residuals of a concrete section: pullback of each i_V omega_hat."""
+    _check_top_degree(omega_hat, fibered)
     graph = section.graph_map()
     residuals = {}
     for name in fibered.fiber:
@@ -182,15 +187,13 @@ class JetEquation:
     residual: ScalarExpr
     physical: ScalarExpr
     auxiliary: ScalarExpr
-    jets: Chart
     jet_axes: Tuple[int, ...]
-    fibered: FiberedChart
 
-    def jet_degree(self, part: Optional[ScalarExpr] = None) -> int:
-        expr = self.physical if part is None else part
+    def jet_degree(self) -> int:
+        """Largest total jet-symbol degree among the physical part's monomials."""
         axes = set(self.jet_axes)
         return max(
-            (sum(k for i, k in enumerate(e) if i in axes and k) for e in expr.num.terms),
+            (sum(k for i, k in enumerate(e) if i in axes and k) for e in self.physical.num.terms),
             default=0,
         )
 
@@ -222,7 +225,7 @@ def _split_physical(expr: ScalarExpr, jets: Chart, aux_axes: set) -> Tuple[Scala
     return phys, aux
 
 
-def normalize_equation(expr: ScalarExpr, jets: Chart, jet_axes: Sequence[int]) -> ScalarExpr:
+def normalize_equation(expr: ScalarExpr, jet_axes: Sequence[int]) -> ScalarExpr:
     """Scale so the leading jet monomial has rational coefficient +1.
 
     The leading monomial is the graded-lex largest among those of maximal jet
@@ -258,21 +261,21 @@ class EOMSystem:
         for eq in self.equations:
             if eq.kind() != "pde":
                 continue
-            n = normalize_equation(eq.physical, self.jets, eq.jet_axes)
+            n = normalize_equation(eq.physical, eq.jet_axes)
             if not any(n == seen or n == -seen for seen in out):
                 out.append(n)
         return out
 
     def auxiliary_system(self) -> List[Tuple[str, ScalarExpr]]:
         return [
-            (eq.direction, normalize_equation(eq.auxiliary, self.jets, eq.jet_axes))
+            (eq.direction, normalize_equation(eq.auxiliary, eq.jet_axes))
             for eq in self.equations
             if not eq.auxiliary.is_zero()
         ]
 
     def derived_combinations(self) -> List[Tuple[str, ScalarExpr]]:
         return [
-            (eq.direction, normalize_equation(eq.physical, self.jets, eq.jet_axes))
+            (eq.direction, normalize_equation(eq.physical, eq.jet_axes))
             for eq in self.equations
             if eq.kind() == "derived"
         ]
@@ -300,12 +303,7 @@ class EOMSystem:
 
 def eom_symbolic_system(omega_hat: Form, fibered: FiberedChart) -> EOMSystem:
     """Formal residuals, one equation per vertical direction; zeros dropped."""
-    if omega_hat.chart != fibered.total:
-        raise PlecticError("form does not live on the fibered chart")
-    if omega_hat.degree != len(fibered.base) + 1:
-        raise DegreeError(
-            f"form degree {omega_hat.degree} != base dimension + 1 = {len(fibered.base) + 1}"
-        )
+    _check_top_degree(omega_hat, fibered)
     jets = _jet_chart(fibered)
     jet_axes = tuple(
         jets.axis(jet_symbol(f, b)) for f in fibered.fiber for b in fibered.base
@@ -327,6 +325,6 @@ def eom_symbolic_system(omega_hat: Form, fibered: FiberedChart) -> EOMSystem:
             continue
         physical, auxiliary = _split_physical(residual, jets, aux_axes)
         equations.append(
-            JetEquation(name, residual, physical, auxiliary, jets, jet_axes, fibered)
+            JetEquation(name, residual, physical, auxiliary, jet_axes)
         )
     return EOMSystem(fibered, jets, equations)

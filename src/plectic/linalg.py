@@ -2,10 +2,11 @@
 
 A matrix is a list of sparse rows ``{column: value}`` that carry no zero
 entries; the values are Fractions or ScalarExprs.  One exact elimination,
-``rref``, is field-generic and serves rank, kernels and containment over Q
-(every pointwise verdict in the package) and the symbolic inverse of a frame
-over Q(x), which is the rref of [M | I].  Zero rows and zero entries cost
-nothing.  Dense vectors, such as kernel bases, enter through ``sparse``.
+``rref``, is field-generic and serves rank and kernels over Q (every
+pointwise verdict in the package), containment over Q (the tests' span
+checks) and the symbolic inverse of a frame over Q(x), which is the rref of
+[M | I].  Zero rows and zero entries cost nothing.  Dense vectors, such as
+kernel bases, enter through ``sparse``.
 """
 
 from __future__ import annotations

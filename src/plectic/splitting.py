@@ -18,7 +18,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .coeff import ScalarExpr
@@ -127,27 +127,22 @@ def verify_constant_rank(
         points = sample_points(manifold.chart.dim, config, pole_rejector(manifold.omega))
     if dims is None:
         dims = kernel_dimensions(manifold, points)
-    by_point: Dict[Tuple[Fraction, ...], int] = {}
-    skipped = []
+    skipped = [[str(x) for x in p] for p, k in zip(points, dims) if k is None]
+    seen: Dict[int, Sequence[Fraction]] = {}
     for p, k in zip(points, dims):
-        if k is None:
-            skipped.append([str(x) for x in p])
-        else:
-            by_point[tuple(p)] = k
+        if k is not None:
+            seen.setdefault(k, p)
     details = {
         **(config.describe() if sampled else {"points_supplied": len(points)}),
-        "kernel_dimensions": sorted(set(by_point.values())),
-        "samples_evaluated": len(by_point),
+        "kernel_dimensions": sorted(seen),
+        "samples_evaluated": len(points) - len(skipped),
         "samples_skipped_at_poles": skipped,
     }
     witnesses = []
-    seen = {}
-    for p, k in by_point.items():
-        seen.setdefault(k, p)
     if len(seen) > 1:
         for k, p in sorted(seen.items()):
             witnesses.append({"point": [str(x) for x in p], "kernel_dim": k})
-    elif not by_point:
+    elif not seen:
         witnesses.append({"error": "no sample could be evaluated (all at poles)"})
     verdict = EVIDENCE if len(seen) == 1 else FAIL
     return VerificationReport(
@@ -343,40 +338,45 @@ def multisymplectic_orthogonal(
     (the contraction alternates, so ordered tuples add nothing); if fewer
     than ell spanning vectors exist the result is the full tangent space.
 
-    When every basis vector has exactly one nonzero entry (a coordinate
-    subspace) the rows are read off the evaluated terms; any other basis is
-    contracted tuple by tuple.  Both give the same row space, so the same
-    basis.
+    A basis whose vectors each have exactly one nonzero entry spans a
+    coordinate subspace and goes to ``coordinate_orthogonal`` on its axes;
+    any other basis is contracted tuple by tuple with ``contract_constant``.
+    A scaled or repeated unit vector only scales or repeats a tuple's rows,
+    so both give the same row space, hence the same basis.
     """
     if ell < 1:
         raise PlecticError("ell must be >= 1")
-    consts = form.eval_coefficients(point)
     supports = [[j for j, x in enumerate(w) if x] for w in n_basis]
     if all(len(s) == 1 for s in supports):
-        rows = _coordinate_rows(consts, {s[0] for s in supports}, ell)
-    else:
-        rows = []
-        for ws in itertools.combinations(range(len(n_basis)), ell):
-            # i_V i_{W...} form differs from i_{W...} i_V form by one sign per
-            # tuple, so the rows for V span the same space either way
-            c = consts
-            for w in ws:
-                c = contract_constant(n_basis[w], c)
-            rows.extend(_contraction_rows(c).values())
+        return coordinate_orthogonal(form, point, [s[0] for s in supports], ell)
+    consts = form.eval_coefficients(point)
+    rows = []
+    for ws in itertools.combinations(range(len(n_basis)), ell):
+        # i_V i_{W...} form differs from i_{W...} i_V form by one sign per
+        # tuple, so the rows for V span the same space either way
+        c = consts
+        for w in ws:
+            c = contract_constant(n_basis[w], c)
+        rows.extend(_contraction_rows(c).values())
     return linalg.kernel_basis(rows, form.chart.dim)
 
 
-def _coordinate_rows(
-    cterms: Dict[Index, Fraction], axes: set, ell: int
-) -> List[linalg.SparseRow]:
-    """Rows V -> i_{V ^ e_S} of a constant form, S ranging over ell-subsets of axes.
+def coordinate_orthogonal(
+    form: Form, point: Sequence[Fraction], axes: Iterable[int], ell: int
+) -> List[List[Fraction]]:
+    """Exact basis of the ell-orthogonal of the coordinate subspace on ``axes``.
 
-    One row per (S, remaining index) that carries a nonzero entry.  A scaled or repeated unit
-    vector only scales a tuple's rows or repeats them, so these rows span the
-    contraction rows of any basis whose vectors sit on exactly these axes.
+    The rows V -> i_{V ^ e_S} form, S ranging over ell-subsets of the axes,
+    are read off the evaluated terms: one row per (S, remaining index) that
+    carries a nonzero entry, with no contraction.  A vector lies in the
+    subspace exactly when it vanishes off the axes, so callers test
+    containment on the returned vectors' entries.
     """
+    if ell < 1:
+        raise PlecticError("ell must be >= 1")
+    axes = set(axes)
     by_key: Dict[Tuple[Index, Index], linalg.SparseRow] = {}
-    for idx, c in cterms.items():
+    for idx, c in form.eval_coefficients(point).items():
         if not c:
             continue
         inside = [pos for pos, axis in enumerate(idx) if axis in axes]
@@ -389,4 +389,4 @@ def _coordinate_rows(
             for p, axis in enumerate(rest):
                 key = (w, tuple(rest[:p] + rest[p + 1 :]))
                 by_key.setdefault(key, {})[axis] = c if (parity + p) % 2 == 0 else -c
-    return list(by_key.values())
+    return linalg.kernel_basis(list(by_key.values()), form.chart.dim)

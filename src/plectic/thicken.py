@@ -39,7 +39,7 @@ from .splitting import (
     PreMultisymplecticManifold,
     SplitFrame,
     contraction_matrix,
-    multisymplectic_orthogonal,
+    coordinate_orthogonal,
 )
 
 
@@ -117,15 +117,21 @@ def tautological_form(
     fiber_names: Sequence[str],
     degree: int,
 ) -> Form:
-    """theta_0 = sum_I p_I * (coframe monomial I pulled back along tau)."""
-    total = Form.zero(big_chart, degree)
-    pulled = [tau.pullback(covector) for covector in frame.coframe]
-    for idx, name in zip(fiber_index, fiber_names):
-        mono = Form.scalar(big_chart, 1)
-        for j in idx:
-            mono = mono.wedge(pulled[j])
-        total = total + mono * ScalarExpr.var(big_chart.coords, name)
-    return total
+    """theta_0 = sum_I p_I * (coframe monomial I pulled back along tau).
+
+    One change of basis: each fiber monomial eta^I, weighted by its fiber
+    coordinate p_I, expands through the pulled-back coframe rows
+    eta^j = sum_i c_ji dq^i, as in ``splitting.from_frame_expansion``.
+    """
+    terms = [
+        (idx, ScalarExpr.var(big_chart.coords, name))
+        for idx, name in zip(fiber_index, fiber_names)
+    ]
+    rows = [
+        [(i, c) for (i,), c in tau.pullback(covector).terms.items()]
+        for covector in frame.coframe
+    ]
+    return Form(big_chart, degree, substitute(terms, rows))
 
 
 def build_thickening(
@@ -263,19 +269,19 @@ def verify_nondegenerate(
 ) -> VerificationReport:
     """Sampled non-degeneracy of omega_tilde, including off the zero section.
 
-    Validity away from the zero section is part of the claim, so the sample
+    Validity away from the zero section is part of the claim, so a sampled
     set is required to contain at least one point with a nonzero fiber
-    coordinate (uniform integer sampling essentially guarantees this; the
-    guard resamples with the next seed if not, and reports that seed).
+    coordinate.  Uniform integer sampling essentially guarantees this; if not,
+    the guard resamples once with the next seed and reports that seed, and a
+    resample still on the zero section is a FAIL.  Supplied points are the
+    caller's choice and are not checked for this.
     """
     d = thickening.base_dim
     sampled = points is None
     if sampled:
         reject = pole_rejector(thickening.omega_tilde)
         points = sample_points(thickening.big_chart.dim, config, reject)
-        if thickening.fiber_count and not any(
-            any(x != 0 for x in p[d:]) for p in points
-        ):
+        if thickening.fiber_count and not any(any(p[d:]) for p in points):
             config = SampleConfig(config.count, config.seed + 1, config.low, config.high)
             points = sample_points(thickening.big_chart.dim, config, reject)
     report = nondegeneracy_report(
@@ -284,10 +290,12 @@ def verify_nondegenerate(
     )
     if not sampled:
         report.details["points_supplied"] = len(points)
-    report.details["points_with_nonzero_fiber_part"] = sum(
-        1 for p in points if any(x != 0 for x in p[d:])
-    )
+    off_section = sum(1 for p in points if any(p[d:]))
+    report.details["points_with_nonzero_fiber_part"] = off_section
     report.details["frame"] = thickening.describe_frame()
+    if sampled and thickening.fiber_count and not off_section:
+        report.verdict = FAIL
+        report.witnesses.append({"error": "no sample point off the zero section"})
     return report
 
 
@@ -308,38 +316,35 @@ def verify_coisotropic(
 
     At each zero-section sample the ell-orthogonal of the base tangent space
     inside the thickening is computed exactly and checked for containment in
-    the base tangent space.  Samples are taken on the zero section because
-    that is where the embedded copy of the base lives.
+    the base tangent space.  That space is the coordinate subspace on the
+    base axes, so its orthogonal is read off by ``coordinate_orthogonal`` and
+    a vector escapes exactly when a fiber entry is nonzero.  Samples are
+    taken on the zero section because that is where the embedded copy of the
+    base lives.
     """
     start = time.perf_counter()
     if ell is None:
         ell = thickening.base.degree - 1
     d = thickening.base_dim
-    big_dim = thickening.big_chart.dim
     sampled = points is None
     if sampled:
         base_points = sample_points(d, config, pole_rejector(thickening.base.omega))
         points = [tuple(p) + (Fraction(0),) * thickening.fiber_count for p in base_points]
     else:
         for p in points:
-            if any(x != 0 for x in p[d:]):
+            if any(p[d:]):
                 raise PlecticError("coisotropy samples must lie on the zero section")
-    n_basis = [
-        [Fraction(int(i == j)) for i in range(big_dim)] for j in range(d)
-    ]
     witnesses = []
     orthogonal_dims = set()
     for p in points:
-        ortho = multisymplectic_orthogonal(thickening.omega_tilde, p, n_basis, ell)
+        ortho = coordinate_orthogonal(thickening.omega_tilde, p, range(d), ell)
         orthogonal_dims.add(len(ortho))
-        if not linalg.subspace_contained(ortho, n_basis):
-            offending = [
-                v for v in ortho if not linalg.subspace_contained([v], n_basis)
-            ]
+        escaping = [v for v in ortho if any(v[d:])]
+        if escaping:
             witnesses.append(
                 {
                     "point": [str(x) for x in p],
-                    "escaping_vectors": [[str(x) for x in v] for v in offending],
+                    "escaping_vectors": [[str(x) for x in v] for v in escaping],
                 }
             )
     if not points:

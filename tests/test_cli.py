@@ -36,6 +36,18 @@ def test_check_json_is_byte_reproducible(capsys):
     assert {l["check"] for l in lines[1:]} == {"closedness", "constant-rank"}
 
 
+def test_check_counts_every_evaluated_sample(capsys):
+    # seed 3 draws one r4 point twice; both draws are evaluated samples
+    code, out, _ = run(capsys, "check", fixture_path("r4_premultisymplectic.json"), "--json",
+                       "--seed", "3")
+    assert code == 0
+    rank = json.loads(out.splitlines()[-1])
+    assert rank["check"] == "constant-rank"
+    points = [tuple(s["point"]) for s in rank["details"]["per_sample"]]
+    assert len(set(points)) < len(points) == 50
+    assert rank["details"]["samples_evaluated"] == 50
+
+
 def test_check_exit_2_on_malformed_spec(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(

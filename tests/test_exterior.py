@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from plectic.coeff import ScalarExpr
 from plectic.errors import ChartMismatchError, DegreeError, PoleError
 from plectic.exterior import (
     Chart,
@@ -11,6 +12,7 @@ from plectic.exterior import (
     Form,
     VectorField,
     add_term,
+    contract_constant,
     interior_multi,
     sort_index,
     substitute,
@@ -487,3 +489,37 @@ def test_double_interior_vanishes():
         alpha = random_form(rng, CHART3, 2)
         x = random_vector_field(rng, CHART3)
         assert alpha.interior(x).interior(x).is_zero()
+
+
+def test_interior_over_q_x_and_over_q_agree_with_evaluation():
+    # Form.interior (over Q(x)) evaluated at a point, contract_constant of the
+    # evaluated terms (over Q), and the determinant evaluation
+    # (i_X a)_I = a(X, e_I) must all agree; fields are mostly zero
+    rng = random.Random(97)
+    chart = Chart("c5", ("a", "b", "c", "d", "e"))
+    units = [[F(int(i == j)) for i in range(5)] for j in range(5)]
+    checked = 0
+    for trial in range(60):
+        k = rng.randint(1, 4)
+        alpha = random_form(rng, chart, k, max_terms=6, rational=trial % 2 == 1)
+        comps = [
+            ScalarExpr.zero(chart.coords) if rng.random() < 0.6
+            else random_poly_expr(rng, chart.coords, max_terms=2, max_exp=1)
+            for _ in range(5)
+        ]
+        x = VectorField(chart, comps)
+        point = [F(rng.randint(-3, 3)) for _ in range(5)]
+        try:
+            consts = alpha.eval_coefficients(point)
+        except PoleError:
+            continue
+        values = x.evaluate(point)
+        got = contract_constant(values, consts)
+        symbolic = alpha.interior(x).eval_coefficients(point)
+        assert got == {idx: c for idx, c in symbolic.items() if c}
+        assert all(got.values())
+        for idx in itertools.combinations(range(5), k - 1):
+            expected = alpha.evaluate(point, [values] + [units[i] for i in idx])
+            assert got.get(idx, 0) == expected
+        checked += bool(got)
+    assert checked >= 20

@@ -11,6 +11,7 @@ from plectic.splitting import (
     NotClosedError,
     PreMultisymplecticManifold,
     build_split_frame,
+    coordinate_orthogonal,
     decompose,
     kernel_at,
     multisymplectic_orthogonal,
@@ -167,6 +168,26 @@ def test_constant_rank_skips_poles():
     report = verify_constant_rank(manifold, points=[pole, good])
     assert report.details["samples_skipped_at_poles"] == [["1", "0", "1"]]
     assert report.details["samples_evaluated"] == 1
+
+
+def test_constant_rank_counts_repeated_samples():
+    # a point drawn twice is two evaluated samples; the witnesses are still
+    # the first point seen at each kernel dimension
+    chart = _chart_r4()
+    omega = Form.from_terms(chart, 3, [(("x1", "x2", "x3"), "x1")])
+    manifold = PreMultisymplecticManifold(chart, 3, omega)
+    on_wall, off_wall = (F(0), F(1), F(2), F(3)), (F(1), F(1), F(2), F(3))
+    other = (F(2), F(1), F(2), F(3))
+    report = verify_constant_rank(manifold, points=[off_wall, on_wall, off_wall, other])
+    assert report.details["samples_evaluated"] == 4
+    assert report.details["kernel_dimensions"] == [1, 4]
+    assert report.witnesses == [
+        {"point": ["1", "1", "2", "3"], "kernel_dim": 1},
+        {"point": ["0", "1", "2", "3"], "kernel_dim": 4},
+    ]
+    same = verify_constant_rank(manifold, points=[off_wall, off_wall])
+    assert same.verdict == "EVIDENCE"
+    assert same.details["samples_evaluated"] == 2
 
 
 # -- frames --------------------------------------------------------------------
@@ -379,7 +400,8 @@ def _unit_basis(rng, dim):
 def test_orthogonal_matches_brute_force_evaluation():
     # unit bases take the read-off of coordinate subspaces, other bases the
     # tuple-by-tuple contraction; a zero vector adds nothing to the span but
-    # sends any basis down the contraction path, which must give the same list
+    # sends any basis down the contraction path, which must give the same list,
+    # and coordinate_orthogonal on the unit basis's axes must give it too
     rng = random.Random(83)
     chart = Chart("c5", ("a", "b", "c", "d", "e"))
     zero = [F(0)] * 5
@@ -405,6 +427,9 @@ def test_orthogonal_matches_brute_force_evaluation():
             assert linalg.subspace_contained(ortho, expected)
             assert linalg.subspace_contained(expected, ortho)
             assert ortho == multisymplectic_orthogonal(omega, point, nb + [zero], ell)
+            if kind == "unit":
+                axes = [next(j for j, x in enumerate(w) if x) for w in nb]
+                assert ortho == coordinate_orthogonal(omega, point, axes, ell)
             proper[kind] += len(ortho) < 5
     assert min(proper.values()) >= 20, proper
 

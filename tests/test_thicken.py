@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -32,6 +33,7 @@ from plectic.thicken import (
     verify_zero_section_pullback,
 )
 
+from plectic.manifoldspec import load_spec
 from conftest import fixture_path
 
 F = Fraction
@@ -187,6 +189,46 @@ def test_theta0_coordinate_expansion_frozen(thickening4):
     assert thickening4.theta0 == expected
 
 
+def _theta0_by_wedges(thickening):
+    """theta_0 summed fiber by fiber, each coframe monomial a chain of wedges."""
+    big = thickening.big_chart
+    total = Form.zero(big, thickening.base.degree - 1)
+    pulled = [thickening.tau.pullback(covector) for covector in thickening.frame.coframe]
+    for idx, name in zip(thickening.fiber_index, thickening.fiber_names):
+        mono = Form.scalar(big, 1)
+        for j in idx:
+            mono = mono.wedge(pulled[j])
+        total = total + mono * ScalarExpr.var(big.coords, name)
+    return total
+
+
+def _framed_fixture_thickening(name):
+    spec = load_spec(fixture_path(name))
+    manifold = spec.manifold()
+    return build_thickening(manifold, build_split_frame(manifold, spec.vertical, spec.horizontal))
+
+
+def test_theta0_is_the_sum_of_wedged_coframe_monomials(thickening4):
+    # one change of basis gives the same form as the wedge-and-add loop, down
+    # to the order of the terms and of every numerator and denominator term
+    cases = [
+        thickening4,
+        _framed_fixture_thickening("scalar_field_2d.json"),
+        _framed_fixture_thickening("r4_premultisymplectic.json"),
+        _dw3_thickening(),
+    ]
+    for thickening in cases:
+        expected = _theta0_by_wedges(thickening)
+        assert str(thickening.theta0) == str(expected)
+        assert [
+            (idx, list(c.num.terms.items()), list(c.den.terms.items()))
+            for idx, c in thickening.theta0.terms.items()
+        ] == [
+            (idx, list(c.num.terms.items()), list(c.den.terms.items()))
+            for idx, c in expected.terms.items()
+        ]
+
+
 def test_theta0_vanishes_on_zero_section(thickening4):
     pulled = thickening4.zero_section.pullback(thickening4.theta0)
     assert pulled.is_zero()
@@ -316,6 +358,49 @@ def test_coisotropy_informational_at_lower_ell(thickening4):
     report = verify_coisotropic(thickening4, ell=1, config=SampleConfig(count=3, seed=4))
     assert report.details["ell"] == 1
     assert report.verdict in (EVIDENCE, FAIL)
+
+
+def test_coisotropy_fail_witnesses_are_the_orthogonal_vectors_off_the_base(thickening4):
+    # tau^* omega vanishes along the fibers, so the zero section is not
+    # coisotropic for it.  The escaping vectors must be exactly those of the
+    # contracted orthogonal (a zero vector forces the general path) that leave
+    # the span of the base tangent vectors
+    tau_omega = thickening4.tau.pullback(thickening4.base.omega)
+    thickening = dataclasses.replace(thickening4, omega_tilde=tau_omega)
+    d, big = thickening.base_dim, thickening.big_chart.dim
+    tangent = [[F(int(i == j)) for i in range(big)] for j in range(d)]
+    for ell in (1, 2):
+        report = verify_coisotropic(thickening, ell, SampleConfig(3, 5))
+        assert report.verdict == FAIL
+        assert len(report.witnesses) == 3
+        for witness in report.witnesses:
+            point = [F(x) for x in witness["point"]]
+            ortho = multisymplectic_orthogonal(tau_omega, point, tangent + [[F(0)] * big], ell)
+            escaping = [v for v in ortho if not linalg.subspace_contained([v], tangent)]
+            assert escaping
+            assert witness["escaping_vectors"] == [[str(x) for x in v] for v in escaping]
+
+
+def test_verify_nondegenerate_fails_without_an_off_section_sample(thickening4, tmp_path, capsys):
+    # every coordinate drawn from [0, 0] puts all samples, and the resample,
+    # on the zero section, so nothing away from it would be checked
+    report = verify_nondegenerate(thickening4, SampleConfig(3, 0, 0, 0))
+    assert report.verdict == FAIL
+    assert report.details["points_with_nonzero_fiber_part"] == 0
+    assert report.details["seed"] == 1
+    assert report.witnesses == [{"error": "no sample point off the zero section"}]
+    # supplied points are the caller's choice
+    on_section = (F(1), F(2), F(0), F(3), F(1)) + (F(0),) * thickening4.fiber_count
+    assert verify_nondegenerate(thickening4, points=[on_section]).verdict == EVIDENCE
+    with open(fixture_path("scalar_field_2d.json")) as fh:
+        spec = json.load(fh)
+    spec["samples"] = {"count": 3, "seed": 0, "coordinate_range": [0, 0]}
+    path = tmp_path / "zero_range.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["thicken", str(path), "--json"]) == 1
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    nondeg = next(l for l in lines if l.get("check") == "thickened-form-non-degenerate")
+    assert nondeg["verdict"] == FAIL
 
 
 def test_coisotropy_rejects_off_section_points(thickening4):
