@@ -13,9 +13,11 @@ the spec file's samples block.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -30,7 +32,7 @@ from .manifoldspec import (
     save_spec_dict,
     thickened_spec_dict,
 )
-from .report import EVIDENCE, FAIL, VerificationReport
+from .report import VerificationReport, sampled_report
 from .sampling import SampleConfig, pole_rejector, sample_points
 from .splitting import (
     NotClosedError,
@@ -136,13 +138,14 @@ def cmd_check(args) -> int:
     if manifold is not None:
         points = sample_points(spec.chart.dim, config, pole_rejector(spec.form))
         dims = kernel_dimensions(manifold, points)
-        rank_report = verify_constant_rank(manifold, points, dims=dims)
+        rank_report = verify_constant_rank(manifold, points, config, dims)
         per_sample = [
             {"point": [str(x) for x in p], "kernel_dim": dim}
             for p, dim in zip(points, dims)
         ]
         if args.json:
-            rank_report.details["per_sample"] = per_sample
+            details = {**rank_report.details, "per_sample": per_sample}
+            rank_report = dataclasses.replace(rank_report, details=details)
         else:
             for entry in per_sample:
                 print(f"  sample {','.join(entry['point'])}: kernel dim {entry['kernel_dim']}")
@@ -177,10 +180,7 @@ def cmd_thicken(args) -> int:
     for name, form in (("theta_0", thickening.theta0), ("omega_tilde", thickening.omega_tilde)):
         text = _render_form(form, args.monomial_basis, thickening)
         out.info(f"{name} = {text}", payload={name: text}, key="form")
-    coiso = SampleConfig(
-        max(1, config.count // 2), config.seed, config.low, config.high
-    )
-    reports = verify_all(thickening, config, coiso)
+    reports = verify_all(thickening, config)
     for report in reports:
         out.report(report)
     if args.emit:
@@ -201,6 +201,8 @@ def _parse_constraints(text: str, spec: ManifoldSpec) -> Dict[int, Fraction]:
         name = name.strip()
         if name not in spec.chart.coords:
             raise SpecError("--submanifold", f"unknown coordinate {name!r}")
+        if spec.chart.axis(name) in out:
+            raise SpecError("--submanifold", f"coordinate {name!r} constrained twice")
         try:
             out[spec.chart.axis(name)] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -228,6 +230,7 @@ def cmd_orthogonal(args) -> int:
         tangent_dimension=len(free_axes),
         **config.describe(),
     )
+    start = time.perf_counter()
     reject = pole_rejector(spec.form)
 
     def on_submanifold(point):
@@ -256,14 +259,10 @@ def cmd_orthogonal(args) -> int:
             out.info(payload=entry, key="sample")
         if not contained:
             witnesses.append(entry)
-    verdict_report = VerificationReport(
-        f"{ell}-coisotropic-containment",
-        EVIDENCE if not witnesses else FAIL,
-        {"points_checked": len(points), "ell": ell, **config.describe()},
-        witnesses,
-    )
-    out.report(verdict_report)
-    return EXIT_OK if verdict_report.ok else EXIT_FAIL
+    details = {"points_checked": len(points), "ell": ell, **config.describe()}
+    report = sampled_report(f"{ell}-coisotropic-containment", points, details, witnesses, start)
+    out.report(report)
+    return EXIT_OK if report.ok else EXIT_FAIL
 
 
 def cmd_eom(args) -> int:

@@ -128,7 +128,7 @@ def parse_spec_dict(data: dict, name_hint: str = "<spec>") -> ManifoldSpec:
     _require(isinstance(fdata, dict), "form", "must be an object")
     _require(set(fdata) <= {"degree", "terms"}, "form", "allowed keys: degree, terms")
     degree = fdata.get("degree")
-    _require(isinstance(degree, int) and degree >= 0, "form.degree", "must be a non-negative integer")
+    _require(type(degree) is int and degree >= 0, "form.degree", "must be a non-negative integer")
     terms = fdata.get("terms")
     _require(isinstance(terms, list), "form.terms", "must be a list")
     entries = []
@@ -203,12 +203,12 @@ def parse_spec_dict(data: dict, name_hint: str = "<spec>") -> ManifoldSpec:
         count = sm.get("count", DEFAULT_COUNT)
         seed = sm.get("seed", DEFAULT_SEED)
         crange = sm.get("coordinate_range", list(DEFAULT_RANGE))
-        _require(isinstance(count, int) and count > 0, "samples.count", "must be a positive integer")
-        _require(isinstance(seed, int), "samples.seed", "must be an integer")
+        _require(type(count) is int and count > 0, "samples.count", "must be a positive integer")
+        _require(type(seed) is int, "samples.seed", "must be an integer")
         _require(
             isinstance(crange, list)
             and len(crange) == 2
-            and all(isinstance(x, int) for x in crange)
+            and all(type(x) is int for x in crange)
             and crange[0] <= crange[1],
             "samples.coordinate_range",
             "must be [low, high] integers with low <= high",

@@ -4,12 +4,17 @@ Verdicts: PASS for symbolic identities, EVIDENCE for checks certified
 exactly at finitely many sample points (evidence, not proof), FAIL for a
 detected violation.  FAIL reports always carry an explicit witness, and a
 sampled check over zero points is a FAIL, never EVIDENCE.
+
+Reports are frozen, and every sampled verdict is made by ``sampled_report``.
+Its details echo, by ``sampling.echo``, the SampleConfig whenever the caller
+gave one, and ``points_supplied`` only for points that came with no config.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Sequence
 
 PASS = "PASS"
 EVIDENCE = "EVIDENCE"
@@ -20,7 +25,7 @@ NO_POINTS = "no sample points to check"
 POINT_COUNTS = ("points_checked", "samples_evaluated")
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
     name: str
     verdict: str
@@ -59,3 +64,19 @@ class VerificationReport:
         for w in self.witnesses:
             lines.append(f"  witness: {w}")
         return lines
+
+
+def sampled_report(
+    name: str, points: Sequence[Any], details: Dict[str, Any], witnesses: List[Any], start: float
+) -> VerificationReport:
+    """Report of a check run at ``points``, timed from ``start`` (perf_counter).
+
+    No points is a FAIL with the NO_POINTS witness; otherwise the verdict is
+    EVIDENCE when no point gave a witness and FAIL when one did.
+    """
+    if not points:
+        witnesses = witnesses + [{"error": NO_POINTS}]
+    return VerificationReport(
+        name, FAIL if witnesses else EVIDENCE, details, witnesses,
+        (time.perf_counter() - start) * 1000,
+    )

@@ -2,8 +2,10 @@
 
 Coordinates are drawn uniformly from the integers of a closed range
 (default [-5, 5]) with a seeded generator; points where a supplied
-rejection predicate fires (poles) are redrawn.  All verdicts that rely on
-samples echo (count, seed, range) in their report details.
+rejection predicate fires (poles) are redrawn.  Every sampled verdict
+echoes what it checked through ``echo``: a SampleConfig (count, seed, range)
+whenever the caller gave one, and ``points_supplied`` only for points that
+came with no config.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sized, Tuple
 
 from .errors import PlecticError
 
@@ -35,6 +37,11 @@ class SampleConfig:
             "seed": self.seed,
             "coordinate_range": [self.low, self.high],
         }
+
+
+def echo(config: Optional[SampleConfig], points: Sized) -> dict:
+    """Report details naming the points a sampled check used."""
+    return config.describe() if config is not None else {"points_supplied": len(points)}
 
 
 def sample_points(

@@ -31,8 +31,8 @@ from .exterior import (
     contract_constant,
     substitute,
 )
-from .report import EVIDENCE, FAIL, VerificationReport
-from .sampling import SampleConfig, pole_rejector, sample_points
+from .report import VerificationReport, sampled_report
+from .sampling import SampleConfig, echo, pole_rejector, sample_points
 
 
 class NotClosedError(PlecticError):
@@ -111,7 +111,7 @@ def kernel_dimensions(
 def verify_constant_rank(
     manifold: PreMultisymplecticManifold,
     points: Optional[Sequence[Sequence[Fraction]]] = None,
-    config: SampleConfig = SampleConfig(),
+    config: Optional[SampleConfig] = None,
     dims: Optional[Sequence[Optional[int]]] = None,
 ) -> VerificationReport:
     """Sampled constant-rank check: kernel dimension at every sample point.
@@ -119,36 +119,32 @@ def verify_constant_rank(
     This is sampling evidence, not a proof; the verdict is EVIDENCE when all
     sampled dimensions agree and FAIL (with the two disagreeing points as
     witnesses) otherwise.  Samples where a coefficient has a pole are skipped
-    and noted.  ``dims`` may pass in kernel_dimensions(manifold, points).
+    and noted, and a check that evaluated no sample is a FAIL.  Without
+    ``points``, draws them with ``config`` (default SampleConfig()).  ``dims``
+    may pass in kernel_dimensions(manifold, points).
     """
     start = time.perf_counter()
-    sampled = points is None
-    if sampled:
+    if points is None:
+        config = config or SampleConfig()
         points = sample_points(manifold.chart.dim, config, pole_rejector(manifold.omega))
     if dims is None:
         dims = kernel_dimensions(manifold, points)
     skipped = [[str(x) for x in p] for p, k in zip(points, dims) if k is None]
+    evaluated = [(p, k) for p, k in zip(points, dims) if k is not None]
     seen: Dict[int, Sequence[Fraction]] = {}
-    for p, k in zip(points, dims):
-        if k is not None:
-            seen.setdefault(k, p)
+    for p, k in evaluated:
+        seen.setdefault(k, p)
     details = {
-        **(config.describe() if sampled else {"points_supplied": len(points)}),
+        **echo(config, points),
         "kernel_dimensions": sorted(seen),
-        "samples_evaluated": len(points) - len(skipped),
+        "samples_evaluated": len(evaluated),
         "samples_skipped_at_poles": skipped,
     }
     witnesses = []
     if len(seen) > 1:
         for k, p in sorted(seen.items()):
             witnesses.append({"point": [str(x) for x in p], "kernel_dim": k})
-    elif not seen:
-        witnesses.append({"error": "no sample could be evaluated (all at poles)"})
-    verdict = EVIDENCE if len(seen) == 1 else FAIL
-    return VerificationReport(
-        "constant-rank", verdict, details, witnesses,
-        (time.perf_counter() - start) * 1000,
-    )
+    return sampled_report("constant-rank", evaluated, details, witnesses, start)
 
 
 @dataclass(frozen=True)
@@ -366,16 +362,16 @@ def coordinate_orthogonal(
 ) -> List[List[Fraction]]:
     """Exact basis of the ell-orthogonal of the coordinate subspace on ``axes``.
 
-    The rows V -> i_{V ^ e_S} form, S ranging over ell-subsets of the axes,
-    are read off the evaluated terms: one row per (S, remaining index) that
-    carries a nonzero entry, with no contraction.  A vector lies in the
+    For each ell-subset S of the axes, the terms of i_{e_S} form are read off
+    the evaluated terms, with no contraction, and ``_contraction_rows``
+    builds the rows V -> i_V i_{e_S} form from them.  A vector lies in the
     subspace exactly when it vanishes off the axes, so callers test
     containment on the returned vectors' entries.
     """
     if ell < 1:
         raise PlecticError("ell must be >= 1")
     axes = set(axes)
-    by_key: Dict[Tuple[Index, Index], linalg.SparseRow] = {}
+    contracted: Dict[Index, Dict[Index, Fraction]] = {}
     for idx, c in form.eval_coefficients(point).items():
         if not c:
             continue
@@ -384,9 +380,8 @@ def coordinate_orthogonal(
             # moving the positions s to the front, in order, passes
             # sum(s[t] - t) other entries
             parity = sum(s) - ell * (ell - 1) // 2
-            w = tuple(idx[pos] for pos in s)
-            rest = [axis for pos, axis in enumerate(idx) if pos not in s]
-            for p, axis in enumerate(rest):
-                key = (w, tuple(rest[:p] + rest[p + 1 :]))
-                by_key.setdefault(key, {})[axis] = c if (parity + p) % 2 == 0 else -c
-    return linalg.kernel_basis(list(by_key.values()), form.chart.dim)
+            w = tuple([idx[pos] for pos in s])
+            rest = tuple([axis for axis in idx if axis not in w])
+            contracted.setdefault(w, {})[rest] = -c if parity % 2 else c
+    rows = [row for cterms in contracted.values() for row in _contraction_rows(cterms).values()]
+    return linalg.kernel_basis(rows, form.chart.dim)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,8 +33,8 @@ from . import linalg
 from .coeff import ScalarExpr
 from .errors import PlecticError
 from .exterior import Chart, CoordinateMap, Form, Index, substitute
-from .report import EVIDENCE, FAIL, NO_POINTS, PASS, VerificationReport
-from .sampling import SampleConfig, pole_rejector, sample_points
+from .report import FAIL, PASS, VerificationReport, sampled_report
+from .sampling import SampleConfig, echo, pole_rejector, sample_points
 from .splitting import (
     PreMultisymplecticManifold,
     SplitFrame,
@@ -226,17 +226,8 @@ def verify_closed(thickening: Thickening) -> VerificationReport:
     return closedness_report(thickening.omega_tilde, "thickened-form-closed")
 
 
-def nondegeneracy_report(
-    form: Form,
-    points: Sequence[Sequence[Fraction]],
-    config: Optional[SampleConfig] = None,
-    name: str = "non-degeneracy",
-) -> VerificationReport:
-    """Exact full-rank check of the contraction map at each point.
-
-    A kernel basis is computed only for a FAIL witness; no points is a FAIL.
-    """
-    start = time.perf_counter()
+def _degenerate_points(form: Form, points: Sequence[Sequence[Fraction]]) -> List[dict]:
+    """One witness, with a kernel basis, per point where form is degenerate."""
     d = form.chart.dim
     witnesses = []
     for p in points:
@@ -251,24 +242,29 @@ def nondegeneracy_report(
                 "kernel_basis": [[str(x) for x in v] for v in kernel],
             }
         )
-    if not points:
-        witnesses.append({"error": NO_POINTS})
-    details = {"points_checked": len(points)}
-    if config is not None:
-        details.update(config.describe())
-    verdict = EVIDENCE if not witnesses else FAIL
-    return VerificationReport(
-        name, verdict, details, witnesses, (time.perf_counter() - start) * 1000
-    )
+    return witnesses
+
+
+def nondegeneracy_report(
+    form: Form,
+    points: Sequence[Sequence[Fraction]],
+    config: Optional[SampleConfig] = None,
+) -> VerificationReport:
+    """Exact full-rank check of the contraction map at each point; no points is a FAIL."""
+    start = time.perf_counter()
+    details = {"points_checked": len(points), **echo(config, points)}
+    witnesses = _degenerate_points(form, points)
+    return sampled_report("non-degeneracy", points, details, witnesses, start)
 
 
 def verify_nondegenerate(
     thickening: Thickening,
-    config: SampleConfig = SampleConfig(),
+    config: Optional[SampleConfig] = None,
     points: Optional[Sequence[Sequence[Fraction]]] = None,
 ) -> VerificationReport:
     """Sampled non-degeneracy of omega_tilde, including off the zero section.
 
+    Without ``points``, draws them with ``config`` (default SampleConfig()).
     Validity away from the zero section is part of the claim, so a sampled
     set is required to contain at least one point with a nonzero fiber
     coordinate.  Uniform integer sampling essentially guarantees this; if not,
@@ -276,27 +272,27 @@ def verify_nondegenerate(
     resample still on the zero section is a FAIL.  Supplied points are the
     caller's choice and are not checked for this.
     """
+    start = time.perf_counter()
     d = thickening.base_dim
     sampled = points is None
     if sampled:
+        config = config or SampleConfig()
         reject = pole_rejector(thickening.omega_tilde)
         points = sample_points(thickening.big_chart.dim, config, reject)
         if thickening.fiber_count and not any(any(p[d:]) for p in points):
             config = SampleConfig(config.count, config.seed + 1, config.low, config.high)
             points = sample_points(thickening.big_chart.dim, config, reject)
-    report = nondegeneracy_report(
-        thickening.omega_tilde, points, config if sampled else None,
-        "thickened-form-non-degenerate",
-    )
-    if not sampled:
-        report.details["points_supplied"] = len(points)
     off_section = sum(1 for p in points if any(p[d:]))
-    report.details["points_with_nonzero_fiber_part"] = off_section
-    report.details["frame"] = thickening.describe_frame()
+    details = {
+        "points_checked": len(points),
+        **echo(config, points),
+        "points_with_nonzero_fiber_part": off_section,
+        "frame": thickening.describe_frame(),
+    }
+    witnesses = _degenerate_points(thickening.omega_tilde, points)
     if sampled and thickening.fiber_count and not off_section:
-        report.verdict = FAIL
-        report.witnesses.append({"error": "no sample point off the zero section"})
-    return report
+        witnesses.append({"error": "no sample point off the zero section"})
+    return sampled_report("thickened-form-non-degenerate", points, details, witnesses, start)
 
 
 def verify_zero_section_pullback(thickening: Thickening) -> VerificationReport:
@@ -309,7 +305,7 @@ def verify_zero_section_pullback(thickening: Thickening) -> VerificationReport:
 def verify_coisotropic(
     thickening: Thickening,
     ell: Optional[int] = None,
-    config: SampleConfig = SampleConfig(count=25),
+    config: Optional[SampleConfig] = None,
     points: Optional[Sequence[Sequence[Fraction]]] = None,
 ) -> VerificationReport:
     """Sampled (k-1)-coisotropy of the zero section.
@@ -320,14 +316,15 @@ def verify_coisotropic(
     base axes, so its orthogonal is read off by ``coordinate_orthogonal`` and
     a vector escapes exactly when a fiber entry is nonzero.  Samples are
     taken on the zero section because that is where the embedded copy of the
-    base lives.
+    base lives; without ``points`` they are drawn with ``config`` (default
+    25 points).
     """
     start = time.perf_counter()
     if ell is None:
         ell = thickening.base.degree - 1
     d = thickening.base_dim
-    sampled = points is None
-    if sampled:
+    if points is None:
+        config = config or SampleConfig(count=25)
         base_points = sample_points(d, config, pole_rejector(thickening.base.omega))
         points = [tuple(p) + (Fraction(0),) * thickening.fiber_count for p in base_points]
     else:
@@ -347,31 +344,27 @@ def verify_coisotropic(
                     "escaping_vectors": [[str(x) for x in v] for v in escaping],
                 }
             )
-    if not points:
-        witnesses.append({"error": NO_POINTS})
     details = {
         "ell": ell,
         "points_checked": len(points),
         "orthogonal_dimensions_seen": sorted(orthogonal_dims),
-        **(config.describe() if sampled else {"points_supplied": len(points)}),
+        **echo(config, points),
         "frame": thickening.describe_frame(),
     }
-    verdict = EVIDENCE if not witnesses else FAIL
-    return VerificationReport(
-        "zero-section-coisotropic", verdict, details, witnesses,
-        (time.perf_counter() - start) * 1000,
-    )
+    return sampled_report("zero-section-coisotropic", points, details, witnesses, start)
 
 
 def verify_all(
-    thickening: Thickening,
-    nondegenerate_config: SampleConfig = SampleConfig(),
-    coisotropy_config: SampleConfig = SampleConfig(count=25),
+    thickening: Thickening, config: SampleConfig = SampleConfig()
 ) -> List[VerificationReport]:
-    """Run the four claimed-property verifiers in a fixed order."""
+    """Run the four claimed-property verifiers in a fixed order.
+
+    Coisotropy samples half of ``config.count`` points (at least one).
+    """
+    coisotropy_config = replace(config, count=max(1, config.count // 2))
     return [
         verify_closed(thickening),
-        verify_nondegenerate(thickening, nondegenerate_config),
+        verify_nondegenerate(thickening, config),
         verify_zero_section_pullback(thickening),
         verify_coisotropic(thickening, config=coisotropy_config),
     ]

@@ -102,3 +102,18 @@ def random_vector_field(rng: random.Random, chart: Chart) -> VectorField:
     return VectorField(
         chart, [random_poly_expr(rng, chart.coords, max_terms=2, max_exp=1) for _ in chart.coords]
     )
+
+
+# -- reference conversion for the sympy cross-checks ----------------------------
+
+
+def sympy_expr(sympy, expr, symbols):
+    """The sympy expression of a ScalarExpr over ``symbols`` (one per variable)."""
+    def poly(p):
+        return sympy.Add(*[
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*[s**k for s, k in zip(symbols, e)])
+            for e, c in p.terms.items()
+        ])
+
+    return poly(expr.num) / poly(expr.den)

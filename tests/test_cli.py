@@ -31,9 +31,14 @@ def test_check_json_is_byte_reproducible(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     lines = [json.loads(line) for line in out1.splitlines()]
-    assert "header" in lines[0]
-    assert lines[0]["header"]["seed"] == 7
+    header = lines[0]["header"]
+    assert header["seed"] == 7
     assert {l["check"] for l in lines[1:]} == {"closedness", "constant-rank"}
+    # the constant-rank points were drawn with the header's sampling config
+    rank = lines[-1]["details"]
+    echo = ("samples", "seed", "coordinate_range")
+    assert [rank[k] for k in echo] == [header[k] for k in echo] == [10, 7, [-5, 5]]
+    assert "points_supplied" not in rank
 
 
 def test_check_counts_every_evaluated_sample(capsys):
@@ -212,6 +217,18 @@ def test_orthogonal_rejects_unknown_constraint(capsys):
     )
     assert code == 2
     assert "unknown coordinate" in err
+
+
+def test_orthogonal_rejects_a_coordinate_constrained_twice(capsys):
+    code, out, err = run(
+        capsys,
+        "orthogonal",
+        fixture_path("r5_thickening.json"),
+        "--submanifold", "x5=0,x5=1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "'x5' constrained twice" in err
 
 
 def test_eom_symbolic_base(capsys):

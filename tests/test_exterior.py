@@ -24,6 +24,7 @@ from conftest import (
     random_scalar,
     random_vector_field,
     scalar_field_form,
+    sympy_expr,
 )
 
 F = Fraction
@@ -214,21 +215,10 @@ def test_pullback_commutes_with_d():
 # -- differential checks against sympy ---------------------------------------
 
 
-def _sympy_expr(sympy, expr, symbols):
-    def poly(p):
-        return sympy.Add(*[
-            sympy.Rational(c.numerator, c.denominator)
-            * sympy.Mul(*[s**k for s, k in zip(symbols, e)])
-            for e, c in p.terms.items()
-        ])
-
-    return poly(expr.num) / poly(expr.den)
-
-
 def _sympy_components(sympy, form, symbols):
     """Every increasing index tuple of the form mapped to its sympy coefficient."""
     return {
-        idx: _sympy_expr(sympy, form.coefficient(idx), symbols)
+        idx: sympy_expr(sympy, form.coefficient(idx), symbols)
         for idx in itertools.combinations(range(form.chart.dim), form.degree)
     }
 
@@ -293,7 +283,7 @@ def test_pullback_agrees_with_sympy():
             comps[0] = random_scalar(rng, src.coords)
         phi = CoordinateMap(src, target, comps)
         alpha = random_form(rng, target, rng.randint(0, 3), max_terms=3)
-        phi_s = [_sympy_expr(sympy, c, s_syms) for c in comps]
+        phi_s = [sympy_expr(sympy, c, s_syms) for c in comps]
         jacobian = sympy.Matrix([[sympy.diff(f, s) for s in s_syms] for f in phi_s])
         a = _sympy_components(sympy, alpha, t_syms)
         k = alpha.degree

@@ -15,6 +15,8 @@ from plectic.linalg import (
     subspace_contained,
 )
 
+from conftest import sympy_expr
+
 F = Fraction
 
 
@@ -194,17 +196,6 @@ def _random_expr(rng, variables, rational):
     return expr
 
 
-def _sympy_of(sympy, expr, symbols):
-    def poly(p):
-        return sympy.Add(*[
-            sympy.Rational(c.numerator, c.denominator)
-            * sympy.Mul(*[s**k for s, k in zip(symbols, e)])
-            for e, c in p.terms.items()
-        ])
-
-    return poly(expr.num) / poly(expr.den)
-
-
 def test_invert_agrees_with_sympy_on_random_scalar_matrices():
     # M M^-1 = I exactly; a singular M reports the first non-pivot column of
     # its reduced row echelon form
@@ -231,7 +222,7 @@ def test_invert_agrees_with_sympy_on_random_scalar_matrices():
             assert all(bool(e) == (not e.is_zero()) for e in row)
         m = [{j: e for j, e in enumerate(row) if e} for row in dense]
         _, pivots = DomainMatrix.from_Matrix(sympy.Matrix(
-            [[_sympy_of(sympy, e, symbols) for e in row] for row in dense]
+            [[sympy_expr(sympy, e, symbols) for e in row] for row in dense]
         )).to_field().rref()
         if len(pivots) < n:
             singular += 1

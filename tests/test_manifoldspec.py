@@ -83,11 +83,21 @@ def test_fibration_auxiliary_must_be_fiber():
 
 
 def test_samples_block_validated():
-    data = _minimal(samples={"count": 0})
-    with pytest.raises(SpecError, match="positive"):
-        parse_spec_dict(data)
-    data = _minimal(samples={"coordinate_range": [3, -3]})
-    with pytest.raises(SpecError, match="low <= high"):
+    # JSON true/false load as bool, an int subclass, but are not integers
+    for samples, message in (
+        ({"count": 0}, "positive"),
+        ({"coordinate_range": [3, -3]}, "low <= high"),
+        ({"count": True}, "samples.count"),
+        ({"seed": False}, "samples.seed"),
+        ({"coordinate_range": [False, True]}, "samples.coordinate_range"),
+    ):
+        with pytest.raises(SpecError, match=message):
+            parse_spec_dict(_minimal(samples=samples))
+
+
+def test_boolean_degree_rejected():
+    data = _minimal(form={"degree": True, "terms": [{"indices": ["x"], "coeff": "1"}]})
+    with pytest.raises(SpecError, match="form.degree"):
         parse_spec_dict(data)
 
 

@@ -12,7 +12,7 @@ from plectic.exterior import Chart, Form, VectorField
 from plectic import coeff
 from plectic.coeff import ScalarExpr
 from plectic.fieldtheory import FiberedChart, eom_symbolic_system
-from plectic.report import EVIDENCE, FAIL, PASS, VerificationReport
+from plectic.report import EVIDENCE, FAIL, NO_POINTS, PASS, POINT_COUNTS, VerificationReport
 from plectic.sampling import SampleConfig, pole_rejector, sample_points
 from plectic.splitting import (
     PreMultisymplecticManifold,
@@ -27,6 +27,7 @@ from plectic.thicken import (
     enumerate_fiber_coordinates,
     nondegeneracy_report,
     present_in_frame_basis,
+    verify_all,
     verify_closed,
     verify_coisotropic,
     verify_nondegenerate,
@@ -298,10 +299,11 @@ def test_sampled_verifiers_fail_on_empty_point_lists(manifold4, thickening4):
         nondegeneracy_report(manifold4.omega, []),
         verify_nondegenerate(thickening4, points=[]),
         verify_coisotropic(thickening4, points=[]),
+        splitting.verify_constant_rank(manifold4, points=[]),
     ):
         assert report.verdict == FAIL
-        assert report.details["points_checked"] == 0
-        assert report.witnesses == [{"error": "no sample points to check"}]
+        assert [report.details[k] for k in POINT_COUNTS if k in report.details] == [0]
+        assert report.witnesses == [{"error": NO_POINTS}]
 
 
 def test_verify_nondegenerate_reports_the_seed_it_sampled_with(thickening4):
@@ -322,6 +324,7 @@ def test_sampled_verifiers_echo_supplied_points_not_a_config(thickening4):
     # explicit points are not sampled, so no sampling config may be echoed
     point = (F(1), F(2), F(0), F(3), F(1)) + (F(0),) * thickening4.fiber_count
     for report in (
+        nondegeneracy_report(thickening4.omega_tilde, [point]),
         verify_nondegenerate(thickening4, points=[point]),
         verify_coisotropic(thickening4, points=[point]),
     ):
@@ -335,7 +338,11 @@ def test_evidence_report_needs_an_evaluated_point():
         with pytest.raises(ValueError, match="at least one point"):
             VerificationReport("sampled", EVIDENCE, {key: 0})
         assert VerificationReport("sampled", EVIDENCE, {key: 1}).ok
-    assert VerificationReport("sampled", FAIL, {"points_checked": 0}, [{"error": "x"}]).verdict == FAIL
+    report = VerificationReport("sampled", FAIL, {"points_checked": 0}, [{"error": "x"}])
+    assert report.verdict == FAIL
+    # a built report is final: its verdict cannot be reassigned
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.verdict = EVIDENCE
 
 
 def test_verify_zero_section_detects_mutated_tautological_form(thickening4):
@@ -453,12 +460,13 @@ def test_degree_four_thickening_on_six_dimensions():
     thickening = build_thickening(manifold, frame)
     assert thickening.fiber_count == math.comb(6, 3) - math.comb(4, 3) == 16
     assert thickening.big_chart.dim == 22
-    assert verify_closed(thickening).verdict == PASS
-    assert verify_zero_section_pullback(thickening).verdict == PASS
-    cfg = SampleConfig(count=3, seed=0)
-    assert verify_nondegenerate(thickening, cfg).verdict == EVIDENCE
-    coiso = verify_coisotropic(thickening, config=SampleConfig(count=3, seed=0))
-    assert coiso.verdict == EVIDENCE
+    closed, nondeg, pullback, coiso = verify_all(thickening, SampleConfig(7, 0))
+    assert closed.verdict == pullback.verdict == PASS
+    assert nondeg.verdict == coiso.verdict == EVIDENCE
+    assert nondeg.details["samples"] == 7
+    # coisotropy samples half as many points, with the same seed
+    assert coiso.details["samples"] == coiso.details["points_checked"] == 3
+    assert coiso.details["seed"] == 0
     assert coiso.details["ell"] == 3
 
 
