@@ -1,7 +1,11 @@
-"""Golden --json output of the CLI on the bundled fixtures.
+"""Golden --json output of the CLI on the bundled fixtures and on DW n = 3.
 
 Each case's stdout (and, for ``thicken --emit``, the emitted spec) is
 compared byte for byte with the file of the same name under tests/golden/.
+``tests/golden/dw_n3.json`` is the DeDonder-Weyl spec of base dimension 3,
+``json.dumps(perfbench.dwfamily.spec_dict(3), indent=2, sort_keys=True)``;
+it lives there rather than among the bundled fixtures because its outputs
+are large enough for the term order of every coefficient to show.
 After an intended output change, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -37,6 +41,7 @@ ORTHOGONAL = (
     ("r6_thickening", ["--submanifold", "x5=0,x6=0", "--ell", "2"]),
 )
 THICKEN = ("scalar_field_2d", "r4_premultisymplectic")
+GOLDEN_SPECS = ("dw_n3",)
 
 
 def _cases():
@@ -50,6 +55,8 @@ def _cases():
             yield "orthogonal", name, extra, seed
         yield "eom", "scalar_field_2d", ["--symbolic"], seed
         yield "eom", "scalar_field_2d_thickened", ["--symbolic"], seed
+    yield "thicken", "dw_n3", [], None
+    yield "eom", "dw_n3_thickened", ["--symbolic"], None
 
 
 def _case_name(command, name, seed):
@@ -63,21 +70,27 @@ def _run(argv):
     return code, buf.getvalue()
 
 
+def _spec(name, workdir):
+    """Path of the spec named name; ``<base>_thickened`` is emitted from ``<base>``."""
+    if name.endswith("_thickened"):
+        spec = os.path.join(workdir, name + ".json")
+        code, _ = _run(["thicken", _spec(name[: -len("_thickened")], workdir), "--emit", spec, "--json"])
+        assert code == 0
+        return spec
+    if name in GOLDEN_SPECS:
+        return os.path.join(GOLDEN_DIR, name + ".json")
+    return fixture_path(name + ".json")
+
+
 def _outputs(command, name, extra, seed, workdir):
     """{golden file name: contents} for one case.
 
     ``thicken`` adds its emitted spec and drops the line echoing the
-    emitted path; ``eom`` on ``scalar_field_2d_thickened`` first emits that
-    spec from scalar_field_2d.
+    emitted path.
     """
     seed_argv = [] if seed is None else ["--seed", str(seed)]
     base = _case_name(command, name, seed)
-    if name == "scalar_field_2d_thickened":
-        spec = os.path.join(workdir, "scalar_field_2d_thickened.json")
-        code, _ = _run(["thicken", fixture_path("scalar_field_2d.json"), "--emit", spec, "--json"])
-        assert code == 0
-    else:
-        spec = fixture_path(name + ".json")
+    spec = _spec(name, workdir)
     argv = [command, spec, "--json", *extra, *seed_argv]
     if command != "thicken":
         return {base + ".jsonl": _run(argv)[1]}
