@@ -20,6 +20,7 @@ A leading sign is accepted as a convenience on top of the documented grammar.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Mapping, Sequence, Tuple, Union
@@ -56,12 +57,81 @@ def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
     )
 
 
+# -- sparse monomials --------------------------------------------------------
+# A monomial is a tuple of (variable index, power) pairs sorted by index, with
+# zero powers left out; the constant monomial is ().
+
+
+def term_order_key(e: tuple) -> tuple:
+    """Sort key of a monomial under graded lex: total degree, then lex.
+
+    Comparing the pairs (-index, power) lexicographically orders monomials as
+    lex order orders their dense exponent vectors (the first variable is the
+    most significant), so the key is the classic graded lex order.
+    """
+    return (sum(k for _, k in e), tuple((-i, k) for i, k in e))
+
+
+def partial_degree(e: tuple, axes) -> int:
+    """Degree of the monomial e in the variables whose positions are in axes."""
+    return sum(k for i, k in e if i in axes)
+
+
+def _mono_mul(a: tuple, b: tuple) -> tuple:
+    if not a:
+        return b
+    if not b:
+        return a
+    # monomials in disjoint index ranges just concatenate
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
+    powers = dict(a)
+    for i, k in b:
+        powers[i] = powers.get(i, 0) + k
+    return tuple(sorted(powers.items()))
+
+
+def _mono_div(a: tuple, b: tuple):
+    """The monomial a / b, or None if b does not divide a."""
+    powers = dict(a)
+    for i, k in b:
+        left = powers.get(i, 0) - k
+        if left < 0:
+            return None
+        if left:
+            powers[i] = left
+        else:
+            del powers[i]
+    return tuple(powers.items())
+
+
+def _mono_gcd(a: tuple, b: tuple) -> tuple:
+    powers = dict(b)
+    return tuple((i, min(k, powers[i])) for i, k in a if i in powers)
+
+
+def _bump(e: tuple, idx: int, delta: int) -> tuple:
+    """e with the power of variable idx raised by delta; a zero power is dropped."""
+    powers = dict(e)
+    k = powers.get(idx, 0) + delta
+    if k:
+        powers[idx] = k
+    else:
+        powers.pop(idx, None)
+    return tuple(sorted(powers.items()))
+
+
 class Poly:
     """Sparse multivariate polynomial over Q.
 
-    terms maps exponent tuples (one entry per variable) to nonzero Fraction
-    coefficients; the zero polynomial has no terms.  Instances are treated as
-    immutable after construction.
+    terms maps monomials to nonzero Fraction coefficients.  A monomial is a
+    tuple of (variable index, power) pairs sorted by index with zero powers
+    left out, so x0^2*x3 is ((0, 2), (3, 1)) and the constant monomial is ().
+    Terms are ordered for display and leading terms by ``term_order_key``
+    (graded lex).  The zero polynomial has no terms.  Instances are treated
+    as immutable after construction.
     """
 
     __slots__ = ("variables", "terms")
@@ -77,34 +147,31 @@ class Poly:
     @classmethod
     def const(cls, variables: Sequence[str], value) -> "Poly":
         value = Fraction(value)
-        n = len(variables)
-        return cls(variables, {(0,) * n: value} if value else {})
+        return cls(variables, {(): value} if value else {})
 
     @classmethod
     def var(cls, variables: Sequence[str], name: str) -> "Poly":
-        idx = tuple(variables).index(name)
-        exp = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(variables, {exp: Fraction(1)})
+        return cls(variables, {((tuple(variables).index(name), 1),): Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_const(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not any(self.terms)
 
     def is_one(self) -> bool:
-        return len(self.terms) == 1 and self.terms.get((0,) * len(self.variables)) == 1
+        return len(self.terms) == 1 and self.terms.get(()) == 1
 
     def const_value(self) -> Fraction:
         if not self.terms:
             return Fraction(0)
         [(exp, coeff)] = self.terms.items()
-        if any(exp):
+        if exp:
             raise ValueError("polynomial is not constant")
         return coeff
 
     def _check(self, other: "Poly") -> None:
-        if self.variables != other.variables:
+        if self.variables is not other.variables and self.variables != other.variables:
             raise PlecticError(
                 f"polynomials over different variables: {self.variables} vs {other.variables}"
             )
@@ -149,7 +216,7 @@ class Poly:
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = _mono_mul(e1, e2)
                 s = out.get(e, Fraction(0)) + c1 * c2
                 if s:
                     out[e] = s
@@ -160,46 +227,42 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
+        """The repeated product self * self * ... (n factors, left to right)."""
         if n < 0:
             raise ValueError("negative exponent on a polynomial")
         result = Poly.const(self.variables, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        for _ in range(n):
+            result = result * self
         return result
 
     def diff(self, name: str) -> "Poly":
         idx = self.variables.index(name)
         out: dict = {}
         for e, c in self.terms.items():
-            if e[idx] == 0:
-                continue
-            ne = tuple(x - 1 if i == idx else x for i, x in enumerate(e))
-            out[ne] = out.get(ne, Fraction(0)) + c * e[idx]
+            for i, k in e:
+                if i == idx:
+                    ne = _bump(e, idx, -1)
+                    out[ne] = out.get(ne, Fraction(0)) + c * k
+                    break
         return Poly(self.variables, out)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
+        """Value at a point of Fractions or ints (Fraction * int is a Fraction)."""
         if len(point) != len(self.variables):
             raise ValueError("point dimension mismatch")
-        point = [p if isinstance(p, Fraction) else Fraction(p) for p in point]
         total = Fraction(0)
         for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                if k:
-                    v *= x**k
-            total += v
+            for i, k in e:
+                c = c * point[i] ** k
+            total += c
         return total
 
     def degree_in(self, idx: int) -> int:
-        return max((e[idx] for e in self.terms), default=0)
+        return max((k for e in self.terms for i, k in e if i == idx), default=0)
 
     def _lead(self) -> tuple:
-        """Leading exponent under graded lex (largest total degree first)."""
-        return max(self.terms, key=lambda e: (sum(e), e))
+        """Leading monomial under graded lex (largest total degree first)."""
+        return max(self.terms, key=term_order_key)
 
     def content(self) -> Fraction:
         c = Fraction(0)
@@ -213,12 +276,10 @@ class Poly:
         if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
+        for e in sorted(self.terms, key=term_order_key, reverse=True):
             c = self.terms[e]
             factors = [
-                self.variables[i] if k == 1 else f"{self.variables[i]}^{k}"
-                for i, k in enumerate(e)
-                if k
+                self.variables[i] if k == 1 else f"{self.variables[i]}^{k}" for i, k in e
             ]
             mag = abs(c)
             if not factors:
@@ -250,8 +311,8 @@ def _div_exact(a: Poly, b: Poly):
     cb = b.terms[lb]
     while not rem.is_zero():
         la = rem._lead()
-        e = tuple(x - y for x, y in zip(la, lb))
-        if any(x < 0 for x in e):
+        e = _mono_div(la, lb)
+        if e is None:
             return None
         c = rem.terms[la] / cb
         quot[e] = c
@@ -263,21 +324,15 @@ def _vcoeffs(p: Poly, idx: int) -> dict:
     """View p as univariate in variable idx: degree -> Poly coefficient."""
     out: dict = {}
     for e, c in p.terms.items():
-        k = e[idx]
-        re = tuple(0 if i == idx else x for i, x in enumerate(e))
+        k = dict(e).get(idx, 0)
+        re = tuple(pair for pair in e if pair[0] != idx)
         coeff = out.setdefault(k, {})
         coeff[re] = coeff.get(re, Fraction(0)) + c
     return {k: Poly(p.variables, t) for k, t in out.items()}
 
 
 def _shift(p: Poly, idx: int, k: int) -> Poly:
-    return Poly(
-        p.variables,
-        {
-            tuple(x + k if i == idx else x for i, x in enumerate(e)): c
-            for e, c in p.terms.items()
-        },
-    )
+    return Poly(p.variables, {_bump(e, idx, k): c for e, c in p.terms.items()})
 
 
 def _prem(a: Poly, b: Poly, idx: int) -> Poly:
@@ -301,7 +356,12 @@ def _vcontent(p: Poly, idx: int, budget: list) -> Poly:
     return g if not g.is_zero() else Poly.const(p.variables, 1)
 
 def _monomial_content(p: Poly) -> tuple:
-    return tuple(min(e[i] for e in p.terms) for i in range(len(p.variables)))
+    """The largest monomial dividing every term of the nonzero p."""
+    terms = iter(p.terms)
+    mono = next(terms)
+    for e in terms:
+        mono = _mono_gcd(mono, e)
+    return mono
 
 
 def _strip(p: Poly):
@@ -309,11 +369,7 @@ def _strip(p: Poly):
     c = p.content()
     mono = _monomial_content(p)
     stripped = Poly(
-        p.variables,
-        {
-            tuple(x - m for x, m in zip(e, mono)): coeff / c
-            for e, coeff in p.terms.items()
-        },
+        p.variables, {_mono_div(e, mono): coeff / c for e, coeff in p.terms.items()}
     )
     return c, mono, stripped
 
@@ -332,10 +388,7 @@ def _prs_gcd(a: Poly, b: Poly, budget: list) -> Poly:
         or len(b.terms) > _GCD_TERM_LIMIT
     ):
         return Poly.const(a.variables, 1)
-    idx = next(
-        (i for i in range(len(a.variables)) if a.degree_in(i) or b.degree_in(i)),
-        None,
-    )
+    idx = min((i for e in itertools.chain(a.terms, b.terms) for i, _ in e), default=None)
     if idx is None:  # both constants
         return Poly.const(a.variables, _frac_gcd(a.content(), b.content()))
     ca, cb = _vcontent(a, idx, budget), _vcontent(b, idx, budget)
@@ -372,8 +425,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     ca, ma, pa = _strip(a)
     cb, mb, pb = _strip(b)
     c = _frac_gcd(ca, cb)
-    mono = tuple(min(x, y) for x, y in zip(ma, mb))
-    base = Poly(a.variables, {mono: c})
+    base = Poly(a.variables, {_mono_gcd(ma, mb): c})
     if len(pa.terms) == 1 or len(pb.terms) == 1:
         return _normalize_sign(base)
     if pa == pb or pa == -pb:
@@ -544,8 +596,7 @@ class ScalarExpr:
 
         Every partial derivative along a variable outside the support is zero.
         """
-        exponents = list(self.num.terms) + list(self.den.terms)
-        return tuple(i for i, column in enumerate(zip(*exponents)) if any(column))
+        return tuple(sorted({i for p in (self.num, self.den) for e in p.terms for i, _ in e}))
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         if self.den.is_one():
@@ -565,9 +616,8 @@ class ScalarExpr:
             total = ScalarExpr.zero(out_vars)
             for e, c in p.terms.items():
                 term = ScalarExpr.const(out_vars, c)
-                for v, k in zip(values, e):
-                    if k:
-                        term = term * v**k
+                for i, k in e:
+                    term = term * values[i] ** k
                 total = total + term
             return total
 
@@ -577,22 +627,20 @@ class ScalarExpr:
         return eval_poly(self.num) / den
 
     def subs_rename(self, variables: Sequence[str], rename: Mapping[str, str] = None) -> "ScalarExpr":
-        """Re-express over a variable superset (optionally renaming)."""
+        """Re-express over a variable superset (optionally renaming).
+
+        Only the variables that occur need a place in the new variables.
+        """
         rename = rename or {}
         variables = tuple(variables)
-        pos = {}
-        for i, v in enumerate(self.variables):
-            nv = rename.get(v, v)
-            pos[i] = variables.index(nv)
+        names = self.variables
+        pos = {i: variables.index(rename.get(names[i], names[i])) for i in self.support()}
 
         def remap(p: Poly) -> Poly:
-            out = {}
-            for e, c in p.terms.items():
-                ne = [0] * len(variables)
-                for i, k in enumerate(e):
-                    ne[pos[i]] = k
-                out[tuple(ne)] = c
-            return Poly(variables, out)
+            return Poly(
+                variables,
+                {tuple(sorted((pos[i], k) for i, k in e)): c for e, c in p.terms.items()},
+            )
 
         return ScalarExpr(remap(self.num), remap(self.den))
 

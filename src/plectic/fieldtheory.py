@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .coeff import Poly, ScalarExpr
+from .coeff import Poly, ScalarExpr, partial_degree, term_order_key
 from .errors import DegreeError, PlecticError
 from .exterior import Chart, CoordinateMap, Form, VectorField, substitute
 
@@ -192,10 +192,7 @@ class JetEquation:
     def jet_degree(self) -> int:
         """Largest total jet-symbol degree among the physical part's monomials."""
         axes = set(self.jet_axes)
-        return max(
-            (sum(k for i, k in enumerate(e) if i in axes and k) for e in self.physical.num.terms),
-            default=0,
-        )
+        return max((partial_degree(e, axes) for e in self.physical.num.terms), default=0)
 
     def kind(self) -> str:
         """Classify the physical part: pde, derived, obstruction, or empty."""
@@ -211,14 +208,12 @@ class JetEquation:
 
 def _split_physical(expr: ScalarExpr, jets: Chart, aux_axes: set) -> Tuple[ScalarExpr, ScalarExpr]:
     """Split a polynomial expression by auxiliary-symbol content."""
-    if not aux_axes.isdisjoint(
-        i for e in expr.den.terms for i, k in enumerate(e) if k
-    ):
+    if any(partial_degree(e, aux_axes) for e in expr.den.terms):
         # auxiliary symbols in a denominator: treat everything as auxiliary
         return ScalarExpr.zero(jets.coords), expr
     phys_terms, aux_terms = {}, {}
     for e, c in expr.num.terms.items():
-        target = aux_terms if any(e[i] for i in aux_axes) else phys_terms
+        target = aux_terms if partial_degree(e, aux_axes) else phys_terms
         target[e] = c
     phys = ScalarExpr(Poly(jets.coords, phys_terms), expr.den)
     aux = ScalarExpr(Poly(jets.coords, aux_terms), expr.den)
@@ -235,15 +230,7 @@ def normalize_equation(expr: ScalarExpr, jet_axes: Sequence[int]) -> ScalarExpr:
     if expr.is_zero():
         return expr
     axes = set(jet_axes)
-
-    def jet_part(e):
-        return sum(k for i, k in enumerate(e) if i in axes)
-
-    max_deg = max(jet_part(e) for e in expr.num.terms)
-    lead = max(
-        (e for e in expr.num.terms if jet_part(e) == max_deg),
-        key=lambda e: (sum(e), e),
-    )
+    lead = max(expr.num.terms, key=lambda e: (partial_degree(e, axes), term_order_key(e)))
     return expr * (1 / expr.num.terms[lead])
 
 

@@ -12,7 +12,7 @@ kernel bases, enter through ``sparse``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .errors import PlecticError
 
@@ -45,7 +45,9 @@ def _reduce(v: SparseRow, reduced: Dict[int, SparseRow]) -> None:
                 del v[j]
 
 
-def rref(rows: Sequence[SparseRow], ncols: int) -> Dict[int, SparseRow]:
+def rref(
+    rows: Sequence[SparseRow], ncols: int, pivot_limit: Optional[int] = None
+) -> Optional[Dict[int, SparseRow]]:
     """Reduced row echelon form of sparse rows, keyed by pivot column.
 
     Each row is reduced against the rows so far, scaled to 1 at its leading
@@ -53,7 +55,11 @@ def rref(rows: Sequence[SparseRow], ncols: int) -> Dict[int, SparseRow]:
     vanish, so the rank is the number of rows returned.  The form is unique,
     so results do not depend on the order of the rows.  Works over any field
     whose values test nonzero with ``bool``: Fraction and ScalarExpr.
+    With ``pivot_limit``, the elimination stops and returns None at the first
+    row whose leading column is pivot_limit or more.
     """
+    if pivot_limit is None:
+        pivot_limit = ncols
     reduced: Dict[int, SparseRow] = {}
     for row in rows:
         if len(reduced) == ncols:
@@ -63,6 +69,8 @@ def rref(rows: Sequence[SparseRow], ncols: int) -> Dict[int, SparseRow]:
         if not v:
             continue
         q = min(v)
+        if q >= pivot_limit:
+            return None
         p = v[q]
         v = {j: x / p for j, x in v.items()}
         for r in reduced.values():
@@ -114,13 +122,16 @@ def subspace_contained(span_a: Sequence[Vector], span_b: Sequence[Vector]) -> bo
 def invert(rows: Sequence[SparseRow], n: int) -> List[SparseRow]:
     """Exact inverse of an n x n matrix of sparse rows: the rref of [M | I].
 
-    Raises SingularMatrixError naming the first column of M without a pivot
-    (M is singular); each inverse row lists its entries by column.
+    The elimination stops at the first row of [M | I] whose M part reduces
+    to zero; M is singular then, and SingularMatrixError names the first
+    column without a pivot in the rref of M.  Each inverse row lists its
+    entries by column.
     """
     if len(rows) != n or any(not 0 <= j < n for row in rows for j in row):
         raise DimensionMismatchError("matrix is not square")
-    reduced = rref([{**row, n + i: Fraction(1)} for i, row in enumerate(rows)], 2 * n)
-    for c in range(n):
-        if c not in reduced:
-            raise SingularMatrixError(f"no nonzero pivot in column {c}")
+    reduced = rref([{**row, n + i: Fraction(1)} for i, row in enumerate(rows)], 2 * n, n)
+    if reduced is None:
+        pivots = rref(rows, n)
+        column = next(c for c in range(n) if c not in pivots)
+        raise SingularMatrixError(f"no nonzero pivot in column {column}")
     return [{j - n: x for j, x in sorted(reduced[c].items()) if j >= n} for c in range(n)]

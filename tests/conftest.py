@@ -112,7 +112,7 @@ def sympy_expr(sympy, expr, symbols):
     def poly(p):
         return sympy.Add(*[
             sympy.Rational(c.numerator, c.denominator)
-            * sympy.Mul(*[s**k for s, k in zip(symbols, e)])
+            * sympy.Mul(*[symbols[i] ** k for i, k in e])
             for e, c in p.terms.items()
         ])
 

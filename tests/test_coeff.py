@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plectic.coeff import (
+    _GCD_TERM_LIMIT,
     DivisionByZeroExprError,
     ExprSyntaxError,
     Poly,
     ScalarExpr,
     UnknownVariableError,
     _div_exact,
+    _frac_gcd,
     _reduce,
     parse_expr,
     poly_gcd,
@@ -118,9 +120,14 @@ def test_division_by_zero_expression():
 # -- property suites ---------------------------------------------------------
 
 
+def _sparse(dense):
+    """The monomial of a dense exponent tuple: its (index, power) pairs, zeros left out."""
+    return tuple((i, k) for i, k in enumerate(dense) if k)
+
+
 def _poly_exprs(variables=VARS):
     coeff = st.fractions(min_value=-6, max_value=6, max_denominator=3)
-    exps = st.tuples(*(st.integers(0, 2) for _ in variables))
+    exps = st.tuples(*(st.integers(0, 2) for _ in variables)).map(_sparse)
     return st.dictionaries(exps, coeff, max_size=3).map(
         lambda terms: ScalarExpr(Poly(variables, {e: Fraction(c) for e, c in terms.items()}))
     )
@@ -203,7 +210,10 @@ def _mul_loop(a, b):
     out = {}
     for e1, c1 in a.terms.items():
         for e2, c2 in b.terms.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
+            powers = dict(e1)
+            for i, k in e2:
+                powers[i] = powers.get(i, 0) + k
+            e = tuple(sorted(powers.items()))
             s = out.get(e, Fraction(0)) + c1 * c2
             if s:
                 out[e] = s
@@ -221,7 +231,7 @@ _INTEGERS = st.integers(-6, 6).map(Fraction)
 
 
 def _polys(variables, coeffs, max_size=4, min_size=0):
-    exps = st.tuples(*(st.integers(0, 2) for _ in variables))
+    exps = st.tuples(*(st.integers(0, 2) for _ in variables)).map(_sparse)
     return st.dictionaries(exps, coeffs, min_size=min_size, max_size=max_size).map(
         lambda terms: Poly(variables, terms)
     )
@@ -254,7 +264,7 @@ def test_reduce_matches_gcd_ladder_term_order_included(pair):
 
 def test_reduce_keeps_integer_polynomials_over_one_as_given():
     variables = ("a", "b", "c")
-    num = Poly(variables, {(0, 0, 1): Fraction(2), (1, 0, 0): Fraction(-3)})
+    num = Poly(variables, {((2, 1),): Fraction(2), ((0, 1),): Fraction(-3)})
     one = Poly.const(variables, 1)
     assert _reduce(num, one) == (num, one)
     assert _reduce(num, one)[0] is num
@@ -292,3 +302,264 @@ def test_evaluate_mixes_fractions_and_ints():
     e = parse_expr("x*t/3 + 1", VARS)
     assert e.evaluate([Fraction(1, 2), 4]) == Fraction(5, 3)
     assert parse_expr("1/(x - t)", VARS).evaluate([Fraction(3), 1]) == Fraction(1, 2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_polys(("a", "b", "c"), _FRACTIONS, min_size=2))
+def test_power_is_the_repeated_product(p):
+    product = Poly.const(p.variables, 1)
+    for n in range(6):
+        assert _ordered(p**n) == _ordered(product), n
+        product = product * p
+
+
+# -- sparse monomials against a dense reference --------------------------------
+# _Dense is the representation Poly had before its monomials became sparse:
+# one exponent per variable, ordered by (total degree, exponent tuple).  The
+# functions below it transcribe the gcd ladder of _reduce onto it, so the
+# sparse Poly must reproduce every value and every term order.
+
+
+class _Dense:
+    def __init__(self, n, terms):
+        self.n = n
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    def const(self, value):
+        return _Dense(self.n, {(0,) * self.n: Fraction(value)})
+
+    def is_const(self):
+        return all(not any(e) for e in self.terms)
+
+    def const_value(self):
+        return next(iter(self.terms.values()), Fraction(0))
+
+    def lead(self):
+        return max(self.terms, key=lambda e: (sum(e), e))
+
+    def degree_in(self, idx):
+        return max((e[idx] for e in self.terms), default=0)
+
+    def content(self):
+        c = Fraction(0)
+        for coeff in self.terms.values():
+            c = _frac_gcd(c, abs(coeff))
+        return c if c else Fraction(1)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e, Fraction(0)) + c
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return _Dense(self.n, out)
+
+    def __neg__(self):
+        return _Dense(self.n, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, _Dense):
+            return _Dense(self.n, {e: c * other for e, c in self.terms.items()})
+        if other.is_const():
+            return self * other.const_value()
+        if self.is_const():
+            return other * self.const_value()
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                s = out.get(e, Fraction(0)) + c1 * c2
+                if s:
+                    out[e] = s
+                else:
+                    out.pop(e, None)
+        return _Dense(self.n, out)
+
+    def diff(self, idx):
+        out = {}
+        for e, c in self.terms.items():
+            if e[idx]:
+                ne = e[:idx] + (e[idx] - 1,) + e[idx + 1:]
+                out[ne] = out.get(ne, Fraction(0)) + c * e[idx]
+        return _Dense(self.n, out)
+
+    def evaluate(self, point):
+        total = Fraction(0)
+        for e, c in self.terms.items():
+            for x, k in zip(point, e):
+                c *= Fraction(x) ** k
+            total += c
+        return total
+
+    def show(self, names):
+        parts = []
+        for e in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
+            c = self.terms[e]
+            body = "*".join(
+                ([str(abs(c))] if abs(c) != 1 or not any(e) else [])
+                + [names[i] if k == 1 else f"{names[i]}^{k}" for i, k in enumerate(e) if k]
+            )
+            sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
+            parts.append(sign + body)
+        return " ".join(parts) or "0"
+
+
+def _d_div_exact(a, b):
+    quot, rem = {}, a
+    lb = b.lead()
+    while rem.terms:
+        la = rem.lead()
+        e = tuple(x - y for x, y in zip(la, lb))
+        if min(e) < 0:
+            return None
+        quot[e] = rem.terms[la] / b.terms[lb]
+        rem = rem - _Dense(a.n, {e: quot[e]}) * b
+    return _Dense(a.n, quot)
+
+
+def _d_vcoeffs(p, idx):
+    out = {}
+    for e, c in p.terms.items():
+        rest = e[:idx] + (0,) + e[idx + 1:]
+        coeff = out.setdefault(e[idx], {})
+        coeff[rest] = coeff.get(rest, Fraction(0)) + c
+    return {k: _Dense(p.n, t) for k, t in out.items()}
+
+
+def _d_prem(a, b, idx):
+    db = b.degree_in(idx)
+    lb, r = _d_vcoeffs(b, idx)[db], a
+    while r.terms and r.degree_in(idx) >= db:
+        dr = r.degree_in(idx)
+        shifted = _d_vcoeffs(r, idx)[dr] * b
+        shifted = {e[:idx] + (e[idx] + dr - db,) + e[idx + 1:]: c for e, c in shifted.terms.items()}
+        r = lb * r - _Dense(a.n, shifted)
+    return r
+
+
+def _d_vcontent(p, idx, budget):
+    g = _Dense(p.n, {})
+    for coeff in _d_vcoeffs(p, idx).values():
+        g = _d_prs_gcd(g, coeff, budget)
+        if g.is_const():
+            break
+    return g if g.terms else p.const(1)
+
+
+def _d_sign(p):
+    return -p if p.terms and p.terms[p.lead()] < 0 else p
+
+
+def _d_prs_gcd(a, b, budget):
+    if not a.terms:
+        return _d_sign(b)
+    if not b.terms:
+        return _d_sign(a)
+    budget[0] -= 1
+    if budget[0] < 0 or max(len(a.terms), len(b.terms)) > _GCD_TERM_LIMIT:
+        return a.const(1)
+    idx = next((i for i in range(a.n) if a.degree_in(i) or b.degree_in(i)), None)
+    if idx is None:
+        return a.const(_frac_gcd(a.content(), b.content()))
+    ca, cb = _d_vcontent(a, idx, budget), _d_vcontent(b, idx, budget)
+    pa, pb = _d_div_exact(a, ca), _d_div_exact(b, cb)
+    cg = _d_prs_gcd(ca, cb, budget)
+    while pb.terms:
+        budget[0] -= 1
+        if budget[0] < 0 or max(len(pa.terms), len(pb.terms)) > _GCD_TERM_LIMIT:
+            return a.const(1)
+        r = _d_prem(pa, pb, idx)
+        if not r.terms:
+            pa = pb
+            break
+        pa, pb = pb, _d_div_exact(r, _d_vcontent(r, idx, budget))
+    g = cg * _d_div_exact(pa, _d_vcontent(pa, idx, budget))
+    return _d_sign(_d_div_exact(g, g.const(g.content())))
+
+
+def _d_strip(p):
+    c = p.content()
+    mono = tuple(min(e[i] for e in p.terms) for i in range(p.n))
+    stripped = {tuple(x - m for x, m in zip(e, mono)): k / c for e, k in p.terms.items()}
+    return c, mono, _Dense(p.n, stripped)
+
+
+def _d_poly_gcd(a, b):
+    (ca, ma, pa), (cb, mb, pb) = _d_strip(a), _d_strip(b)
+    base = _Dense(a.n, {tuple(map(min, ma, mb)): _frac_gcd(ca, cb)})
+    if len(pa.terms) == 1 or len(pb.terms) == 1:
+        return _d_sign(base)
+    if pa.terms == pb.terms or pa.terms == (-pb).terms:
+        return _d_sign(base * _d_sign(pa))
+    small, big = (pa, pb) if len(pa.terms) <= len(pb.terms) else (pb, pa)
+    if _d_div_exact(big, small) is not None:
+        return _d_sign(base * _d_sign(small))
+    if len(pa.terms) <= 24 and len(pb.terms) <= 24:
+        return _d_sign(base * _d_prs_gcd(pa, pb, [60]))
+    return _d_sign(base)
+
+
+def _d_reduce(num, den):
+    if not num.terms:
+        return num, num.const(1)
+    if den.terms == den.const(1).terms and all(c.denominator == 1 for c in num.terms.values()):
+        return num, den
+    g = _d_poly_gcd(num, den)
+    if g.terms != g.const(1).terms:
+        qn, qd = _d_div_exact(num, g), _d_div_exact(den, g)
+        if qn is not None and qd is not None:
+            num, den = qn, qd
+    scale = den.content() if den.terms[den.lead()] > 0 else -den.content()
+    return num * (1 / scale), den * (1 / scale)
+
+
+@st.composite
+def _dense_cases(draw):
+    """(names, three dense polynomials, a point) over 1 to 8 variables."""
+    n = draw(st.integers(1, 8))
+    exps = st.tuples(*(st.integers(0, 2) for _ in range(n)))
+    polys = [_Dense(n, draw(st.dictionaries(exps, _FRACTIONS, max_size=4))) for _ in range(3)]
+    point = draw(st.lists(st.one_of(_FRACTIONS, st.integers(-3, 3)), min_size=n, max_size=n))
+    return tuple(f"v{i}" for i in range(n)), polys, point
+
+
+def _as_poly(names, dense):
+    return Poly(names, {_sparse(e): c for e, c in dense.terms.items()})
+
+
+def _same(poly, dense):
+    return _ordered(poly) == [(_sparse(e), c) for e, c in dense.terms.items()]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_dense_cases())
+def test_sparse_poly_matches_dense_reference(case):
+    names, polys, point = case
+    for d in polys:
+        p = _as_poly(names, d)
+        assert str(p) == d.show(names)
+        if d.terms:
+            assert p._lead() == _sparse(d.lead())
+        assert p.evaluate(point) == d.evaluate(point)
+        for i, name in enumerate(names):
+            assert _same(p.diff(name), d.diff(i))
+        for other in polys:
+            assert _same(p * _as_poly(names, other), d * other)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_dense_cases())
+def test_reduce_term_order_matches_dense_reference(case):
+    # a shared factor c gives the gcd ladder something to find
+    names, (a, b, c), _ = case
+    num, den = a * c, b * c
+    if not den.terms:
+        den = b if b.terms else c.const(1)
+    got = _reduce(_as_poly(names, num), _as_poly(names, den))
+    want = _d_reduce(num, den)
+    assert _same(got[0], want[0]) and _same(got[1], want[1])

@@ -73,8 +73,9 @@ def _run(argv):
 def _spec(name, workdir):
     """Path of the spec named name; ``<base>_thickened`` is emitted from ``<base>``."""
     if name.endswith("_thickened"):
+        base = _spec(name[: -len("_thickened")], workdir)
         spec = os.path.join(workdir, name + ".json")
-        code, _ = _run(["thicken", _spec(name[: -len("_thickened")], workdir), "--emit", spec, "--json"])
+        code, _ = _run(["thicken", base, "--emit", spec, "--json"])
         assert code == 0
         return spec
     if name in GOLDEN_SPECS:

@@ -106,6 +106,17 @@ def test_invert_singular_raises():
         invert([{0: x, 1: x}, {0: x, 1: x}], 2)
 
 
+def test_invert_names_a_zero_column():
+    # the elimination stops at the dependent third row; column 2 is the zero one
+    variables = ("x",)
+    x, one = parse_expr("x", variables), ScalarExpr.one(variables)
+    symbolic = [{0: one, 1: x, 3: x}, {1: one, 3: one}, {0: x, 1: x * x, 3: x * x}, {3: one}]
+    rational = [{0: F(1), 1: F(2)}, {1: F(1), 3: F(5)}, {0: F(3), 1: F(9), 3: F(15)}, {3: F(1)}]
+    for m in (symbolic, rational):
+        with pytest.raises(SingularMatrixError, match=r"column 2$"):
+            invert(m, 4)
+
+
 def test_rank_transpose_invariance():
     rng = random.Random(3)
     for _ in range(40):
