@@ -321,10 +321,9 @@ class VectorField:
     @classmethod
     def coordinate(cls, chart: Chart, name: str) -> "VectorField":
         axis = chart.axis(name)
-        return cls(
-            chart,
-            [ScalarExpr.const(chart.coords, int(i == axis)) for i in range(chart.dim)],
-        )
+        # coefficients are immutable, so every zero component is one shared object
+        zero, one = ScalarExpr.zero(chart.coords), ScalarExpr.one(chart.coords)
+        return cls(chart, [one if i == axis else zero for i in range(chart.dim)])
 
     @classmethod
     def from_mapping(cls, chart: Chart, mapping: Mapping[str, object]) -> "VectorField":
