@@ -77,16 +77,17 @@ def partial_degree(e: tuple, axes) -> int:
     return sum(k for i, k in e if i in axes)
 
 
+def exact_point(point: Sequence) -> list:
+    """The point with every entry an int or a Fraction; floats, Decimals and
+    other rationals are converted exactly, as Fraction(x) does."""
+    return [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in point]
+
+
 def _mono_mul(a: tuple, b: tuple) -> tuple:
     if not a:
         return b
     if not b:
         return a
-    # monomials in disjoint index ranges just concatenate
-    if a[-1][0] < b[0][0]:
-        return a + b
-    if b[-1][0] < a[0][0]:
-        return b + a
     powers = dict(a)
     for i, k in b:
         powers[i] = powers.get(i, 0) + k
@@ -247,7 +248,10 @@ class Poly:
         return Poly(self.variables, out)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        """Value at a point of Fractions or ints (Fraction * int is a Fraction)."""
+        """Value at a point of Fractions or ints (Fraction * int is a Fraction).
+
+        Other numbers are not converted here; pass them through exact_point.
+        """
         if len(point) != len(self.variables):
             raise ValueError("point dimension mismatch")
         total = Fraction(0)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .coeff import ScalarExpr, as_scalar
+from .coeff import ScalarExpr, as_scalar, exact_point
 from .errors import ChartMismatchError, DegreeError, PlecticError
 
 Index = Tuple[int, ...]
@@ -247,6 +247,7 @@ class Form:
 
     def eval_coefficients(self, point: Sequence[Fraction]) -> Dict[Index, Fraction]:
         """Evaluate every coefficient at a rational point (raises PoleError)."""
+        point = exact_point(point)
         return {idx: c.evaluate(point) for idx, c in self.terms.items()}
 
     def evaluate(self, point: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -333,6 +334,7 @@ class VectorField:
         return cls(chart, comps)
 
     def evaluate(self, point: Sequence[Fraction]) -> List[Fraction]:
+        point = exact_point(point)
         return [c.evaluate(point) for c in self.components]
 
     def __str__(self) -> str:
@@ -401,6 +403,7 @@ class CoordinateMap:
 
     def pushforward_vector(self, point: Sequence[Fraction], vector: Sequence[Fraction]) -> List[Fraction]:
         """Differential applied to a tangent vector at a rational point."""
+        point = exact_point(point)
         out = []
         for comp in self.components:
             acc = Fraction(0)

@@ -298,6 +298,14 @@ def test_support_covers_numerator_and_denominator():
     assert ScalarExpr.const(("x", "t"), 5).support() == ()
 
 
+def test_subs_rename_needs_a_place_only_for_used_variables():
+    e = parse_expr("x/(x + 1)", ("x", "t"))
+    moved = e.subs_rename(("u", "y"), {"x": "y"})
+    assert moved == parse_expr("y/(y + 1)", ("u", "y"))
+    with pytest.raises(ValueError):
+        e.subs_rename(("u", "t"))
+
+
 def test_evaluate_mixes_fractions_and_ints():
     e = parse_expr("x*t/3 + 1", VARS)
     assert e.evaluate([Fraction(1, 2), 4]) == Fraction(5, 3)

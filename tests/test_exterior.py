@@ -1,5 +1,6 @@
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -436,6 +437,20 @@ def test_eval_form_alternating_random():
         v = [F(rng.randint(-3, 3)) for _ in range(3)]
         w = [F(rng.randint(-3, 3)) for _ in range(3)]
         assert alpha.evaluate(point, [v, w]) == -alpha.evaluate(point, [w, v])
+
+
+def test_supplied_float_and_decimal_points_are_converted_exactly():
+    # a float or Decimal entry is read as the Fraction it denotes, so the
+    # values stay exact Fractions and equal those at the converted point
+    alpha = Form.from_terms(CHART3, 1, [(("x",), "x*y - 1/3"), (("z",), "1/(y + z)")])
+    point = [0.5, Decimal("0.25"), 2]
+    exact = [F(1, 2), F(1, 4), F(2)]
+    values = alpha.eval_coefficients(point)
+    assert values == alpha.eval_coefficients(exact)
+    assert all(type(v) is Fraction for v in values.values())
+    field = VectorField.from_mapping(CHART3, {"x": "x*y", "z": "z/3"})
+    assert field.evaluate(point) == field.evaluate(exact)
+    assert all(type(v) is Fraction for v in field.evaluate(point))
 
 
 def test_eval_arity_mismatch():

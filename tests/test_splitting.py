@@ -1,5 +1,6 @@
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,17 @@ def test_constant_rank_detects_rank_jumps():
     manifold = PreMultisymplecticManifold(chart, 3, omega)
     on_wall = (F(0), F(1), F(2), F(3))     # kernel dim 4 where x1 = 0
     off_wall = (F(1), F(1), F(2), F(3))    # kernel dim 1 elsewhere
+    report = verify_constant_rank(manifold, points=[on_wall, off_wall])
+    assert report.verdict == "FAIL"
+    assert {w["kernel_dim"] for w in report.witnesses} == {1, 4}
+
+
+def test_constant_rank_accepts_decimal_and_float_points():
+    chart = _chart_r4()
+    omega = Form.from_terms(chart, 3, [(("x1", "x2", "x3"), "x1")])
+    manifold = PreMultisymplecticManifold(chart, 3, omega)
+    on_wall = (Decimal("0"), 1.5, 2, 3)
+    off_wall = (Decimal("0.1"), 1.5, 2, 3)
     report = verify_constant_rank(manifold, points=[on_wall, off_wall])
     assert report.verdict == "FAIL"
     assert {w["kernel_dim"] for w in report.witnesses} == {1, 4}
