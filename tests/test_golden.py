@@ -6,6 +6,8 @@ compared byte for byte with the file of the same name under tests/golden/.
 ``json.dumps(perfbench.dwfamily.spec_dict(3), indent=2, sort_keys=True)``;
 it lives there rather than among the bundled fixtures because its outputs
 are large enough for the term order of every coefficient to show.
+``tests/golden/section_zero.json`` and ``section_nonzero.json`` are section
+files for ``scalar_field_2d``, one a solution and one not.
 After an intended output change, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -42,6 +44,7 @@ ORTHOGONAL = (
 )
 THICKEN = ("scalar_field_2d", "r4_premultisymplectic")
 GOLDEN_SPECS = ("dw_n3",)
+SECTIONS = ("section_zero", "section_nonzero")
 
 
 def _cases():
@@ -57,9 +60,13 @@ def _cases():
         yield "eom", "scalar_field_2d_thickened", ["--symbolic"], seed
     yield "thicken", "dw_n3", [], None
     yield "eom", "dw_n3_thickened", ["--symbolic"], None
+    for section in SECTIONS:
+        yield "eom", "scalar_field_2d", ["--section", os.path.join(GOLDEN_DIR, section + ".json")], None
 
 
-def _case_name(command, name, seed):
+def _case_name(command, name, extra, seed):
+    if extra[:1] == ["--section"]:
+        name += "_" + os.path.splitext(os.path.basename(extra[1]))[0]
     return f"{command}_{name}_{'spec_seed' if seed is None else f'seed{seed}'}"
 
 
@@ -90,7 +97,7 @@ def _outputs(command, name, extra, seed, workdir):
     emitted path.
     """
     seed_argv = [] if seed is None else ["--seed", str(seed)]
-    base = _case_name(command, name, seed)
+    base = _case_name(command, name, extra, seed)
     spec = _spec(name, workdir)
     argv = [command, spec, "--json", *extra, *seed_argv]
     if command != "thicken":
@@ -106,7 +113,7 @@ def _outputs(command, name, extra, seed, workdir):
 @pytest.mark.parametrize(
     "command,name,extra,seed",
     list(_cases()),
-    ids=[_case_name(c, n, s) for c, n, _, s in _cases()],
+    ids=[_case_name(*case) for case in _cases()],
 )
 def test_json_output_matches_golden(command, name, extra, seed, tmp_path, monkeypatch):
     monkeypatch.delenv("PLECTIC_SEED", raising=False)
