@@ -21,13 +21,13 @@ import time
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .coeff import parse_expr
 from .errors import PlecticError
 from .exterior import Form
-from .fieldtheory import Section, eom_residual, eom_symbolic_system
+from .fieldtheory import eom_residual, eom_symbolic_system
 from .manifoldspec import (
     ManifoldSpec,
     SpecError,
+    load_section,
     load_spec,
     save_spec_dict,
     thickened_spec_dict,
@@ -271,6 +271,7 @@ def cmd_eom(args) -> int:
     fibered = spec.fibered_chart()
     if bool(args.symbolic) == bool(args.section):
         raise SpecError("eom", "exactly one of --symbolic or --section is required")
+    section = load_section(args.section, fibered) if args.section else None
     out.header(
         command="eom",
         spec=spec.name,
@@ -319,26 +320,6 @@ def cmd_eom(args) -> int:
                 for item in obstructions:
                     print(f"  [from direction {item['direction']}] residual {item['residual']}")
         return EXIT_OK
-    # concrete section
-    try:
-        with open(args.section, "r", encoding="utf-8") as fh:
-            section_data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SpecError(args.section, f"cannot read section file: {exc}")
-    if not isinstance(section_data, dict):
-        raise SpecError(args.section, "section file must map fiber coordinate -> expression")
-    components = {}
-    for name in fibered.fiber:
-        if name not in section_data:
-            raise SpecError(args.section, f"missing component for fiber coordinate {name!r}")
-        try:
-            components[name] = parse_expr(section_data[name], fibered.base)
-        except PlecticError as exc:
-            raise SpecError(f"{args.section}:{name}", str(exc))
-    unknown = set(section_data) - set(fibered.fiber)
-    if unknown:
-        raise SpecError(args.section, f"unknown fiber coordinates: {sorted(unknown)}")
-    section = Section(fibered, components)
     residual = eom_residual(spec.form, fibered, section)
     entries = [
         {
@@ -413,9 +394,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except NotClosedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

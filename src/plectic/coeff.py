@@ -14,7 +14,8 @@ The module also hosts the parser for the textual coefficient language:
     factor := base ('^' nat)?
     base   := integer | identifier | '(' expr ')'
 
-Identifiers match [A-Za-z_][A-Za-z0-9_]* and must name chart coordinates.
+Identifiers match [A-Za-z_][A-Za-z0-9_]* and must name chart coordinates;
+integers match [0-9]+.  Spec coordinate names obey the same identifier rule.
 A leading sign is accepted as a convenience on top of the documented grammar.
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 from typing import Mapping, Sequence, Tuple, Union
 
@@ -630,15 +632,14 @@ class ScalarExpr:
             raise PoleError("substitution lands in the zero set of the denominator")
         return eval_poly(self.num) / den
 
-    def subs_rename(self, variables: Sequence[str], rename: Mapping[str, str] = None) -> "ScalarExpr":
-        """Re-express over a variable superset (optionally renaming).
+    def subs_rename(self, variables: Sequence[str]) -> "ScalarExpr":
+        """Re-express over a variable superset.
 
         Only the variables that occur need a place in the new variables.
         """
-        rename = rename or {}
         variables = tuple(variables)
         names = self.variables
-        pos = {i: variables.index(rename.get(names[i], names[i])) for i in self.support()}
+        pos = {i: variables.index(names[i]) for i in self.support()}
 
         def remap(p: Poly) -> Poly:
             return Poly(
@@ -682,6 +683,15 @@ def _reduce(num: Poly, den: Poly):
 
 # -- parser ----------------------------------------------------------------
 
+# the grammar's integers and identifiers, ASCII only
+_WORD = re.compile(r"(?P<num>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)")
+
+
+def is_identifier(name: str) -> bool:
+    """Whether name is an identifier of the coefficient grammar."""
+    m = _WORD.fullmatch(name)
+    return m is not None and m.lastgroup == "ident"
+
 
 def _tokens(src: str):
     """Yield (kind, text, position) tokens of an expression, then an end token."""
@@ -691,24 +701,15 @@ def _tokens(src: str):
         ch = src[i]
         if ch.isspace():
             i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            yield ("num", src[i:j], i)
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            yield ("ident", src[i:j], i)
-            i = j
         elif ch in "+-*/^()":
             yield (ch, ch, i)
             i += 1
         else:
-            raise ExprSyntaxError(f"unexpected character {ch!r}", i)
+            m = _WORD.match(src, i)
+            if m is None:
+                raise ExprSyntaxError(f"unexpected character {ch!r}", i)
+            yield (m.lastgroup, m.group(), i)
+            i = m.end()
     yield ("end", "", n)
 
 

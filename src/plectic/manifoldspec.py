@@ -1,4 +1,4 @@
-"""JSON manifold-specification files: loading, validation, and emission.
+"""JSON spec and section files: loading, validation, and emission.
 
 A spec file describes a chart, a closed form, and optionally a kernel frame,
 a fibration over a base, and sampling parameters:
@@ -19,6 +19,11 @@ positions), must be duplicate-free, and may appear in any order; coefficients
 are expression strings in the documented grammar.  ``fibration.auxiliary`` is
 optional and marks regulator fields in thickened specs so equation reports
 can segregate them.
+
+A section file, read by ``load_section``, maps every fiber coordinate of a
+fibered spec to an expression string over its base coordinates:
+
+    {"u": "3*x + 5", "rho_x": "3", "rho_t": "x*t"}
 """
 
 from __future__ import annotations
@@ -27,10 +32,10 @@ import json
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .coeff import parse_expr
+from .coeff import is_identifier, parse_expr
 from .errors import PlecticError
 from .exterior import Chart, Form, VectorField
-from .fieldtheory import FiberedChart
+from .fieldtheory import FiberedChart, Section
 from .sampling import DEFAULT_COUNT, DEFAULT_RANGE, DEFAULT_SEED, SampleConfig
 from .splitting import PreMultisymplecticManifold
 
@@ -112,16 +117,7 @@ def parse_spec_dict(data: dict, name_hint: str = "<spec>") -> ManifoldSpec:
     )
     _require(len(set(coords)) == len(coords), "coordinates", "coordinate names must be unique")
     for c in coords:
-        _require(
-            c[0].isalpha() or c[0] == "_",
-            f"coordinates.{c}",
-            "coordinate names must be identifiers",
-        )
-        _require(
-            all(ch.isalnum() or ch == "_" for ch in c),
-            f"coordinates.{c}",
-            "coordinate names must be identifiers",
-        )
+        _require(is_identifier(c), f"coordinates.{c}", "coordinate names must be identifiers")
     chart = Chart(name, tuple(coords))
 
     fdata = data["form"]
@@ -228,15 +224,31 @@ def parse_spec_dict(data: dict, name_hint: str = "<spec>") -> ManifoldSpec:
     )
 
 
-def load_spec(path: str) -> ManifoldSpec:
+def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise SpecError(path, f"cannot read file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(path, f"invalid JSON: {exc}") from exc
-    return parse_spec_dict(data, path)
+
+
+def load_spec(path: str) -> ManifoldSpec:
+    return parse_spec_dict(_read_json(path), path)
+
+
+def load_section(path: str, fibered: FiberedChart) -> Section:
+    """Read a section file: one expression over the base per fiber coordinate."""
+    data = _read_json(path)
+    _require(isinstance(data, dict), path, "section file must map fiber coordinate -> expression")
+    components = {
+        name: _parse_coeff(f"{path}:{name}", src, fibered.base) for name, src in data.items()
+    }
+    try:
+        return Section(fibered, components)
+    except PlecticError as exc:
+        raise SpecError(path, str(exc)) from exc
 
 
 def form_to_spec_terms(form: Form) -> List[dict]:

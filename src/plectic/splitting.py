@@ -151,19 +151,18 @@ def verify_constant_rank(
 class SplitFrame:
     """Kernel frame, complement frame, and their exact dual coframe.
 
-    ``vertical_coframe[A]`` is dual to ``vertical[A]`` (these are the theta
-    covectors), ``horizontal_coframe[a]`` to ``horizontal[a]``; duality holds
-    as an exact ScalarExpr identity.  Labels are distinct coordinate names
-    assigned to the frame fields (used to name fiber coordinates downstream).
+    ``coframe[j]`` is dual to ``fields[j]``, verticals first, so
+    ``vertical_coframe`` (the theta covectors) and ``horizontal_coframe`` are
+    its slices at r; duality holds as an exact ScalarExpr identity.
+    ``labels[j]`` is the distinct coordinate name assigned to ``fields[j]``
+    (used to name fiber coordinates downstream).
     """
 
     chart: Chart
     vertical: Tuple[VectorField, ...]
     horizontal: Tuple[VectorField, ...]
-    vertical_coframe: Tuple[Form, ...]
-    horizontal_coframe: Tuple[Form, ...]
-    vertical_labels: Tuple[str, ...]
-    horizontal_labels: Tuple[str, ...]
+    coframe: Tuple[Form, ...]
+    labels: Tuple[str, ...]
 
     @property
     def r(self) -> int:
@@ -178,12 +177,12 @@ class SplitFrame:
         return self.vertical + self.horizontal
 
     @property
-    def coframe(self) -> Tuple[Form, ...]:
-        return self.vertical_coframe + self.horizontal_coframe
+    def vertical_coframe(self) -> Tuple[Form, ...]:
+        return self.coframe[: self.r]
 
     @property
-    def labels(self) -> Tuple[str, ...]:
-        return self.vertical_labels + self.horizontal_labels
+    def horizontal_coframe(self) -> Tuple[Form, ...]:
+        return self.coframe[self.r :]
 
     def rows(self) -> List[linalg.SparseRow]:
         """Sparse rows of the frame matrix E: dq^i = sum_j E[i][j] eta^j."""
@@ -258,18 +257,9 @@ def build_split_frame(
         inverse = linalg.invert(rows, chart.dim)
     except linalg.SingularMatrixError as exc:
         raise FrameError(f"fields do not form a frame: {exc}") from exc
-    coframe = [Form(chart, 1, {(i,): c for i, c in row.items()}) for row in inverse]
-    labels = _assign_labels(rows, chart.coords)
-    r = len(vertical)
-    return SplitFrame(
-        chart,
-        tuple(vertical),
-        tuple(horizontal),
-        tuple(coframe[:r]),
-        tuple(coframe[r:]),
-        tuple(labels[:r]),
-        tuple(labels[r:]),
-    )
+    coframe = tuple(Form(chart, 1, {(i,): c for i, c in row.items()}) for row in inverse)
+    labels = tuple(_assign_labels(rows, chart.coords))
+    return SplitFrame(chart, tuple(vertical), tuple(horizontal), coframe, labels)
 
 
 def frame_expansion(form: Form, frame: SplitFrame) -> Dict[Index, ScalarExpr]:

@@ -4,6 +4,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 import plectic
 from plectic.cli import main
 
@@ -14,6 +16,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_json(path, data):
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
 
 
 def test_check_scalar_field_passes(capsys):
@@ -166,6 +173,46 @@ def test_thicken_rejects_low_degree(tmp_path, capsys):
     assert "Gotay" in err
 
 
+def test_thicken_exits_1_on_a_framed_form_that_is_not_closed(tmp_path, capsys):
+    spec = write_json(tmp_path / "open.json", {
+        "name": "open",
+        "coordinates": ["x", "y", "z", "w"],
+        "form": {"degree": 3, "terms": [{"indices": ["y", "z", "w"], "coeff": "x"}]},
+        "frame": {"vertical": [], "horizontal": [{c: "1"} for c in ("x", "y", "z", "w")]},
+    })
+    code, out, _ = run(capsys, "thicken", spec)
+    assert code == 1
+    assert "closedness: FAIL" in out
+
+
+def test_check_exits_2_when_every_draw_is_a_pole(tmp_path, capsys):
+    # 1/x dx^dy^dz sampled on [0, 0]: every point lies on the pole x = 0
+    spec = write_json(tmp_path / "pole.json", {
+        "name": "pole",
+        "coordinates": ["x", "y", "z"],
+        "form": {"degree": 3, "terms": [{"indices": ["x", "y", "z"], "coeff": "1/x"}]},
+        "samples": {"coordinate_range": [0, 0]},
+    })
+    code, _, err = run(capsys, "check", spec)
+    assert code == 2
+    assert "sampling rejected too many points" in err
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--submanifold", "x5"], "expected name=value"),
+        (["--submanifold", "x5=abc"], "bad rational constant"),
+        (["--submanifold", ","], "no constraints given"),
+        (["--submanifold", "x5=0", "--ell", "0"], "--ell: must be >= 1"),
+    ],
+)
+def test_orthogonal_rejects_bad_flags(capsys, flags, message):
+    code, _, err = run(capsys, "orthogonal", fixture_path("r5_thickening.json"), *flags)
+    assert code == 2
+    assert message in err
+
+
 def test_orthogonal_r5_fixture(capsys):
     code, out, _ = run(
         capsys,
@@ -301,6 +348,34 @@ def test_eom_section_missing_component(tmp_path, capsys):
     )
     assert code == 2
     assert "rho_t" in err
+
+
+@pytest.mark.parametrize(
+    "coordinates,coeff,section",
+    [
+        (["x", "y"], "2²", None),
+        (["x", ""], "1", None),
+        (["x", "y"], "1", {"u": 3, "rho_x": "0", "rho_t": "0"}),
+    ],
+    ids=["superscript-digit", "empty-coordinate", "non-string-section-value"],
+)
+def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, coordinates, coeff, section):
+    if section is None:
+        spec = write_json(tmp_path / "bad.json", {
+            "name": "bad",
+            "coordinates": coordinates,
+            "form": {"degree": 1, "terms": [{"indices": ["x"], "coeff": coeff}]},
+        })
+        code, _, err = run(capsys, "check", spec)
+    else:
+        path = write_json(tmp_path / "section.json", section)
+        code, out, err = run(
+            capsys, "eom", fixture_path("scalar_field_2d.json"), "--section", path
+        )
+        assert out == ""
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_plectic_seed_env_override(capsys, monkeypatch):

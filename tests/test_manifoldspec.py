@@ -4,6 +4,7 @@ import pytest
 
 from plectic.manifoldspec import (
     SpecError,
+    load_section,
     load_spec,
     parse_spec_dict,
     thickened_spec_dict,
@@ -63,6 +64,12 @@ def test_malformed_coefficient_reports_position():
     bad["form"]["terms"][0]["coeff"] = "1 + * y"
     with pytest.raises(SpecError, match="position"):
         parse_spec_dict(bad)
+
+
+@pytest.mark.parametrize("name", ["", "1x", "x²", "é", "x-y"])
+def test_coordinate_names_must_be_ascii_identifiers(name):
+    with pytest.raises(SpecError, match="identifiers"):
+        parse_spec_dict(_minimal(coordinates=["x", "y", "z", name]))
 
 
 def test_non_increasing_indices_normalize_by_sign():
@@ -126,3 +133,43 @@ def test_emitted_thickened_spec_round_trips(tmp_path):
     reloaded.manifold()
     assert reloaded.fibration_base == ("x", "t")
     assert set(reloaded.fibration_auxiliary) == set(thickening.fiber_names)
+
+
+def _section(tmp_path, data):
+    path = tmp_path / "section.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def test_load_section_parses_components_over_the_base(tmp_path):
+    fibered = load_spec(fixture_path("scalar_field_2d.json")).fibered_chart()
+    path = _section(tmp_path, {"u": "3*x + 5", "rho_x": "3", "rho_t": "x*t"})
+    section = load_section(path, fibered)
+    assert section.components["rho_t"].variables == ("x", "t")
+    assert str(section.components["u"]) == "3*x + 5"
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (["u"], "must map fiber coordinate"),
+        ({"u": 3, "rho_x": "0", "rho_t": "0"}, "section.json:u: expected an expression string"),
+        ({"u": "u", "rho_x": "0", "rho_t": "0"}, "section.json:u: unknown variable 'u'"),
+        ({"u": "0", "rho_x": "0"}, r"missing \['rho_t'\]"),
+        ({"u": "0", "rho_x": "0", "rho_t": "0", "v": "0"}, r"unexpected \['v'\]"),
+    ],
+)
+def test_load_section_rejects_bad_sections(tmp_path, data, message):
+    fibered = load_spec(fixture_path("scalar_field_2d.json")).fibered_chart()
+    with pytest.raises(SpecError, match=message):
+        load_section(_section(tmp_path, data), fibered)
+
+
+def test_load_section_reports_unreadable_files(tmp_path):
+    fibered = load_spec(fixture_path("scalar_field_2d.json")).fibered_chart()
+    with pytest.raises(SpecError, match="cannot read file"):
+        load_section(str(tmp_path / "absent.json"), fibered)
+    bad = tmp_path / "bad.json"
+    bad.write_text("{", encoding="utf-8")
+    with pytest.raises(SpecError, match="invalid JSON"):
+        load_section(str(bad), fibered)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from plectic import linalg
+from plectic.coeff import ScalarExpr
 from plectic.exterior import Chart, Form, VectorField
 from plectic.splitting import (
     FrameError,
@@ -121,13 +122,11 @@ def test_contraction_matrix_keeps_only_nonzero_rows():
 def test_kernel_dimension_invariant_under_relabeling(manifold4):
     # same form with the coordinates named differently
     renamed = Chart("renamed", ("a", "b", "c", "d", "e"))
+    relabel = [ScalarExpr.var(renamed.coords, n) for n in renamed.coords]
     omega = Form(
         renamed,
         3,
-        {
-            idx: coeff.subs_rename(renamed.coords, dict(zip(manifold4.chart.coords, renamed.coords)))
-            for idx, coeff in manifold4.omega.terms.items()
-        },
+        {idx: coeff.compose(relabel) for idx, coeff in manifold4.omega.terms.items()},
     )
     relabeled = PreMultisymplecticManifold(renamed, 3, omega)
     point = [1, 2, 3, 4, 5]
