@@ -141,10 +141,13 @@ def _section(tmp_path, data):
     return str(path)
 
 
+def _fibered():
+    return load_spec(fixture_path("scalar_field_2d.json")).fibered_chart()
+
+
 def test_load_section_parses_components_over_the_base(tmp_path):
-    fibered = load_spec(fixture_path("scalar_field_2d.json")).fibered_chart()
     path = _section(tmp_path, {"u": "3*x + 5", "rho_x": "3", "rho_t": "x*t"})
-    section = load_section(path, fibered)
+    section = load_section(path, _fibered())
     assert section.components["rho_t"].variables == ("x", "t")
     assert str(section.components["u"]) == "3*x + 5"
 
@@ -160,16 +163,14 @@ def test_load_section_parses_components_over_the_base(tmp_path):
     ],
 )
 def test_load_section_rejects_bad_sections(tmp_path, data, message):
-    fibered = load_spec(fixture_path("scalar_field_2d.json")).fibered_chart()
     with pytest.raises(SpecError, match=message):
-        load_section(_section(tmp_path, data), fibered)
+        load_section(_section(tmp_path, data), _fibered())
 
 
 def test_load_section_reports_unreadable_files(tmp_path):
-    fibered = load_spec(fixture_path("scalar_field_2d.json")).fibered_chart()
     with pytest.raises(SpecError, match="cannot read file"):
-        load_section(str(tmp_path / "absent.json"), fibered)
+        load_section(str(tmp_path / "absent.json"), _fibered())
     bad = tmp_path / "bad.json"
     bad.write_text("{", encoding="utf-8")
     with pytest.raises(SpecError, match="invalid JSON"):
-        load_section(str(bad), fibered)
+        load_section(str(bad), _fibered())
