@@ -13,7 +13,6 @@ the spec file's samples block.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -123,6 +122,14 @@ def cmd_check(args) -> int:
     spec = load_spec(args.spec)
     out = _Output(args.json)
     config = _sample_config(spec, args)
+    reports = [closedness_report(spec.form)]
+    try:
+        manifold = spec.manifold()
+    except NotClosedError:
+        manifold = None
+    # drawn before the header: a spec on which sampling fails prints nothing
+    if manifold is not None:
+        points = sample_points(spec.chart.dim, config, pole_rejector(spec.form))
     out.header(
         command="check",
         spec=spec.name,
@@ -130,13 +137,7 @@ def cmd_check(args) -> int:
         degree=spec.degree,
         **config.describe(),
     )
-    reports = [closedness_report(spec.form)]
-    try:
-        manifold = spec.manifold()
-    except NotClosedError:
-        manifold = None
     if manifold is not None:
-        points = sample_points(spec.chart.dim, config, pole_rejector(spec.form))
         dims = kernel_dimensions(manifold, points)
         rank_report = verify_constant_rank(manifold, points, config, dims)
         per_sample = [
@@ -145,7 +146,7 @@ def cmd_check(args) -> int:
         ]
         if args.json:
             details = {**rank_report.details, "per_sample": per_sample}
-            rank_report = dataclasses.replace(rank_report, details=details)
+            rank_report = rank_report.replace(details=details)
         else:
             for entry in per_sample:
                 print(f"  sample {','.join(entry['point'])}: kernel dim {entry['kernel_dim']}")
@@ -222,14 +223,6 @@ def cmd_orthogonal(args) -> int:
         raise SpecError("--ell", "must be >= 1")
     d = spec.chart.dim
     free_axes = [i for i in range(d) if i not in constraints]
-    out.header(
-        command="orthogonal",
-        spec=spec.name,
-        submanifold={spec.chart.coords[i]: str(v) for i, v in sorted(constraints.items())},
-        ell=ell,
-        tangent_dimension=len(free_axes),
-        **config.describe(),
-    )
     start = time.perf_counter()
     reject = pole_rejector(spec.form)
 
@@ -239,8 +232,17 @@ def cmd_orthogonal(args) -> int:
             full[axis] = value
         return tuple(full)
 
+    # drawn before the header: a spec on which sampling fails prints nothing
     raw_points = sample_points(d, config, lambda p: reject(on_submanifold(p)))
     points = [on_submanifold(p) for p in raw_points]
+    out.header(
+        command="orthogonal",
+        spec=spec.name,
+        submanifold={spec.chart.coords[i]: str(v) for i, v in sorted(constraints.items())},
+        ell=ell,
+        tangent_dimension=len(free_axes),
+        **config.describe(),
+    )
     witnesses = []
     for p in points:
         ortho = coordinate_orthogonal(spec.form, p, free_axes, ell)

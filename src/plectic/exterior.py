@@ -14,18 +14,17 @@ once and used everywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .coeff import ScalarExpr, as_scalar, exact_point
 from .errors import ChartMismatchError, DegreeError, PlecticError
+from .record import Record
 
 Index = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Record):
     """A named coordinate chart: an ordered tuple of distinct coordinate names."""
 
     name: str

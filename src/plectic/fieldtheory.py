@@ -23,18 +23,17 @@ no solution -- are reported as obstructions rather than silently dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .coeff import Poly, ScalarExpr, partial_degree, term_order_key
 from .errors import DegreeError, PlecticError
 from .exterior import Chart, CoordinateMap, Form, VectorField, substitute
+from .record import Record
 
 JET_SEP = "__"
 
 
-@dataclass(frozen=True)
-class FiberedChart:
+class FiberedChart(Record):
     """Total chart split into base and fiber coordinates.
 
     ``auxiliary`` optionally marks a subset of the fiber coordinates as
@@ -63,8 +62,7 @@ class FiberedChart:
         return Chart(self.total.name + "_base", self.base)
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(Record):
     """One base-coordinate expression per fiber coordinate."""
 
     fibered: FiberedChart
@@ -75,9 +73,12 @@ class Section:
         missing = [n for n in fiber if n not in self.components]
         extra = [n for n in self.components if n not in fiber]
         if missing or extra:
-            raise PlecticError(
-                f"section components mismatch: missing {missing}, unexpected {extra}"
-            )
+            parts = [
+                f"{word} {names}"
+                for word, names in (("missing", missing), ("unexpected", extra))
+                if names
+            ]
+            raise PlecticError(f"section components mismatch: {', '.join(parts)}")
 
     def graph_map(self) -> CoordinateMap:
         base_chart = self.fibered.base_chart()
@@ -90,8 +91,7 @@ class Section:
         return CoordinateMap(base_chart, self.fibered.total, comps)
 
 
-@dataclass
-class EOMResidual:
+class EOMResidual(Record):
     """Per-vertical-direction residual forms (top degree on the base chart)."""
 
     fibered: FiberedChart
@@ -173,8 +173,7 @@ def _formal_graph_rows(
     return rows
 
 
-@dataclass
-class JetEquation:
+class JetEquation(Record):
     """One residual direction of the formal system.
 
     ``residual`` is the coefficient of the base volume form, a polynomial in
@@ -234,8 +233,7 @@ def normalize_equation(expr: ScalarExpr, jet_axes: Sequence[int]) -> ScalarExpr:
     return expr * (1 / expr.num.terms[lead])
 
 
-@dataclass
-class EOMSystem:
+class EOMSystem(Record):
     """The formal first-order system of a form over a fibered chart."""
 
     fibered: FiberedChart

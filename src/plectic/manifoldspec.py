@@ -29,13 +29,13 @@ fibered spec to an expression string over its base coordinates:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .coeff import is_identifier, parse_expr
 from .errors import PlecticError
 from .exterior import Chart, Form, VectorField
 from .fieldtheory import FiberedChart, Section
+from .record import Record
 from .sampling import DEFAULT_COUNT, DEFAULT_RANGE, DEFAULT_SEED, SampleConfig
 from .splitting import PreMultisymplecticManifold
 
@@ -50,8 +50,7 @@ class SpecError(PlecticError):
         self.path = path
 
 
-@dataclass
-class ManifoldSpec:
+class ManifoldSpec(Record):
     """Validated in-memory image of a spec file."""
 
     name: str
@@ -116,8 +115,10 @@ def parse_spec_dict(data: dict, name_hint: str = "<spec>") -> ManifoldSpec:
         "must be a non-empty list of strings",
     )
     _require(len(set(coords)) == len(coords), "coordinates", "coordinate names must be unique")
-    for c in coords:
-        _require(is_identifier(c), f"coordinates.{c}", "coordinate names must be identifiers")
+    for i, c in enumerate(coords):
+        _require(
+            is_identifier(c), f"coordinates[{i}]", f"coordinate names must be identifiers, got {c!r}"
+        )
     chart = Chart(name, tuple(coords))
 
     fdata = data["form"]

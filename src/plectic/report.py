@@ -13,8 +13,9 @@ gave one, and ``points_supplied`` only for points that came with no config.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence
+
+from .record import Record, factory
 
 PASS = "PASS"
 EVIDENCE = "EVIDENCE"
@@ -25,12 +26,11 @@ NO_POINTS = "no sample points to check"
 POINT_COUNTS = ("points_checked", "samples_evaluated")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     name: str
     verdict: str
-    details: Dict[str, Any] = field(default_factory=dict)
-    witnesses: List[Any] = field(default_factory=list)
+    details: Dict[str, Any] = factory(dict)
+    witnesses: List[Any] = factory(list)
     timing_ms: float = 0.0
 
     def __post_init__(self):

@@ -11,11 +11,11 @@ came with no config.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sized, Tuple
 
 from .errors import PlecticError
+from .record import Record
 
 DEFAULT_RANGE = (-5, 5)
 DEFAULT_COUNT = 50
@@ -24,8 +24,7 @@ DEFAULT_SEED = 0
 _MAX_REJECTS = 1000
 
 
-@dataclass(frozen=True)
-class SampleConfig:
+class SampleConfig(Record):
     count: int = DEFAULT_COUNT
     seed: int = DEFAULT_SEED
     low: int = DEFAULT_RANGE[0]

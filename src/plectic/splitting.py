@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -31,6 +30,7 @@ from .exterior import (
     contract_constant,
     substitute,
 )
+from .record import Record
 from .report import VerificationReport, sampled_report
 from .sampling import SampleConfig, echo, pole_rejector, sample_points
 
@@ -43,8 +43,7 @@ class FrameError(PlecticError):
     """The supplied fields do not constitute a valid kernel/complement frame."""
 
 
-@dataclass(frozen=True)
-class PreMultisymplecticManifold:
+class PreMultisymplecticManifold(Record):
     """Chart + closed degree-k form (possibly degenerate)."""
 
     chart: Chart
@@ -147,8 +146,7 @@ def verify_constant_rank(
     return sampled_report("constant-rank", evaluated, details, witnesses, start)
 
 
-@dataclass(frozen=True)
-class SplitFrame:
+class SplitFrame(Record):
     """Kernel frame, complement frame, and their exact dual coframe.
 
     ``coframe[j]`` is dual to ``fields[j]``, verticals first, so
@@ -282,8 +280,7 @@ def from_frame_expansion(frame: SplitFrame, degree: int, coeffs: Dict[Index, Sca
     return Form(frame.chart, degree, substitute(coeffs.items(), rows))
 
 
-@dataclass(frozen=True)
-class FormSplit:
+class FormSplit(Record):
     """Parallel/transversal decomposition with respect to P or R."""
 
     parallel: Form

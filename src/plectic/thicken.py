@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,6 +32,7 @@ from . import linalg
 from .coeff import ScalarExpr
 from .errors import PlecticError
 from .exterior import Chart, CoordinateMap, Form, Index, substitute
+from .record import Record
 from .report import FAIL, PASS, VerificationReport, sampled_report
 from .sampling import SampleConfig, echo, pole_rejector, sample_points
 from .splitting import (
@@ -80,8 +80,7 @@ def enumerate_fiber_coordinates(
     return [(idx, "p_" + "_".join(labels[j] for j in idx)) for idx in subsets]
 
 
-@dataclass(frozen=True)
-class Thickening:
+class Thickening(Record):
     """Chart of the transversal (k-1)-covector bundle with theta_0 and omega_tilde."""
 
     base: PreMultisymplecticManifold
@@ -361,7 +360,7 @@ def verify_all(
 
     Coisotropy samples half of ``config.count`` points (at least one).
     """
-    coisotropy_config = replace(config, count=max(1, config.count // 2))
+    coisotropy_config = config.replace(count=max(1, config.count // 2))
     return [
         verify_closed(thickening),
         verify_nondegenerate(thickening, config),

@@ -332,11 +332,8 @@ def test_criterion_6_fault_injection(scalar_field):
     assert report.witnesses
 
     # a mutated tautological form breaks the zero-section pullback
-    import dataclasses
-
     mutated_theta = thickening.theta0 + Form.from_terms(big, 2, [(("t", "u"), "x")])
-    mutated = dataclasses.replace(
-        thickening,
+    mutated = thickening.replace(
         theta0=mutated_theta,
         omega_tilde=thickening.tau.pullback(manifold.omega) + mutated_theta.d(),
     )

@@ -185,17 +185,32 @@ def test_thicken_exits_1_on_a_framed_form_that_is_not_closed(tmp_path, capsys):
     assert "closedness: FAIL" in out
 
 
-def test_check_exits_2_when_every_draw_is_a_pole(tmp_path, capsys):
+def write_pole_spec(tmp_path):
     # 1/x dx^dy^dz sampled on [0, 0]: every point lies on the pole x = 0
-    spec = write_json(tmp_path / "pole.json", {
+    return write_json(tmp_path / "pole.json", {
         "name": "pole",
         "coordinates": ["x", "y", "z"],
         "form": {"degree": 3, "terms": [{"indices": ["x", "y", "z"], "coeff": "1/x"}]},
         "samples": {"coordinate_range": [0, 0]},
     })
-    code, _, err = run(capsys, "check", spec)
-    assert code == 2
-    assert "sampling rejected too many points" in err
+
+
+def test_check_exits_2_when_every_draw_is_a_pole(tmp_path, capsys):
+    spec = write_pole_spec(tmp_path)
+    for json_flag in ([], ["--json"]):
+        code, out, err = run(capsys, "check", spec, *json_flag)
+        assert code == 2
+        assert "sampling rejected too many points" in err
+        assert out == ""
+
+
+def test_orthogonal_exits_2_when_every_draw_is_a_pole(tmp_path, capsys):
+    spec = write_pole_spec(tmp_path)
+    for json_flag in ([], ["--json"]):
+        code, out, err = run(capsys, "orthogonal", spec, "--submanifold", "z=0", *json_flag)
+        assert code == 2
+        assert "sampling rejected too many points" in err
+        assert out == ""
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 """Golden --json output of the CLI on the bundled fixtures and on DW n = 3.
 
 Each case's stdout (and, for ``thicken --emit``, the emitted spec) is
-compared byte for byte with the file of the same name under tests/golden/.
+compared byte for byte with the file of the same name under tests/golden/,
+and its exit code with the one pinned in the case tables below.
 ``tests/golden/dw_n3.json`` is the DeDonder-Weyl spec of base dimension 3,
 ``json.dumps(perfbench.dwfamily.spec_dict(3), indent=2, sort_keys=True)``;
 it lives there rather than among the bundled fixtures because its outputs
@@ -37,31 +38,33 @@ FIXTURES = (
     "scalar_field_2d",
     "scalar_field_2d_nondegenerate",
 )
+# (fixture, extra argv, exit code); x4 = 0 is not 2-coisotropic in r4, so exit 1
 ORTHOGONAL = (
-    ("r4_premultisymplectic", ["--submanifold", "x4=0"]),
-    ("r5_thickening", ["--submanifold", "x5=0", "--ell", "2"]),
-    ("r6_thickening", ["--submanifold", "x5=0,x6=0", "--ell", "2"]),
+    ("r4_premultisymplectic", ["--submanifold", "x4=0"], 1),
+    ("r5_thickening", ["--submanifold", "x5=0", "--ell", "2"], 0),
+    ("r6_thickening", ["--submanifold", "x5=0,x6=0", "--ell", "2"], 0),
 )
 THICKEN = ("scalar_field_2d", "r4_premultisymplectic")
 GOLDEN_SPECS = ("dw_n3",)
-SECTIONS = ("section_zero", "section_nonzero")
+SECTIONS = (("section_zero", 0), ("section_nonzero", 1))  # (section file, exit code)
 
 
 def _cases():
-    """(case name, command, fixture, extra argv, seed) for every golden case."""
+    """(command, fixture, extra argv, seed, exit code) for every golden case."""
     for seed in SEEDS:
         for name in FIXTURES:
-            yield "check", name, [], seed
+            yield "check", name, [], seed, 0
         for name in THICKEN:
-            yield "thicken", name, [], seed
-        for name, extra in ORTHOGONAL:
-            yield "orthogonal", name, extra, seed
-        yield "eom", "scalar_field_2d", ["--symbolic"], seed
-        yield "eom", "scalar_field_2d_thickened", ["--symbolic"], seed
-    yield "thicken", "dw_n3", [], None
-    yield "eom", "dw_n3_thickened", ["--symbolic"], None
-    for section in SECTIONS:
-        yield "eom", "scalar_field_2d", ["--section", os.path.join(GOLDEN_DIR, section + ".json")], None
+            yield "thicken", name, [], seed, 0
+        for name, extra, code in ORTHOGONAL:
+            yield "orthogonal", name, extra, seed, code
+        yield "eom", "scalar_field_2d", ["--symbolic"], seed, 0
+        yield "eom", "scalar_field_2d_thickened", ["--symbolic"], seed, 0
+    yield "thicken", "dw_n3", [], None, 0
+    yield "eom", "dw_n3_thickened", ["--symbolic"], None, 0
+    for section, code in SECTIONS:
+        section_path = os.path.join(GOLDEN_DIR, section + ".json")
+        yield "eom", "scalar_field_2d", ["--section", section_path], None, code
 
 
 def _case_name(command, name, extra, seed):
@@ -91,7 +94,7 @@ def _spec(name, workdir):
 
 
 def _outputs(command, name, extra, seed, workdir):
-    """{golden file name: contents} for one case.
+    """(exit code, {golden file name: contents}) for one case.
 
     ``thicken`` adds its emitted spec and drops the line echoing the
     emitted path.
@@ -101,23 +104,28 @@ def _outputs(command, name, extra, seed, workdir):
     spec = _spec(name, workdir)
     argv = [command, spec, "--json", *extra, *seed_argv]
     if command != "thicken":
-        return {base + ".jsonl": _run(argv)[1]}
+        code, out = _run(argv)
+        return code, {base + ".jsonl": out}
     emitted = os.path.join(workdir, "emitted.json")
-    out = _run(argv + ["--emit", emitted])[1]
+    code, out = _run(argv + ["--emit", emitted])
     lines = [line for line in out.splitlines(keepends=True) if "emitted" not in json.loads(line)]
     with open(emitted, encoding="utf-8") as fh:
         spec_text = fh.read()
-    return {base + ".jsonl": "".join(lines), base + ".spec.json": spec_text}
+    return code, {base + ".jsonl": "".join(lines), base + ".spec.json": spec_text}
 
 
 @pytest.mark.parametrize(
-    "command,name,extra,seed",
+    "command,name,extra,seed,expected_code",
     list(_cases()),
-    ids=[_case_name(*case) for case in _cases()],
+    ids=[_case_name(*case[:4]) for case in _cases()],
 )
-def test_json_output_matches_golden(command, name, extra, seed, tmp_path, monkeypatch):
+def test_json_output_matches_golden(
+    command, name, extra, seed, expected_code, tmp_path, monkeypatch
+):
     monkeypatch.delenv("PLECTIC_SEED", raising=False)
-    for filename, text in _outputs(command, name, extra, seed, str(tmp_path)).items():
+    code, files = _outputs(command, name, extra, seed, str(tmp_path))
+    assert code == expected_code
+    for filename, text in files.items():
         with open(os.path.join(GOLDEN_DIR, filename), encoding="utf-8") as fh:
             assert text == fh.read(), filename
 
@@ -126,8 +134,8 @@ if __name__ == "__main__":
     os.environ.pop("PLECTIC_SEED", None)
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     with tempfile.TemporaryDirectory() as workdir:
-        for case in _cases():
-            for filename, text in _outputs(*case, workdir).items():
+        for *case, _code in _cases():
+            for filename, text in _outputs(*case, workdir)[1].items():
                 with open(os.path.join(GOLDEN_DIR, filename), "w", encoding="utf-8") as fh:
                     fh.write(text)
                 print(filename)

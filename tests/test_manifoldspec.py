@@ -72,6 +72,13 @@ def test_coordinate_names_must_be_ascii_identifiers(name):
         parse_spec_dict(_minimal(coordinates=["x", "y", "z", name]))
 
 
+def test_bad_coordinate_name_is_reported_by_index_and_name():
+    with pytest.raises(SpecError) as excinfo:
+        parse_spec_dict(_minimal(coordinates=["x", "", "y"]))
+    assert excinfo.value.path == "coordinates[1]"
+    assert str(excinfo.value) == "coordinates[1]: coordinate names must be identifiers, got ''"
+
+
 def test_non_increasing_indices_normalize_by_sign():
     data = _minimal()
     data["form"]["terms"] = [
@@ -165,6 +172,18 @@ def test_load_section_parses_components_over_the_base(tmp_path):
 def test_load_section_rejects_bad_sections(tmp_path, data, message):
     with pytest.raises(SpecError, match=message):
         load_section(_section(tmp_path, data), _fibered())
+
+
+def test_section_mismatch_names_only_the_nonempty_parts(tmp_path):
+    for data, parts in (
+        ({"u": "0", "rho_x": "0"}, "missing ['rho_t']"),
+        ({"u": "0", "rho_x": "0", "rho_t": "0", "v": "0"}, "unexpected ['v']"),
+        ({"u": "0", "rho_x": "0", "v": "0"}, "missing ['rho_t'], unexpected ['v']"),
+    ):
+        path = _section(tmp_path, data)
+        with pytest.raises(SpecError) as excinfo:
+            load_section(path, _fibered())
+        assert str(excinfo.value) == f"{path}: section components mismatch: {parts}"
 
 
 def test_load_section_reports_unreadable_files(tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -35,6 +34,7 @@ from plectic.thicken import (
 )
 
 from plectic.manifoldspec import load_spec
+from plectic.record import FrozenError
 from conftest import fixture_path
 
 F = Fraction
@@ -337,15 +337,14 @@ def test_evidence_report_needs_an_evaluated_point():
     report = VerificationReport("sampled", FAIL, {"points_checked": 0}, [{"error": "x"}])
     assert report.verdict == FAIL
     # a built report is final: its verdict cannot be reassigned
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenError):
         report.verdict = EVIDENCE
 
 
 def test_verify_zero_section_detects_mutated_tautological_form(thickening4):
     big = thickening4.big_chart
     mutated_theta = thickening4.theta0 + Form.from_terms(big, 2, [(("t", "u"), "x")])
-    mutated = dataclasses.replace(
-        thickening4,
+    mutated = thickening4.replace(
         theta0=mutated_theta,
         omega_tilde=thickening4.tau.pullback(thickening4.base.omega) + mutated_theta.d(),
     )
@@ -369,7 +368,7 @@ def test_coisotropy_fail_witnesses_are_the_orthogonal_vectors_off_the_base(thick
     # contracted orthogonal (a zero vector forces the general path) that leave
     # the span of the base tangent vectors
     tau_omega = thickening4.tau.pullback(thickening4.base.omega)
-    thickening = dataclasses.replace(thickening4, omega_tilde=tau_omega)
+    thickening = thickening4.replace(omega_tilde=tau_omega)
     d, big = thickening.base_dim, thickening.big_chart.dim
     tangent = [[F(int(i == j)) for i in range(big)] for j in range(d)]
     for ell in (1, 2):
