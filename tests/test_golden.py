@@ -2,7 +2,9 @@
 
 Each case's stdout (and, for ``thicken --emit``, the emitted spec) is
 compared byte for byte with the file of the same name under tests/golden/,
-and its exit code with the one pinned in the case tables below.
+and its exit code with the one pinned in the case tables below.  The
+``orthogonal`` and ``eom`` cases also pin their text output, in ``.txt``
+files with each report's ``[... ms]`` timing masked.
 ``tests/golden/dw_n3.json`` is the DeDonder-Weyl spec of base dimension 3,
 ``json.dumps(perfbench.dwfamily.spec_dict(3), indent=2, sort_keys=True)``;
 it lives there rather than among the bundled fixtures because its outputs
@@ -20,6 +22,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -47,6 +50,8 @@ ORTHOGONAL = (
 THICKEN = ("scalar_field_2d", "r4_premultisymplectic")
 GOLDEN_SPECS = ("dw_n3",)
 SECTIONS = (("section_zero", 0), ("section_nonzero", 1))  # (section file, exit code)
+TEXT_COMMANDS = ("orthogonal", "eom")
+TIMING = re.compile(r"\[\d+\.\d ms\]")
 
 
 def _cases():
@@ -93,16 +98,19 @@ def _spec(name, workdir):
     return fixture_path(name + ".json")
 
 
+def _argv(command, name, extra, seed, workdir):
+    seed_argv = [] if seed is None else ["--seed", str(seed)]
+    return [command, _spec(name, workdir), *extra, *seed_argv]
+
+
 def _outputs(command, name, extra, seed, workdir):
     """(exit code, {golden file name: contents}) for one case.
 
     ``thicken`` adds its emitted spec and drops the line echoing the
     emitted path.
     """
-    seed_argv = [] if seed is None else ["--seed", str(seed)]
     base = _case_name(command, name, extra, seed)
-    spec = _spec(name, workdir)
-    argv = [command, spec, "--json", *extra, *seed_argv]
+    argv = _argv(command, name, extra, seed, workdir) + ["--json"]
     if command != "thicken":
         code, out = _run(argv)
         return code, {base + ".jsonl": out}
@@ -114,6 +122,25 @@ def _outputs(command, name, extra, seed, workdir):
     return code, {base + ".jsonl": "".join(lines), base + ".spec.json": spec_text}
 
 
+def _text_outputs(command, name, extra, seed, workdir):
+    """(exit code, {golden file name: text stdout with timings masked}) for one case."""
+    code, out = _run(_argv(command, name, extra, seed, workdir))
+    return code, {_case_name(command, name, extra, seed) + ".txt": TIMING.sub("[... ms]", out)}
+
+
+def _text_cases():
+    return [case for case in _cases() if case[0] in TEXT_COMMANDS]
+
+
+def _check_golden(outputs, case, expected_code, workdir, monkeypatch):
+    monkeypatch.delenv("PLECTIC_SEED", raising=False)
+    code, files = outputs(*case, workdir)
+    assert code == expected_code
+    for filename, text in files.items():
+        with open(os.path.join(GOLDEN_DIR, filename), encoding="utf-8") as fh:
+            assert text == fh.read(), filename
+
+
 @pytest.mark.parametrize(
     "command,name,extra,seed,expected_code",
     list(_cases()),
@@ -122,20 +149,30 @@ def _outputs(command, name, extra, seed, workdir):
 def test_json_output_matches_golden(
     command, name, extra, seed, expected_code, tmp_path, monkeypatch
 ):
-    monkeypatch.delenv("PLECTIC_SEED", raising=False)
-    code, files = _outputs(command, name, extra, seed, str(tmp_path))
-    assert code == expected_code
-    for filename, text in files.items():
-        with open(os.path.join(GOLDEN_DIR, filename), encoding="utf-8") as fh:
-            assert text == fh.read(), filename
+    case = (command, name, extra, seed)
+    _check_golden(_outputs, case, expected_code, str(tmp_path), monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "command,name,extra,seed,expected_code",
+    _text_cases(),
+    ids=[_case_name(*case[:4]) for case in _text_cases()],
+)
+def test_text_output_matches_golden(
+    command, name, extra, seed, expected_code, tmp_path, monkeypatch
+):
+    case = (command, name, extra, seed)
+    _check_golden(_text_outputs, case, expected_code, str(tmp_path), monkeypatch)
 
 
 if __name__ == "__main__":
     os.environ.pop("PLECTIC_SEED", None)
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     with tempfile.TemporaryDirectory() as workdir:
-        for *case, _code in _cases():
-            for filename, text in _outputs(*case, workdir)[1].items():
+        runs = [(_outputs, case) for *case, _code in _cases()]
+        runs += [(_text_outputs, case) for *case, _code in _text_cases()]
+        for outputs, case in runs:
+            for filename, text in outputs(*case, workdir)[1].items():
                 with open(os.path.join(GOLDEN_DIR, filename), "w", encoding="utf-8") as fh:
                     fh.write(text)
                 print(filename)
