@@ -31,7 +31,7 @@ from .manifoldspec import (
     save_spec_dict,
     thickened_spec_dict,
 )
-from .report import VerificationReport, sampled_report
+from .report import VerificationReport, residual_report, sampled_report
 from .sampling import SampleConfig, pole_rejector, sample_points
 from .splitting import (
     NotClosedError,
@@ -40,13 +40,7 @@ from .splitting import (
     kernel_dimensions,
     verify_constant_rank,
 )
-from .thicken import (
-    Thickening,
-    build_thickening,
-    closedness_report,
-    present_in_frame_basis,
-    verify_all,
-)
+from .thicken import Thickening, build_thickening, present_in_frame_basis, verify_all
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -71,10 +65,11 @@ class _Output:
             for line in report.human_lines():
                 print(line)
 
-    def info(self, text: str = "", payload=None, key: str = "info"):
+    def info(self, text: str, payload, key: str):
+        """``payload`` under ``key`` in JSON mode, else ``text`` unless it is empty."""
         if self.as_json:
-            self._emit({key: payload if payload is not None else text})
-        else:
+            self._emit({key: payload})
+        elif text:
             print(text)
 
     def _emit(self, obj):
@@ -118,15 +113,22 @@ def _render_form(form: Form, basis: str, thickening: Thickening) -> str:
     return str(form)
 
 
+def _manifold(spec: ManifoldSpec):
+    """The spec's manifold (None if its form is not closed) and the closedness report."""
+    start = time.perf_counter()
+    try:
+        manifold, residual = spec.manifold(), Form.zero(spec.chart, spec.degree + 1)
+    except NotClosedError as exc:
+        manifold, residual = None, exc.residual
+    return manifold, residual_report("closedness", residual, start)
+
+
 def cmd_check(args) -> int:
     spec = load_spec(args.spec)
     out = _Output(args.json)
     config = _sample_config(spec, args)
-    reports = [closedness_report(spec.form)]
-    try:
-        manifold = spec.manifold()
-    except NotClosedError:
-        manifold = None
+    manifold, closedness = _manifold(spec)
+    reports = [closedness]
     # drawn before the header: a spec on which sampling fails prints nothing
     if manifold is not None:
         points = sample_points(spec.chart.dim, config, pole_rejector(spec.form))
@@ -162,10 +164,9 @@ def cmd_thicken(args) -> int:
         raise SpecError("frame", "thicken requires a frame block (kernel + complement)")
     out = _Output(args.json)
     config = _sample_config(spec, args)
-    try:
-        manifold = spec.manifold()
-    except NotClosedError:
-        out.report(closedness_report(spec.form))
+    manifold, closedness = _manifold(spec)
+    if manifold is None:
+        out.report(closedness)
         return EXIT_FAIL
     frame = build_split_frame(manifold, spec.vertical, spec.horizontal)
     thickening = build_thickening(manifold, frame)
@@ -252,13 +253,11 @@ def cmd_orthogonal(args) -> int:
             "orthogonal_basis": [[str(x) for x in v] for v in ortho],
             "contained_in_tangent": contained,
         }
-        if not args.json:
-            print(
-                f"  at ({','.join(entry['point'])}): dim T-perp,{ell} = {len(ortho)}; "
-                f"contained: {contained}"
-            )
-        else:
-            out.info(payload=entry, key="sample")
+        text = (
+            f"  at ({','.join(entry['point'])}): dim T-perp,{ell} = {len(ortho)}; "
+            f"contained: {contained}"
+        )
+        out.info(text, entry, "sample")
         if not contained:
             witnesses.append(entry)
     details = {"points_checked": len(points), "ell": ell, **config.describe()}
@@ -283,44 +282,29 @@ def cmd_eom(args) -> int:
     )
     if args.symbolic:
         system = eom_symbolic_system(spec.form, fibered)
-        physical = [system.display(e) for e in system.physical_system()]
-        auxiliary = [
-            {"direction": d, "equation": system.display(e)}
-            for d, e in system.auxiliary_system()
-        ]
-        derived = [
-            {"direction": d, "equation": system.display(e)}
-            for d, e in system.derived_combinations()
-        ]
-        obstructions = [
-            {"direction": d, "residual": str(e)} for d, e in system.obstructions()
-        ]
-        if args.json:
-            out.info(
-                payload={
-                    "physical": physical,
-                    "auxiliary": auxiliary,
-                    "derived": derived,
-                    "obstructions": obstructions,
-                },
-                key="eom_symbolic",
-            )
-        else:
-            print(f"physical system ({len(physical)} equations):")
-            for eq in physical:
-                print(f"  {eq}")
-            if auxiliary:
-                print("auxiliary equations (regulator fields; neglected):")
-                for item in auxiliary:
-                    print(f"  [from direction {item['direction']}] {item['equation']}")
-            if derived:
-                print("derived combinations (jet-degree >= 2):")
-                for item in derived:
-                    print(f"  [from direction {item['direction']}] {item['equation']}")
-            if obstructions:
-                print("obstruction directions (residual has no jet variables; no solution):")
-                for item in obstructions:
-                    print(f"  [from direction {item['direction']}] residual {item['residual']}")
+
+        def by_direction(pairs, key="equation", show=system.display):
+            return [{"direction": d, key: show(e)} for d, e in pairs]
+
+        payload = {
+            "physical": [system.display(e) for e in system.physical_system()],
+            "auxiliary": by_direction(system.auxiliary_system()),
+            "derived": by_direction(system.derived_combinations()),
+            "obstructions": by_direction(system.obstructions(), "residual", str),
+        }
+        lines = [f"physical system ({len(payload['physical'])} equations):"]
+        lines += [f"  {e}" for e in payload["physical"]]
+        for key, title, text in (
+            ("auxiliary", "auxiliary equations (regulator fields; neglected):", "{equation}"),
+            ("derived", "derived combinations (jet-degree >= 2):", "{equation}"),
+            ("obstructions", "obstruction directions (residual has no jet variables; no solution):",
+             "residual {residual}"),
+        ):
+            if payload[key]:
+                lines.append(title)
+            for item in payload[key]:
+                lines.append(("  [from direction {direction}] " + text).format(**item))
+        out.info("\n".join(lines), payload, "eom_symbolic")
         return EXIT_OK
     residual = eom_residual(spec.form, fibered, section)
     entries = [
@@ -332,15 +316,14 @@ def cmd_eom(args) -> int:
         }
         for name, form in residual.residuals.items()
     ]
-    if args.json:
-        out.info(payload=entries, key="eom_residuals")
-        out.info(payload=residual.is_zero(), key="all_zero")
-    else:
-        for entry in entries:
-            status = "0" if entry["zero"] else entry["residual"]
-            print(f"  direction {entry['direction']} [{entry['kind']}]: {status}")
-        print(f"overall: {'all residuals zero' if residual.is_zero() else 'nonzero residuals'}")
-    return EXIT_OK if residual.is_zero() else EXIT_FAIL
+    lines = [
+        f"  direction {e['direction']} [{e['kind']}]: {'0' if e['zero'] else e['residual']}"
+        for e in entries
+    ]
+    out.info("\n".join(lines), entries, "eom_residuals")
+    zero = residual.is_zero()
+    out.info(f"overall: {'all residuals zero' if zero else 'nonzero residuals'}", zero, "all_zero")
+    return EXIT_OK if zero else EXIT_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,9 +379,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NotClosedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
     except PlecticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -176,14 +176,14 @@ def _formal_graph_rows(
 class JetEquation(Record):
     """One residual direction of the formal system.
 
-    ``residual`` is the coefficient of the base volume form, a polynomial in
+    The residual is the coefficient of the base volume form, a polynomial in
     the field symbols (fiber names) and jet symbols (``f__b``), over the jet
-    chart.  ``physical`` collects the monomials free of auxiliary field/jet
-    symbols; ``auxiliary`` is the remainder.
+    chart; it is ``physical + auxiliary``.  ``physical`` collects the
+    monomials free of auxiliary field/jet symbols; ``auxiliary`` is the
+    remainder.
     """
 
     direction: str
-    residual: ScalarExpr
     physical: ScalarExpr
     auxiliary: ScalarExpr
     jet_axes: Tuple[int, ...]
@@ -309,7 +309,5 @@ def eom_symbolic_system(omega_hat: Form, fibered: FiberedChart) -> EOMSystem:
         if residual.is_zero():
             continue
         physical, auxiliary = _split_physical(residual, jets, aux_axes)
-        equations.append(
-            JetEquation(name, residual, physical, auxiliary, jet_axes)
-        )
+        equations.append(JetEquation(name, physical, auxiliary, jet_axes))
     return EOMSystem(fibered, jets, equations)

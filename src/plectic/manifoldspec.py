@@ -285,6 +285,9 @@ def thickened_spec_dict(thickening, source: ManifoldSpec) -> dict:
 
 
 def save_spec_dict(data: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise SpecError(path, f"cannot write file: {exc}") from exc

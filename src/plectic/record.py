@@ -1,11 +1,11 @@
 """Immutable records: the value classes of the package derive from ``Record``.
 
 A record's fields are its class's own annotations, in order, after those it
-inherits; a class attribute is the field's default, and ``factory(make)``
-is a default built afresh by ``make()`` for each record.  Records are
-frozen, compare and hash by type and field values, and ``replace`` builds a
-new record, so ``__post_init__`` validates it again; it may normalise a
-field with ``object.__setattr__``.
+inherits; a class attribute is the field's default.  Defaults are shared
+class attributes, given as they are to every record that omits the field,
+so they must be immutable.  Records are frozen, compare and hash by type
+and field values, and ``replace`` builds a new record, so ``__post_init__``
+validates it again; it may normalise a field with ``object.__setattr__``.
 
 The methods are written once here, not generated per class at import time:
 for a one-shot command the standard library's class generator and its
@@ -17,19 +17,6 @@ from __future__ import annotations
 
 class FrozenError(AttributeError):
     """An attempt to set or delete a field of a record."""
-
-
-class factory:
-    """A default made by calling ``make()`` for each record that needs it."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-
-def _fresh(default):
-    return default.make() if isinstance(default, factory) else default
 
 
 class Record:
@@ -68,7 +55,7 @@ class Record:
         missing = [f for f in fields if f not in values and f not in defaults]
         if missing:
             raise TypeError(f"{name}() missing fields: {', '.join(missing)}")
-        return [values[f] if f in values else _fresh(defaults[f]) for f in fields]
+        return [values[f] if f in values else defaults[f] for f in fields]
 
     def __post_init__(self):
         pass

@@ -5,9 +5,11 @@ exactly at finitely many sample points (evidence, not proof), FAIL for a
 detected violation.  FAIL reports always carry an explicit witness, and a
 sampled check over zero points is a FAIL, never EVIDENCE.
 
-Reports are frozen, and every sampled verdict is made by ``sampled_report``.
-Its details echo, by ``sampling.echo``, the SampleConfig whenever the caller
-gave one, and ``points_supplied`` only for points that came with no config.
+Reports are frozen, and every verdict is made here: by ``sampled_report``
+for a check run at points, by ``residual_report`` for a symbolic identity.
+Sampled details echo, by ``sampling.echo``, the SampleConfig whenever the
+caller gave one, and ``points_supplied`` only for points that came with no
+config.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Sequence
 
-from .record import Record, factory
+from .exterior import Form
+from .record import Record
 
 PASS = "PASS"
 EVIDENCE = "EVIDENCE"
@@ -29,9 +32,9 @@ POINT_COUNTS = ("points_checked", "samples_evaluated")
 class VerificationReport(Record):
     name: str
     verdict: str
-    details: Dict[str, Any] = factory(dict)
-    witnesses: List[Any] = factory(list)
-    timing_ms: float = 0.0
+    details: Dict[str, Any]
+    witnesses: List[Any]
+    timing_ms: float
 
     def __post_init__(self):
         if self.verdict not in (PASS, EVIDENCE, FAIL):
@@ -64,6 +67,18 @@ class VerificationReport(Record):
         for w in self.witnesses:
             lines.append(f"  witness: {w}")
         return lines
+
+
+def residual_report(name: str, residual: Form, start: float) -> VerificationReport:
+    """PASS for a zero residual; otherwise FAIL with one witness per term."""
+    elapsed = (time.perf_counter() - start) * 1000
+    if residual.is_zero():
+        return VerificationReport(name, PASS, {"residual": "0"}, [], elapsed)
+    witnesses = [
+        {"index": [residual.chart.coords[i] for i in idx], "coefficient": str(c)}
+        for idx, c in residual.sorted_terms()
+    ]
+    return VerificationReport(name, FAIL, {"residual_terms": len(witnesses)}, witnesses, elapsed)
 
 
 def sampled_report(

@@ -36,7 +36,11 @@ from .sampling import SampleConfig, echo, pole_rejector, sample_points
 
 
 class NotClosedError(PlecticError):
-    """The supplied form has a nonzero exterior derivative."""
+    """The supplied form has a nonzero exterior derivative, kept as ``residual``."""
+
+    def __init__(self, residual: Form):
+        super().__init__(f"form is not closed: d(omega) = {residual}")
+        self.residual = residual
 
 
 class FrameError(PlecticError):
@@ -59,7 +63,7 @@ class PreMultisymplecticManifold(Record):
             )
         residual = self.omega.d()
         if not residual.is_zero():
-            raise NotClosedError(f"form is not closed: d(omega) = {residual}")
+            raise NotClosedError(residual)
 
 
 def contraction_matrix(form: Form, point: Sequence[Fraction]):

@@ -33,7 +33,7 @@ from .coeff import ScalarExpr
 from .errors import PlecticError
 from .exterior import Chart, CoordinateMap, Form, Index, substitute
 from .record import Record
-from .report import FAIL, PASS, VerificationReport, sampled_report
+from .report import VerificationReport, residual_report, sampled_report
 from .sampling import SampleConfig, echo, pole_rejector, sample_points
 from .splitting import (
     PreMultisymplecticManifold,
@@ -203,22 +203,10 @@ def present_in_frame_basis(thickening: Thickening, form: Form) -> Dict[Index, Sc
 # -- verifiers ---------------------------------------------------------------
 
 
-def _residual_report(name: str, residual: Form, start: float) -> VerificationReport:
-    """PASS for a zero residual; otherwise FAIL with one witness per term."""
-    elapsed = (time.perf_counter() - start) * 1000
-    if residual.is_zero():
-        return VerificationReport(name, PASS, {"residual": "0"}, [], elapsed)
-    witnesses = [
-        {"index": [residual.chart.coords[i] for i in idx], "coefficient": str(c)}
-        for idx, c in residual.sorted_terms()
-    ]
-    return VerificationReport(name, FAIL, {"residual_terms": len(witnesses)}, witnesses, elapsed)
-
-
 def closedness_report(form: Form, name: str = "closedness") -> VerificationReport:
     """Symbolic d(form) == 0 check; FAIL carries the residual terms."""
     start = time.perf_counter()
-    return _residual_report(name, form.d(), start)
+    return residual_report(name, form.d(), start)
 
 
 def verify_closed(thickening: Thickening) -> VerificationReport:
@@ -227,20 +215,17 @@ def verify_closed(thickening: Thickening) -> VerificationReport:
 
 def _degenerate_points(form: Form, points: Sequence[Sequence[Fraction]]) -> List[dict]:
     """One witness, with a kernel basis, per point where form is degenerate."""
-    d = form.chart.dim
     witnesses = []
     for p in points:
-        rows = contraction_matrix(form, p)[0]
-        if linalg.rank(rows, d) == d:
-            continue
-        kernel = linalg.kernel_basis(rows, d)
-        witnesses.append(
-            {
-                "point": [str(x) for x in p],
-                "kernel_dim": len(kernel),
-                "kernel_basis": [[str(x) for x in v] for v in kernel],
-            }
-        )
+        kernel = linalg.kernel_basis(contraction_matrix(form, p)[0], form.chart.dim)
+        if kernel:
+            witnesses.append(
+                {
+                    "point": [str(x) for x in p],
+                    "kernel_dim": len(kernel),
+                    "kernel_basis": [[str(x) for x in v] for v in kernel],
+                }
+            )
     return witnesses
 
 
@@ -298,7 +283,7 @@ def verify_zero_section_pullback(thickening: Thickening) -> VerificationReport:
     """Symbolic check that the zero section pulls omega_tilde back to omega."""
     start = time.perf_counter()
     pulled = thickening.zero_section.pullback(thickening.omega_tilde)
-    return _residual_report("zero-section-pullback", pulled - thickening.base.omega, start)
+    return residual_report("zero-section-pullback", pulled - thickening.base.omega, start)
 
 
 def verify_coisotropic(
@@ -316,7 +301,8 @@ def verify_coisotropic(
     a vector escapes exactly when a fiber entry is nonzero.  Samples are
     taken on the zero section because that is where the embedded copy of the
     base lives; without ``points`` they are drawn with ``config`` (default
-    25 points).
+    25 points), redrawing a base point where omega_tilde has a pole on the
+    zero section.
     """
     start = time.perf_counter()
     if ell is None:
@@ -324,8 +310,10 @@ def verify_coisotropic(
     d = thickening.base_dim
     if points is None:
         config = config or SampleConfig(count=25)
-        base_points = sample_points(d, config, pole_rejector(thickening.base.omega))
-        points = [tuple(p) + (Fraction(0),) * thickening.fiber_count for p in base_points]
+        reject = pole_rejector(thickening.omega_tilde)
+        zeros = (Fraction(0),) * thickening.fiber_count
+        base_points = sample_points(d, config, lambda p: reject(p + zeros))
+        points = [p + zeros for p in base_points]
     else:
         for p in points:
             if any(p[d:]):

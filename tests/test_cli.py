@@ -185,6 +185,15 @@ def test_thicken_exits_1_on_a_framed_form_that_is_not_closed(tmp_path, capsys):
     assert "closedness: FAIL" in out
 
 
+def test_thicken_exits_2_when_the_emit_path_cannot_be_written(tmp_path, capsys):
+    target = tmp_path / "missing" / "thick.json"
+    spec = fixture_path("r4_premultisymplectic.json")
+    code, _, err = run(capsys, "thicken", spec, "--samples", "2", "--emit", str(target))
+    assert code == 2
+    assert err.startswith(f"error: {target}: cannot write file: ")
+    assert err.count("\n") == 1
+
+
 def write_pole_spec(tmp_path):
     # 1/x dx^dy^dz sampled on [0, 0]: every point lies on the pole x = 0
     return write_json(tmp_path / "pole.json", {

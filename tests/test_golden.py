@@ -11,6 +11,8 @@ it lives there rather than among the bundled fixtures because its outputs
 are large enough for the term order of every coefficient to show.
 ``tests/golden/section_zero.json`` and ``section_nonzero.json`` are section
 files for ``scalar_field_2d``, one a solution and one not.
+``tests/golden/rational_frame.json`` has a frame whose inverse divides by a
+coordinate, so omega_tilde has a pole that the base form lacks.
 After an intended output change, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -48,7 +50,7 @@ ORTHOGONAL = (
     ("r6_thickening", ["--submanifold", "x5=0,x6=0", "--ell", "2"], 0),
 )
 THICKEN = ("scalar_field_2d", "r4_premultisymplectic")
-GOLDEN_SPECS = ("dw_n3",)
+GOLDEN_SPECS = ("dw_n3", "rational_frame")
 SECTIONS = (("section_zero", 0), ("section_nonzero", 1))  # (section file, exit code)
 TEXT_COMMANDS = ("orthogonal", "eom")
 TIMING = re.compile(r"\[\d+\.\d ms\]")
@@ -66,6 +68,7 @@ def _cases():
         yield "eom", "scalar_field_2d", ["--symbolic"], seed, 0
         yield "eom", "scalar_field_2d_thickened", ["--symbolic"], seed, 0
     yield "thicken", "dw_n3", [], None, 0
+    yield "thicken", "rational_frame", [], None, 0
     yield "eom", "dw_n3_thickened", ["--symbolic"], None, 0
     for section, code in SECTIONS:
         section_path = os.path.join(GOLDEN_DIR, section + ".json")

@@ -90,13 +90,11 @@ def test_replace_builds_a_new_validated_record():
         chart.replace(dim=3)
 
 
-def test_default_containers_are_not_shared():
-    first = VerificationReport("a", EVIDENCE)
-    second = VerificationReport("b", EVIDENCE)
-    assert first.details == second.details == {}
-    assert first.witnesses == second.witnesses == []
-    assert first.details is not second.details
-    assert first.witnesses is not second.witnesses
+def test_report_fields_have_no_defaults():
+    # a default is shared by every record, so mutable report fields have none
+    with pytest.raises(TypeError, match="missing fields: details, witnesses, timing_ms"):
+        VerificationReport("a", EVIDENCE)
+    first = VerificationReport("a", EVIDENCE, {}, [], 0.0)
     assert first.replace(name="c").details is first.details
 
 

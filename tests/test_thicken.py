@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -332,9 +333,9 @@ def test_sampled_verifiers_echo_supplied_points_not_a_config(thickening4):
 def test_evidence_report_needs_an_evaluated_point():
     for key in ("points_checked", "samples_evaluated"):
         with pytest.raises(ValueError, match="at least one point"):
-            VerificationReport("sampled", EVIDENCE, {key: 0})
-        assert VerificationReport("sampled", EVIDENCE, {key: 1}).ok
-    report = VerificationReport("sampled", FAIL, {"points_checked": 0}, [{"error": "x"}])
+            VerificationReport("sampled", EVIDENCE, {key: 0}, [], 0.0)
+        assert VerificationReport("sampled", EVIDENCE, {key: 1}, [], 0.0).ok
+    report = VerificationReport("sampled", FAIL, {"points_checked": 0}, [{"error": "x"}], 0.0)
     assert report.verdict == FAIL
     # a built report is final: its verdict cannot be reassigned
     with pytest.raises(FrozenError):
@@ -531,6 +532,26 @@ def test_d_differentiates_only_along_each_coefficients_support(monkeypatch):
     calls = _counting(monkeypatch, ScalarExpr, "diff")
     assert omega_tilde.d().is_zero()
     assert calls[0] == expected < 38 * len(omega_tilde.terms)
+
+
+def test_check_differentiates_the_form_once(monkeypatch, capsys):
+    calls = _counting(monkeypatch, Form, "d")
+    spec = os.path.join(os.path.dirname(__file__), "golden", "dw_n3.json")
+    assert cli.main(["check", spec, "--samples", "2"]) == 0
+    assert "closedness: PASS" in capsys.readouterr().out
+    assert calls[0] == 1
+
+
+def test_coisotropy_samples_avoid_the_poles_of_omega_tilde():
+    # the frame inverse divides by x, so omega_tilde has a pole at x = 0 and omega none
+    spec = load_spec(os.path.join(os.path.dirname(__file__), "golden", "rational_frame.json"))
+    manifold = spec.manifold()
+    th = build_thickening(manifold, build_split_frame(manifold, spec.vertical, spec.horizontal))
+    assert not pole_rejector(manifold.omega)((F(0),) * 4)
+    for seed in range(30):
+        report = verify_coisotropic(th, config=SampleConfig(10, seed))
+        assert report.verdict == EVIDENCE
+        assert report.details["points_checked"] == 10
 
 
 def test_polynomial_pipeline_runs_no_gcd(monkeypatch, thickening4, manifold4):
