@@ -117,10 +117,10 @@ def _manifold(spec: ManifoldSpec):
     """The spec's manifold (None if its form is not closed) and the closedness report."""
     start = time.perf_counter()
     try:
-        manifold, residual = spec.manifold(), Form.zero(spec.chart, spec.degree + 1)
+        manifold = spec.manifold()
     except NotClosedError as exc:
-        manifold, residual = None, exc.residual
-    return manifold, residual_report("closedness", residual, start)
+        return None, residual_report("closedness", exc.residual, start)
+    return manifold, residual_report("closedness", Form.zero(spec.chart, spec.degree + 1), start)
 
 
 def cmd_check(args) -> int:
