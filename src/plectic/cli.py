@@ -26,6 +26,7 @@ from .fieldtheory import eom_residual, eom_symbolic_system
 from .manifoldspec import (
     ManifoldSpec,
     SpecError,
+    check_writable,
     load_section,
     load_spec,
     save_spec_dict,
@@ -162,6 +163,8 @@ def cmd_thicken(args) -> int:
     spec = load_spec(args.spec)
     if not spec.has_frame():
         raise SpecError("frame", "thicken requires a frame block (kernel + complement)")
+    if args.emit:
+        check_writable(args.emit)
     out = _Output(args.json)
     config = _sample_config(spec, args)
     manifold, closedness = _manifold(spec)

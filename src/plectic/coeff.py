@@ -35,6 +35,9 @@ ScalarLike = Union["ScalarExpr", "Poly", Fraction, int]
 # equality stays exact regardless.
 _GCD_TERM_LIMIT = 80
 
+# the coefficient of every constant-one polynomial; Fractions are immutable
+_ONE = Fraction(1)
+
 
 class ExprSyntaxError(PlecticError):
     """Malformed coefficient expression; carries the 0-based offset."""
@@ -115,6 +118,22 @@ def _mono_gcd(a: tuple, b: tuple) -> tuple:
     return tuple((i, min(k, powers[i])) for i, k in a if i in powers)
 
 
+def add_terms(out: dict, terms: Mapping[tuple, Fraction], negate: bool = False) -> None:
+    """out += terms (or -= with negate) in place, for term dicts with no zero
+    coefficient: a new monomial goes last, a cancelled one is deleted."""
+    for e, c in terms.items():
+        if negate:
+            c = -c
+        if e in out:
+            s = out[e] + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        else:
+            out[e] = c
+
+
 def _bump(e: tuple, idx: int, delta: int) -> tuple:
     """e with the power of variable idx raised by delta; a zero power is dropped."""
     powers = dict(e)
@@ -135,6 +154,11 @@ class Poly:
     Terms are ordered for display and leading terms by ``term_order_key``
     (graded lex).  The zero polynomial has no terms.  Instances are treated
     as immutable after construction.
+
+    Invariant: no coefficient is zero.  The public constructor filters zeros
+    out; the arithmetic below builds results that cannot hold one (sums that
+    drop each cancelled term, negations, products, scalings by a nonzero
+    scalar) through ``_trusted``, which skips the filter and the copy.
     """
 
     __slots__ = ("variables", "terms")
@@ -144,13 +168,22 @@ class Poly:
         self.terms = {e: c for e, c in terms.items() if c}
 
     @classmethod
+    def _trusted(cls, variables: tuple, terms: dict) -> "Poly":
+        """A Poly that takes ownership of terms, whose coefficients are nonzero Fractions."""
+        p = object.__new__(cls)
+        p.variables = variables
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls, variables: Sequence[str]) -> "Poly":
-        return cls(variables, {})
+        return cls._trusted(tuple(variables), {})
 
     @classmethod
     def const(cls, variables: Sequence[str], value) -> "Poly":
-        value = Fraction(value)
-        return cls(variables, {(): value} if value else {})
+        if not isinstance(value, Fraction):
+            value = Fraction(value)
+        return cls._trusted(tuple(variables), {(): value} if value else {})
 
     @classmethod
     def var(cls, variables: Sequence[str], name: str) -> "Poly":
@@ -192,26 +225,30 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Poly(self.variables, out)
+        add_terms(out, other.terms)
+        return Poly._trusted(self.variables, out)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.variables, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._check(other)
+        out = dict(self.terms)
+        add_terms(out, other.terms, negate=True)
+        return Poly._trusted(self.variables, out)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            return Poly(self.variables, {e: c * other for e, c in self.terms.items()})
+            if not other:
+                return Poly._trusted(self.variables, {})
+            return Poly._trusted(self.variables, {e: c * other for e, c in self.terms.items()})
         self._check(other)
-        # a constant factor only scales the other operand, keeping its term order
+        # a factor 1 gives the other operand itself (Polys are immutable), and
+        # another constant factor only scales it, keeping its term order
+        if other.is_one():
+            return self
+        if self.is_one():
+            return other
         if other.is_const():
             return self * other.const_value()
         if self.is_const():
@@ -220,12 +257,16 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = _mono_mul(e1, e2)
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
+                c = c1 * c2
+                if e in out:
+                    s = out[e] + c
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
                 else:
-                    out.pop(e, None)
-        return Poly(self.variables, out)
+                    out[e] = c
+        return Poly._trusted(self.variables, out)
 
     __rmul__ = __mul__
 
@@ -240,14 +281,14 @@ class Poly:
 
     def diff(self, name: str) -> "Poly":
         idx = self.variables.index(name)
+        # lowering the power of idx maps distinct monomials to distinct ones
         out: dict = {}
         for e, c in self.terms.items():
             for i, k in e:
                 if i == idx:
-                    ne = _bump(e, idx, -1)
-                    out[ne] = out.get(ne, Fraction(0)) + c * k
+                    out[_bump(e, idx, -1)] = c * k
                     break
-        return Poly(self.variables, out)
+        return Poly._trusted(self.variables, out)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         """Value at a point of Fractions or ints (Fraction * int is a Fraction).
@@ -471,7 +512,7 @@ class ScalarExpr:
 
     def __init__(self, num: Poly, den: Poly = None):
         if den is None:
-            den = Poly.const(num.variables, 1)
+            den = Poly._trusted(num.variables, {(): _ONE})
         if den.is_zero():
             raise DivisionByZeroExprError("zero denominator")
         num._check(den)
@@ -660,12 +701,17 @@ class ScalarExpr:
         return f"ScalarExpr({self})"
 
 
+def integral_over_one(num: Poly, den: Poly) -> bool:
+    """Whether num/den is an integer polynomial over 1, which is already
+    reduced (the gcd is 1, the scale 1), so ``_reduce`` keeps it as it is."""
+    return den.is_one() and all(c.denominator == 1 for c in num.terms.values())
+
+
 def _reduce(num: Poly, den: Poly):
     """Divide out the gcd and normalize so den is primitive with positive lead."""
     if num.is_zero():
-        return num, Poly.const(num.variables, 1)
-    # an integer polynomial over 1 is already reduced: the gcd is 1, the scale 1
-    if den.is_one() and all(c.denominator == 1 for c in num.terms.values()):
+        return num, Poly._trusted(num.variables, {(): _ONE})
+    if integral_over_one(num, den):
         return num, den
     g = poly_gcd(num, den)
     if not (g.is_const() and g.const_value() == 1):

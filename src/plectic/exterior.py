@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .coeff import ScalarExpr, as_scalar, exact_point
+from .coeff import Poly, ScalarExpr, add_terms, as_scalar, exact_point, integral_over_one
 from .errors import ChartMismatchError, DegreeError, PlecticError
 from .record import Record
 
@@ -84,11 +84,20 @@ def substitute(
     (idx, c) expands into c * prod(e) over every choice of one pair per
     factor, sign-normalized; the result maps new index tuples to coefficients.
     Zero coefficients are skipped.
+
+    The result, key order and term order included, is that of ``add_term``
+    on each product in turn.  But while every product added to an index is
+    an integer polynomial over 1 (``integral_over_one``), which ``ScalarExpr``
+    sums without reducing, the index holds a raw {monomial: Fraction} dict summed by
+    ``add_terms`` as ``Poly.__add__`` sums, and becomes a ScalarExpr once, at
+    the end or at the first other product; a sum into a coefficient of m
+    terms then costs the product's terms, not O(m).
     """
-    out: Dict[Index, ScalarExpr] = {}
+    out: Dict[Index, object] = {}
     for idx, c in terms:
         if c.is_zero():
             continue
+        variables = c.variables
         for combo in itertools.product(*(rows[i] for i in idx)):
             sign, nidx = sort_index([j for j, _ in combo])
             if sign == 0:
@@ -96,7 +105,21 @@ def substitute(
             coeff = c
             for _, e in combo:
                 coeff = coeff * e
+            acc = out.get(nidx)
+            if acc is None or type(acc) is dict:
+                if integral_over_one(coeff.num, coeff.den):
+                    if acc is None:
+                        acc = out[nidx] = {}
+                    add_terms(acc, coeff.num.terms, negate=sign < 0)
+                    if not acc:
+                        del out[nidx]
+                    continue
+                if acc is not None:
+                    out[nidx] = ScalarExpr(Poly(variables, acc))
             add_term(out, nidx, coeff if sign > 0 else -coeff)
+    for nidx, acc in out.items():
+        if type(acc) is dict:
+            out[nidx] = ScalarExpr(Poly(variables, acc))
     return out
 
 

@@ -14,7 +14,8 @@ a fibration over a base, and sampling parameters:
       "samples": {"count": 50, "seed": 0, "coordinate_range": [-5, 5]}
     }
 
-Unknown top-level keys are rejected.  Term index lists name coordinates (not
+Unknown top-level keys are rejected, and ``form.degree`` may not exceed the
+number of coordinates.  Term index lists name coordinates (not
 positions), must be duplicate-free, and may appear in any order; coefficients
 are expression strings in the documented grammar.  ``fibration.auxiliary`` is
 optional and marks regulator fields in thickened specs so equation reports
@@ -29,6 +30,7 @@ fibered spec to an expression string over its base coordinates:
 from __future__ import annotations
 
 import json
+import os
 from typing import List, Optional, Tuple
 
 from .coeff import is_identifier, parse_expr
@@ -126,6 +128,11 @@ def parse_spec_dict(data: dict, name_hint: str = "<spec>") -> ManifoldSpec:
     _require(set(fdata) <= {"degree", "terms"}, "form", "allowed keys: degree, terms")
     degree = fdata.get("degree")
     _require(type(degree) is int and degree >= 0, "form.degree", "must be a non-negative integer")
+    _require(
+        degree <= len(coords),
+        "form.degree",
+        f"must be at most the number of coordinates ({len(coords)}); a larger degree leaves only the zero form",
+    )
     terms = fdata.get("terms")
     _require(isinstance(terms, list), "form.terms", "must be a list")
     entries = []
@@ -282,6 +289,22 @@ def thickened_spec_dict(thickening, source: ManifoldSpec) -> dict:
             + list(thickening.fiber_names),
         }
     return out
+
+
+def check_writable(path: str) -> None:
+    """Raise the SpecError of ``save_spec_dict`` now, before any work, if path
+    clearly cannot be written: it is a directory, its directory is missing, or
+    either denies writing.  Other write failures still surface on saving."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(directory):
+        reason = f"no such directory: {directory!r}"
+    elif not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise SpecError(path, f"cannot write file: {reason}")
 
 
 def save_spec_dict(data: dict, path: str) -> None:

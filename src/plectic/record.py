@@ -24,16 +24,24 @@ class Record:
 
     _fields: tuple = ()
     _defaults: dict = {}
+    _tail: tuple = ()  # the defaults of the longest run of trailing fields that have one
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = cls.__dict__.get("__annotations__", {})
         cls._fields = cls._fields + tuple(n for n in own if n not in cls._fields)
         cls._defaults = {n: getattr(cls, n) for n in cls._fields if hasattr(cls, n)}
+        start = len(cls._fields)
+        while start and cls._fields[start - 1] in cls._defaults:
+            start -= 1
+        cls._tail = tuple(cls._defaults[n] for n in cls._fields[start:])
 
     def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._fields):
+        missing = len(self._fields) - len(args)
+        if kwargs or missing < 0 or missing > len(self._tail):
             args = self._complete(args, kwargs)
+        elif missing:  # a positional prefix; the fields left out all have defaults
+            args += self._tail[-missing:]
         # attribute by attribute: reading ``__dict__`` would turn the instance's
         # compact attribute storage into a plain dict and slow every field read
         for f, value in zip(self._fields, args):

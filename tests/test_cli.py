@@ -194,6 +194,29 @@ def test_thicken_exits_2_when_the_emit_path_cannot_be_written(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_check_exits_2_when_the_degree_exceeds_the_coordinates(tmp_path, capsys):
+    spec = write_json(tmp_path / "deg.json", {
+        "name": "deg", "coordinates": ["x", "t"], "form": {"degree": 3, "terms": []},
+    })
+    code, out, err = run(capsys, "check", spec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: form.degree: must be at most the number of coordinates")
+    assert err.count("\n") == 1
+
+
+def test_thicken_checks_the_emit_path_before_any_work(tmp_path, capsys):
+    spec = fixture_path("r4_premultisymplectic.json")
+    for target in (tmp_path / "missing" / "thick.json", tmp_path):
+        for json_flag in ([], ["--json"]):
+            code, out, err = run(capsys, "thicken", spec, "--emit", str(target), *json_flag)
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: {target}: cannot write file: ")
+            assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def write_pole_spec(tmp_path):
     # 1/x dx^dy^dz sampled on [0, 0]: every point lies on the pole x = 0
     return write_json(tmp_path / "pole.json", {

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,6 +20,8 @@ from plectic.coeff import (
     poly_gcd,
 )
 from plectic.errors import PoleError
+
+from conftest import random_poly_expr, random_scalar
 
 VARS = ("x", "t")
 VARS5 = ("x", "t", "u", "rho_x", "rho_t")
@@ -332,6 +335,96 @@ def test_power_is_the_repeated_product(p):
     for n in range(6):
         assert _ordered(p**n) == _ordered(product), n
         product = product * p
+
+
+# -- Poly arithmetic against the filtering constructor --------------------------
+# Sums, negations, products and nonzero scalings cannot hold a zero
+# coefficient, so Poly builds them without its constructor's zero filter and
+# without rebuilding Fractions.  The references below keep the loops that
+# went through ``out.get(e, Fraction(0))`` and the filtering constructor.
+
+
+def _ref_add(a, b):
+    out = dict(a.terms)
+    for e, c in b.terms.items():
+        s = out.get(e, Fraction(0)) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return Poly(a.variables, out)
+
+
+def _ref_neg(a):
+    return Poly(a.variables, {e: -c for e, c in a.terms.items()})
+
+
+def _ref_scale(a, k):
+    k = Fraction(k)
+    return Poly(a.variables, {e: c * k for e, c in a.terms.items()})
+
+
+def _ref_mul(a, b):
+    if b.is_const():
+        return _ref_scale(a, b.const_value())
+    if a.is_const():
+        return _ref_scale(b, a.const_value())
+    return _mul_loop(a, b)
+
+
+def _conftest_polys(seed):
+    """Integer and rational conftest polynomials, with zero and constants."""
+    rng = random.Random(seed)
+    polys = [Poly.zero(VARS5), Poly.const(VARS5, -2), Poly.const(VARS5, Fraction(3, 4))]
+    for _ in range(8):
+        p = random_poly_expr(rng, VARS5).num
+        polys += [p, random_scalar(rng, VARS5).num, (ScalarExpr(p) / rng.randint(2, 5)).num]
+    return polys
+
+
+def _assert_same(got, want):
+    assert _ordered(got) == _ordered(want)
+    assert all(type(c) is Fraction and c for c in got.terms.values())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_arithmetic_matches_the_filtering_constructor(seed):
+    polys = _conftest_polys(seed)
+    for a, b in itertools.product(polys, repeat=2):
+        _assert_same(a + b, _ref_add(a, b))
+        _assert_same(a - b, _ref_add(a, _ref_neg(b)))
+        _assert_same(a * b, _ref_mul(a, b))
+        # every term of a cancels
+        _assert_same(a + (b - a), _ref_add(a, _ref_add(b, _ref_neg(a))))
+        # the cross terms of (a + b)(a - b) cancel
+        _assert_same((a + b) * (a - b), _ref_mul(_ref_add(a, b), _ref_add(a, _ref_neg(b))))
+    for a in polys:
+        _assert_same(-a, _ref_neg(a))
+        _assert_same(a - a, Poly.zero(VARS5))
+        for k in (0, 1, -3, Fraction(2, 3), Fraction(1), Fraction(0)):
+            _assert_same(a * k, _ref_scale(a, k))
+            _assert_same(k * a, _ref_scale(a, k))
+
+
+def test_sums_and_products_drop_cancelled_terms():
+    x, t = ScalarExpr.var(VARS, "x").num, ScalarExpr.var(VARS, "t").num
+    assert _ordered((x + t) - t) == _ordered(x)
+    assert ((x + t) + (-t - x)).is_zero()
+    assert _ordered((x + t) * (x - t)) == _ordered(x * x - t * t)
+    assert ((x + t) * (x - t)).terms.get(((0, 1), (1, 1))) is None
+    assert Poly.const(VARS, Fraction(3)).terms == {(): 3}
+    assert Poly.const(VARS, 0).is_zero()
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_product_by_one_is_the_other_operand(seed):
+    one = Poly.const(VARS5, 1)
+    for p in _conftest_polys(seed) + [one]:
+        assert p * one is p
+        assert one * p is p
+    # so the denominator of a product of expressions over 1 is one of theirs
+    a, b = ScalarExpr.var(VARS5, "x"), ScalarExpr.var(VARS5, "u")
+    assert (a * b).den is a.den or (a * b).den is b.den
 
 
 # -- sparse monomials against a dense reference --------------------------------

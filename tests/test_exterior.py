@@ -408,6 +408,88 @@ def test_pullback_and_pushforward_match_all_axes_loops():
         assert phi.pushforward_vector(point, vector) == want
 
 
+# -- substitute against the add_term loop --------------------------------------
+# substitute sums the integer-over-1 products of an index in one raw dict;
+# the reference adds every product with add_term.
+
+
+def _substitute_by_add_term(terms, rows):
+    out = {}
+    for idx, c in terms:
+        if c.is_zero():
+            continue
+        for combo in itertools.product(*(rows[i] for i in idx)):
+            sign, nidx = sort_index([j for j, _ in combo])
+            if sign == 0:
+                continue
+            coeff = c
+            for _, e in combo:
+                coeff = coeff * e
+            add_term(out, nidx, coeff if sign > 0 else -coeff)
+    return out
+
+
+def _coefficient_lists(out):
+    return [
+        (idx, str(c), list(c.num.terms.items()), list(c.den.terms.items()))
+        for idx, c in out.items()
+    ]
+
+
+def _random_rows(rng, coords, n_rows):
+    """Rows over a small pool of integer and rational entries and their
+    negatives, so that products often cancel."""
+    pool = [random_poly_expr(rng, coords, max_terms=2, max_exp=1) for _ in range(3)]
+    pool += [random_scalar(rng, coords), ScalarExpr.var(coords, coords[0]) / 2]
+    pool += [-e for e in pool]
+    pool = [e for e in pool if not e.is_zero()]
+    return [
+        [(j, rng.choice(pool)) for j in sorted(rng.sample(range(len(coords)), rng.randint(1, 3)))]
+        for _ in range(n_rows)
+    ]
+
+
+def test_substitute_matches_the_add_term_loop():
+    rng = random.Random(227)
+    chart = Chart("c4", ("x", "y", "z", "w"))
+    for trial in range(30):
+        alpha = random_form(rng, chart, rng.randint(1, 3), max_terms=3, rational=trial % 2 == 1)
+        terms = list(alpha.terms.items())
+        # repeat the terms so that the sums cancel to zero and grow again
+        terms += [(idx, -c) for idx, c in terms[:1]] + terms[:1]
+        rows = _random_rows(rng, chart.coords, chart.dim)
+        got, want = substitute(terms, rows), _substitute_by_add_term(terms, rows)
+        assert _coefficient_lists(got) == _coefficient_lists(want), trial
+
+
+def test_substitute_keeps_the_key_order_of_cancelled_sums():
+    coords = ("x", "y")
+    x, y = ScalarExpr.var(coords, "x"), ScalarExpr.var(coords, "y")
+    one = ScalarExpr.one(coords)
+    rows = [[(0, x)], [(1, y), (0, -x)], [(0, x)], [(0, x / 3)]]
+    # index (0,) gets x, is cancelled, then gets x again after (1,) is made;
+    # its last product, x^2/3, is not an integer polynomial
+    terms = [((0,), one), ((1,), one), ((2,), one), ((3,), x)]
+    got = substitute(terms, rows)
+    assert _coefficient_lists(got) == _coefficient_lists(_substitute_by_add_term(terms, rows))
+    assert list(got) == [(1,), (0,)]
+    assert str(got[(0,)]) == "1/3*x^2 + x"
+    assert substitute(terms[:3], rows) == {(1,): y, (0,): x}
+    assert list(substitute(terms[:3], rows)) == [(1,), (0,)]
+
+
+def test_substitute_sums_only_integer_products_raw():
+    # _reduce sorts y + x^2/2, the sum the second product makes, and leaves the
+    # integer x^2 + y as it is; summing all three raw would keep y first
+    coords = ("x", "y")
+    x, y = ScalarExpr.var(coords, "x"), ScalarExpr.var(coords, "y")
+    rows = [[(0, ScalarExpr.one(coords))]]
+    terms = [((0,), y), ((0,), x * x / 2), ((0,), x * x / 2)]
+    got = substitute(terms, rows)
+    assert _coefficient_lists(got) == _coefficient_lists(_substitute_by_add_term(terms, rows))
+    assert list(got[(0,)].num.terms) == [((0, 2),), ((1, 1),)]
+
+
 # -- evaluation --------------------------------------------------------------
 
 

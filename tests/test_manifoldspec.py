@@ -115,6 +115,15 @@ def test_boolean_degree_rejected():
         parse_spec_dict(data)
 
 
+def test_degree_above_the_chart_dimension_rejected():
+    # a degree-3 form on two coordinates can only be zero
+    data = _minimal(coordinates=["x", "t"], form={"degree": 3, "terms": []})
+    with pytest.raises(SpecError, match=r"form.degree: must be at most the number of coordinates \(2\)"):
+        parse_spec_dict(data)
+    top = _minimal(form={"degree": 3, "terms": [{"indices": ["x", "y", "z"], "coeff": "1"}]})
+    assert parse_spec_dict(top).form.degree == 3
+
+
 def test_emitted_thickened_spec_round_trips(tmp_path):
     spec = load_spec(fixture_path("scalar_field_2d.json"))
     manifold = spec.manifold()

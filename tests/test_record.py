@@ -39,6 +39,17 @@ def test_positional_keyword_and_default_construction():
     assert (config.count, config.seed, config.low, config.high) == (50, 9, -5, 5)
 
 
+def test_positional_prefix_fills_the_trailing_defaults():
+    fields = SampleConfig._fields
+    values = (3, 11, -2, 2)
+    for n in range(len(fields) + 1):
+        keyword = SampleConfig(**dict(zip(fields, values[:n])))
+        assert SampleConfig(*values[:n]) == keyword
+        assert SampleConfig(*values[:n])._values() == keyword._values()
+    assert SampleConfig(1, 7) == SampleConfig(count=1, seed=7, low=-5, high=5)
+    assert Point3(1) == Point3(x=1, y=0, z=0)
+
+
 @pytest.mark.parametrize(
     "args,kwargs,message",
     [
