@@ -10,8 +10,9 @@ files with each report's ``[... ms]`` timing masked.
 it lives there rather than among the bundled fixtures because its outputs
 are large enough for the term order of every coefficient to show.
 ``tests/golden/dw_n4.json`` is the same spec at base dimension 4; its
-``eom --symbolic`` output on the 130-dimensional thickened chart is about
-130 KB, so only the sha256 of each of its outputs is pinned, in ``DIGESTS``.
+``thicken`` outputs (a 35 KB spec of the 130-dimensional thickened chart)
+and its ``eom --symbolic`` output on that chart (about 130 KB) are pinned
+only by the sha256 of each output, in ``DIGESTS``.
 ``tests/golden/section_zero.json`` and ``section_nonzero.json`` are section
 files for ``scalar_field_2d``, one a solution and one not.
 ``tests/golden/rational_frame.json`` has a frame whose inverse divides by a
@@ -61,6 +62,8 @@ TEXT_COMMANDS = ("orthogonal", "eom")
 TIMING = re.compile(r"\[\d+\.\d ms\]")
 # golden outputs too large to store: sha256 of the UTF-8 text
 DIGESTS = {
+    "thicken_dw_n4_spec_seed.jsonl": "cd16fae23dac50d0c4ef4c660ff927eaf7dc08f541a5fc42938b263134cbca65",
+    "thicken_dw_n4_spec_seed.spec.json": "edfb5f0f89047f40619f53a2484d9fb845bda048d4414a72840b95355e6bfe86",
     "eom_dw_n4_thickened_spec_seed.jsonl": "f6589d9a580abf7bd9a86198d291596b463776460e5050511d6e489078c1d2b1",
     "eom_dw_n4_thickened_spec_seed.txt": "bd7914c2cc8c997b476f8ba8f1d0873bc29a095aaebd249349028d53cb4e251a",
 }
@@ -78,6 +81,7 @@ def _cases():
         yield "eom", "scalar_field_2d", ["--symbolic"], seed, 0
         yield "eom", "scalar_field_2d_thickened", ["--symbolic"], seed, 0
     yield "thicken", "dw_n3", [], None, 0
+    yield "thicken", "dw_n4", [], None, 0
     yield "thicken", "rational_frame", [], None, 0
     yield "eom", "dw_n3_thickened", ["--symbolic"], None, 0
     yield "eom", "dw_n4_thickened", ["--symbolic"], None, 0
