@@ -654,10 +654,28 @@ class ScalarExpr:
         return self.num.evaluate(point) / den
 
     def compose(self, values: Sequence["ScalarExpr"]) -> "ScalarExpr":
-        """Substitute values[i] for variable i; values share one variable set."""
+        """Substitute values[i] for variable i; values share one variable set.
+
+        An integer polynomial over 1 composed with integer polynomials over 1
+        (``integral_over_one``) is summed in Poly arithmetic, term by term as
+        below, and wrapped in one ScalarExpr: the num and den, term order
+        included, that the ScalarExpr sums and products below give it.
+        """
         if len(values) != len(self.variables):
             raise PlecticError("substitution arity mismatch")
         out_vars = values[0].variables if values else ()
+        num = self.num
+        if integral_over_one(num, self.den) and all(
+            integral_over_one(values[i].num, values[i].den)
+            for i in {i for e in num.terms for i, _ in e}
+        ):
+            total = Poly.zero(out_vars)
+            for e, c in num.terms.items():
+                term = Poly.const(out_vars, c)
+                for i, k in e:
+                    term = term * values[i].num ** k
+                total = total + term
+            return ScalarExpr(total)
 
         def eval_poly(p: Poly) -> "ScalarExpr":
             total = ScalarExpr.zero(out_vars)

@@ -13,7 +13,7 @@ once and used everywhere.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -85,38 +85,86 @@ def substitute(
     factor, sign-normalized; the result maps new index tuples to coefficients.
     Zero coefficients are skipped.
 
+    The choices are walked depth-first, row by row: an entry whose j is
+    already chosen is skipped (its products all vanish), a term with an
+    empty row is skipped whole, and the product up to a row is shared by
+    every choice below it, multiplied left to right as c * e1 * e2 * ...
+    While c and every factor so far are integer polynomials over 1
+    (``integral_over_one``), the bare numerators are multiplied: that is
+    the numerator ``ScalarExpr.__mul__`` gives, with no ``_reduce`` to run.
+
     The result, key order and term order included, is that of ``add_term``
-    on each product in turn.  But while every product added to an index is
-    an integer polynomial over 1 (``integral_over_one``), which ``ScalarExpr``
-    sums without reducing, the index holds a raw {monomial: Fraction} dict summed by
-    ``add_terms`` as ``Poly.__add__`` sums, and becomes a ScalarExpr once, at
-    the end or at the first other product; a sum into a coefficient of m
-    terms then costs the product's terms, not O(m).
+    on each product in turn, in ``itertools.product`` order.  But while
+    every product added to an index is an integer polynomial over 1, which
+    ``ScalarExpr`` sums without reducing, the index holds a raw
+    {monomial: Fraction} dict summed by ``add_terms`` as ``Poly.__add__``
+    sums, and becomes a ScalarExpr once, at the end or at the first other
+    product; a sum into a coefficient of m terms then costs the product's
+    terms, not O(m).
     """
     out: Dict[Index, object] = {}
+    # rows[i] as (j, e, e.num if e is an integer polynomial over 1 else None)
+    prepared: List[object] = [None] * len(rows)
+    variables = ()
+
+    def add(nidx: Index, sign: int, num, coeff) -> None:
+        # num is the product's numerator if it is an integer polynomial over 1
+        if num is None and integral_over_one(coeff.num, coeff.den):
+            num = coeff.num
+        acc = out.get(nidx)
+        if acc is None or type(acc) is dict:
+            if num is not None:
+                if acc is None:
+                    acc = out[nidx] = {}
+                add_terms(acc, num.terms, negate=sign < 0)
+                if not acc:
+                    del out[nidx]
+                return
+            if acc is not None:
+                out[nidx] = ScalarExpr(Poly(variables, acc))
+        elif coeff is None:
+            coeff = ScalarExpr(num)
+        add_term(out, nidx, coeff if sign > 0 else -coeff)
+
+    def walk(level: int, chosen: Index, sign: int, num, coeff) -> None:
+        # chosen: the sorted j of rows < level; num or coeff: their product
+        if level == len(term_rows):
+            add(chosen, sign, num, coeff)
+            return
+        expr = coeff
+        for j, e, enum in term_rows[level]:
+            pos = bisect_left(chosen, j)
+            if pos < len(chosen) and chosen[pos] == j:
+                continue
+            nchosen = chosen[:pos] + (j,) + chosen[pos:]
+            nsign = -sign if (len(chosen) - pos) % 2 else sign
+            if num is not None and enum is not None:
+                walk(level + 1, nchosen, nsign, num * enum, None)
+                continue
+            if expr is None:
+                expr = ScalarExpr(num)
+            walk(level + 1, nchosen, nsign, None, expr * e)
+
     for idx, c in terms:
         if c.is_zero():
             continue
         variables = c.variables
-        for combo in itertools.product(*(rows[i] for i in idx)):
-            sign, nidx = sort_index([j for j, _ in combo])
-            if sign == 0:
-                continue
-            coeff = c
-            for _, e in combo:
-                coeff = coeff * e
-            acc = out.get(nidx)
-            if acc is None or type(acc) is dict:
-                if integral_over_one(coeff.num, coeff.den):
-                    if acc is None:
-                        acc = out[nidx] = {}
-                    add_terms(acc, coeff.num.terms, negate=sign < 0)
-                    if not acc:
-                        del out[nidx]
-                    continue
-                if acc is not None:
-                    out[nidx] = ScalarExpr(Poly(variables, acc))
-            add_term(out, nidx, coeff if sign > 0 else -coeff)
+        term_rows = []
+        for i in idx:
+            row = prepared[i]
+            if row is None:
+                row = prepared[i] = [
+                    (j, e, e.num if integral_over_one(e.num, e.den) else None)
+                    for j, e in rows[i]
+                ]
+            if not row:
+                break
+            term_rows.append(row)
+        else:
+            if integral_over_one(c.num, c.den):
+                walk(0, (), 1, c.num, None)
+            else:
+                walk(0, (), 1, None, c)
     for nidx, acc in out.items():
         if type(acc) is dict:
             out[nidx] = ScalarExpr(Poly(variables, acc))
@@ -381,7 +429,7 @@ def interior_multi(fields: Sequence[VectorField], form: Form) -> Form:
 class CoordinateMap:
     """Rational map between charts: one source-coordinate expression per target coordinate."""
 
-    __slots__ = ("source", "target", "components")
+    __slots__ = ("source", "target", "components", "_rows")
 
     def __init__(self, source: Chart, target: Chart, components: Sequence):
         if len(components) != target.dim:
@@ -389,6 +437,7 @@ class CoordinateMap:
         self.source = source
         self.target = target
         self.components = tuple(source.scalar(c) if not isinstance(c, ScalarExpr) else c for c in components)
+        self._rows = None
 
     @classmethod
     def identity(cls, chart: Chart) -> "CoordinateMap":
@@ -410,26 +459,31 @@ class CoordinateMap:
             raise ChartMismatchError(
                 f"form lives on {form.chart.name!r}, map targets {self.target.name!r}"
             )
-        partials = [self._partials(comp) for comp in self.components]
         composed = ((idx, c.compose(self.components)) for idx, c in form.terms.items())
-        return Form(self.source, form.degree, substitute(composed, partials))
+        return Form(self.source, form.degree, substitute(composed, self._partial_rows()))
 
-    def _partials(self, comp: ScalarExpr) -> List[Tuple[int, ScalarExpr]]:
-        """The differential of comp as its nonzero (j, d comp / d source_j) pairs.
+    def _partial_rows(self) -> List[List[Tuple[int, ScalarExpr]]]:
+        """The differential of each component as its nonzero (j, d comp / d source_j)
+        pairs, computed at first use and kept (the map is immutable).
 
-        Only the source axes in comp's support are differentiated along.
+        Only the source axes in a component's support are differentiated along.
         """
-        coords = self.source.coords
-        row = [(j, comp.diff(coords[j])) for j in comp.support()]
-        return [(j, p) for j, p in row if not p.is_zero()]
+        if self._rows is None:
+            coords = self.source.coords
+            rows = []
+            for comp in self.components:
+                row = [(j, comp.diff(coords[j])) for j in comp.support()]
+                rows.append([(j, p) for j, p in row if not p.is_zero()])
+            self._rows = rows
+        return self._rows
 
     def pushforward_vector(self, point: Sequence[Fraction], vector: Sequence[Fraction]) -> List[Fraction]:
         """Differential applied to a tangent vector at a rational point."""
         point = exact_point(point)
         out = []
-        for comp in self.components:
+        for row in self._partial_rows():
             acc = Fraction(0)
-            for j, p in self._partials(comp):
+            for j, p in row:
                 acc += p.evaluate(point) * Fraction(vector[j])
             out.append(acc)
         return out
@@ -442,13 +496,18 @@ def _interior(terms: Mapping[Index, object], components: Sequence) -> Dict[Index
     """Terms of i_X into the first slot, X given by its components.
 
     Field-generic: serves ScalarExpr forms over Q(x) and evaluated forms over
-    Q alike; zero components are skipped.
+    Q alike; each component's truth is tested once, and a term with no slot
+    on a nonzero component is skipped whole.
     """
+    nonzero = {axis: comp for axis, comp in enumerate(components) if comp}
+    axes = nonzero.keys()
     out: Dict[Index, object] = {}
     for idx, c in terms.items():
+        if axes.isdisjoint(idx):
+            continue
         for pos, axis in enumerate(idx):
-            comp = components[axis]
-            if not comp:
+            comp = nonzero.get(axis)
+            if comp is None:
                 continue
             add_term(out, idx[:pos] + idx[pos + 1 :], c * comp if pos % 2 == 0 else -(c * comp))
     return out

@@ -427,6 +427,127 @@ def test_product_by_one_is_the_other_operand(seed):
     assert (a * b).den is a.den or (a * b).den is b.den
 
 
+# -- compose against the ScalarExpr path it short-cuts ---------------------------
+# An integer polynomial over 1 composed with integer polynomials over 1 is
+# summed in Poly arithmetic.  The reference is the general path, which sums
+# and multiplies ScalarExprs, each through _reduce; _reduce sorts the terms
+# of a non-integer result, so only the integer case may skip it.
+
+OUT_VARS = ("s", "t", "w")
+
+
+def _compose_by_eval_poly(expr, values):
+    out_vars = values[0].variables if values else ()
+
+    def eval_poly(p):
+        total = ScalarExpr.zero(out_vars)
+        for e, c in p.terms.items():
+            term = ScalarExpr.const(out_vars, c)
+            for i, k in e:
+                term = term * values[i] ** k
+            total = total + term
+        return total
+
+    return eval_poly(expr.num) / eval_poly(expr.den)
+
+
+def _assert_same_expr(got, want):
+    assert str(got) == str(want)
+    assert (_ordered(got.num), _ordered(got.den)) == (_ordered(want.num), _ordered(want.den))
+
+
+def _compose_value(rng, kind):
+    if kind == "poly":
+        return random_poly_expr(rng, OUT_VARS, max_terms=3, max_exp=1)
+    if kind == "const":
+        return ScalarExpr.const(OUT_VARS, rng.randint(-3, 3))
+    if kind == "zero":
+        return ScalarExpr.zero(OUT_VARS)
+    if kind == "fraction":
+        return random_poly_expr(rng, OUT_VARS, max_terms=3, max_exp=1) / rng.randint(2, 4)
+    return random_scalar(rng, OUT_VARS)
+
+
+def _compose_expr(rng, kind):
+    p = random_poly_expr(rng, VARS5, max_terms=4, max_exp=2)
+    if kind == "fraction":
+        return p / rng.randint(2, 4)
+    if kind == "quotient":
+        return p / (ScalarExpr.var(VARS5, rng.choice(VARS5)) + rng.randint(1, 3))
+    return p
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compose_of_integer_polynomials_matches_the_eval_poly_path(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        values = [_compose_value(rng, rng.choice(["poly", "poly", "const", "zero"])) for _ in VARS5]
+        expr = _compose_expr(rng, "integer")
+        _assert_same_expr(expr.compose(values), _compose_by_eval_poly(expr, values))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compose_with_a_fraction_anywhere_matches_the_eval_poly_path(seed):
+    rng = random.Random(100 + seed)
+    kinds = ["poly", "const", "zero", "fraction", "quotient"]
+    for trial in range(25):
+        values = [_compose_value(rng, rng.choice(kinds)) for _ in VARS5]
+        # every other trial composes with integer polynomials only
+        expr = _compose_expr(rng, "fraction" if trial % 2 else rng.choice(["fraction", "quotient"]))
+        if trial % 2:
+            values = [_compose_value(rng, "poly") for _ in VARS5]
+        try:
+            want = _compose_by_eval_poly(expr, values)
+        except ZeroDivisionError:
+            with pytest.raises(PoleError):
+                expr.compose(values)
+            continue
+        _assert_same_expr(expr.compose(values), want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compose_keeps_the_term_order_of_fraction_sums(seed):
+    # g0/2 + g1/2 + g2/2 sums to the integer polynomial h: the ScalarExpr path
+    # sorts the fraction sums before it, so a Poly sum would differ in order
+    rng = random.Random(200 + seed)
+    v = [ScalarExpr.var(VARS5, name) for name in VARS5[:3]]
+    rest = [ScalarExpr.zero(OUT_VARS)] * 2
+    for _ in range(10):
+        g0, g1, h = (random_poly_expr(rng, OUT_VARS, max_terms=3, max_exp=2) for _ in range(3))
+        g = [g0, g1, 2 * h - g0 - g1]
+        cases = [
+            ((v[0] + v[1] + v[2]) / 2, g + rest),  # Fraction coefficients
+            (v[0] + v[1] + v[2], [x / 2 for x in g] + rest),  # Fraction values
+        ]
+        for expr, values in cases:
+            got = expr.compose(values)
+            assert got == h
+            _assert_same_expr(got, _compose_by_eval_poly(expr, values))
+
+
+def test_compose_sums_integer_polynomials_in_term_order():
+    x, t = ScalarExpr.var(VARS, "x"), ScalarExpr.var(VARS, "t")
+    s, w = ScalarExpr.var(OUT_VARS, "s"), ScalarExpr.var(OUT_VARS, "w")
+    expr = t + 3 * x * x * t - 2
+    got = expr.compose([s + w, ScalarExpr.zero(OUT_VARS)])
+    assert str(got) == "-2" and got.den.is_one()
+    got = expr.compose([w - s, s])
+    _assert_same_expr(got, _compose_by_eval_poly(expr, [w - s, s]))
+    # the terms of t first, then those of 3*x^2*t, then -2
+    assert list(got.num.terms) == [((0, 1),), ((0, 1), (2, 2)), ((0, 2), (2, 1)), ((0, 3),), ()]
+    # s/2 + t^2/2 is sorted to t^2/2 + s/2 before s/2 + t^2/2 is added
+    s, t = ScalarExpr.var(OUT_VARS, "s"), ScalarExpr.var(OUT_VARS, "t")
+    v0, v1, v2 = (ScalarExpr.var(VARS5, name) for name in VARS5[:3])
+    rest = [ScalarExpr.zero(OUT_VARS)] * 2
+    for expr, values in (
+        ((v0 + v1 + v2) / 2, [s, t * t, s + t * t] + rest),
+        (v0 + v1 + v2, [s / 2, t * t / 2, (s + t * t) / 2] + rest),
+    ):
+        got = expr.compose(values)
+        _assert_same_expr(got, _compose_by_eval_poly(expr, values))
+        assert list(got.num.terms) == [((1, 2),), ((0, 1),)]
+
+
 # -- sparse monomials against a dense reference --------------------------------
 # _Dense is the representation Poly had before its monomials became sparse:
 # one exponent per variable, ordered by (total degree, exponent tuple).  The

@@ -408,6 +408,20 @@ def test_pullback_and_pushforward_match_all_axes_loops():
         assert phi.pushforward_vector(point, vector) == want
 
 
+def test_a_map_differentiates_its_components_once():
+    rng = random.Random(229)
+    src = Chart("src", ("a", "b", "c"))
+    target = Chart("tgt", ("x", "y", "z", "w"))
+    comps = [random_poly_expr(rng, src.coords, max_terms=2, max_exp=2) for _ in range(4)]
+    phi = CoordinateMap(src, target, comps)
+    alpha = random_form(rng, target, 2, max_terms=3, rational=True)
+    first = _term_lists(phi.pullback(alpha))
+    rows = phi._partial_rows()
+    assert phi._partial_rows() is rows
+    assert _term_lists(phi.pullback(alpha)) == first
+    assert rows == _jacobian_all_axes(phi)
+
+
 # -- substitute against the add_term loop --------------------------------------
 # substitute sums the integer-over-1 products of an index in one raw dict;
 # the reference adds every product with add_term.
@@ -488,6 +502,95 @@ def test_substitute_sums_only_integer_products_raw():
     got = substitute(terms, rows)
     assert _coefficient_lists(got) == _coefficient_lists(_substitute_by_add_term(terms, rows))
     assert list(got[(0,)].num.terms) == [((0, 2),), ((1, 1),)]
+
+
+# -- the depth-first walk of substitute against itertools.product -------------
+# substitute walks the choices row by row, skips an entry whose output index
+# is already chosen and shares the product up to each row; the reference
+# multiplies out every itertools.product combination.
+
+
+def _overlapping_rows(rng, coords, n_rows, n_out):
+    """Rows of 2-3 entries on n_out output indices, a sixth of them empty.
+
+    The entries mix integer polynomials, rationals and the factors x/2, 2,
+    x/y and y, whose products reduce to integer polynomials; with their
+    negatives, sums cancel often.
+    """
+    x, y = ScalarExpr.var(coords, coords[0]), ScalarExpr.var(coords, coords[1])
+    pool = [random_poly_expr(rng, coords, max_terms=2, max_exp=1) for _ in range(3)]
+    pool += [random_scalar(rng, coords), x / 2, ScalarExpr.const(coords, 2), x / y, y]
+    pool += [-e for e in pool]
+    pool = [e for e in pool if not e.is_zero()]
+    return [
+        []
+        if rng.random() < 1 / 6
+        else [(j, rng.choice(pool)) for j in rng.sample(range(n_out), rng.randint(2, 3))]
+        for _ in range(n_rows)
+    ]
+
+
+def _choices(terms, rows):
+    """(all choices, choices that repeat an output index) of substitute."""
+    combos = [
+        [j for j, _ in combo]
+        for idx, _ in terms
+        for combo in itertools.product(*(rows[i] for i in idx))
+    ]
+    return len(combos), sum(len(set(js)) < len(js) for js in combos)
+
+
+def test_substitute_walk_matches_the_product_order_on_overlapping_rows():
+    rng = random.Random(1515)
+    coords = ("x", "y", "z")
+    x, y = ScalarExpr.var(coords, "x"), ScalarExpr.var(coords, "y")
+    total = repeated = 0
+    for trial in range(30):
+        rows = _overlapping_rows(rng, coords, 8, 5)
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            idx = tuple(sorted(rng.sample(range(8), rng.randint(3, 5))))
+            c = rng.choice([
+                random_poly_expr(rng, coords), random_scalar(rng, coords), x / 2, y / x,
+            ])
+            terms.append((idx, c))
+        # a term, its negative and the term again: keys are deleted and come back
+        terms += [(idx, -c) for idx, c in terms[:1]] + terms[:1]
+        got, want = substitute(terms, rows), _substitute_by_add_term(terms, rows)
+        assert _coefficient_lists(got) == _coefficient_lists(want), trial
+        n, r = _choices(terms, rows)
+        total, repeated = total + n, repeated + r
+    # most choices repeat an output index
+    assert repeated > 0.75 * total
+
+
+def test_substitute_skips_a_term_with_an_empty_row():
+    coords = ("x", "y")
+    x, y = ScalarExpr.var(coords, "x"), ScalarExpr.var(coords, "y")
+    rows = [[(0, x), (1, y)], [], [(1, x), (0, y)]]
+    terms = [((0, 1, 2), x), ((0, 2), y), ((1,), x)]
+    got = substitute(terms, rows)
+    assert _coefficient_lists(got) == _coefficient_lists(_substitute_by_add_term(terms, rows))
+    assert list(got) == [(0, 1)]
+    assert str(got[(0, 1)]) == "x^2*y - y^3"
+    assert substitute(terms[:1] + terms[2:], rows) == {}
+
+
+def test_substitute_reduces_rational_products_to_integer_ones():
+    coords = ("x", "y")
+    x, y = ScalarExpr.var(coords, "x"), ScalarExpr.var(coords, "y")
+    one, two = ScalarExpr.one(coords), ScalarExpr.const(coords, 2)
+    # y * (x/2) * 2 and y * (x/y) * y are the integer x*y; y * (x/2) * y is not
+    rows = [[(0, x / 2), (1, x / y)], [(1, two), (2, y)]]
+    terms = [((0, 1), y), ((0, 1), one)]
+    got = substitute(terms, rows)
+    assert _coefficient_lists(got) == _coefficient_lists(_substitute_by_add_term(terms, rows))
+    assert {idx: str(c) for idx, c in got.items()} == {
+        (0, 1): "x*y + x",
+        (0, 2): "1/2*x*y^2 + 1/2*x*y",
+        (1, 2): "x*y + x",
+    }
+    assert list(got[(1, 2)].num.terms) == [((0, 1), (1, 1)), ((0, 1),)]
 
 
 # -- evaluation --------------------------------------------------------------
