@@ -17,6 +17,11 @@ only by the sha256 of each output, in ``DIGESTS``.
 files for ``scalar_field_2d``, one a solution and one not.
 ``tests/golden/rational_frame.json`` has a frame whose inverse divides by a
 coordinate, so omega_tilde has a pole that the base form lacks.
+``tests/golden/dw_rational_n3.json`` is ``spec_dict(3, "dw_rational_n3")``
+with its first horizontal field replaced by ``{"x2": "x1"}``: the same
+fibers and kernels as DW n = 3, but a frame that is not constant, so its
+``thicken`` and ``eom --symbolic`` outputs run the rational-coefficient
+paths that the integer DW cases skip.
 After an intended output change, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -56,7 +61,7 @@ ORTHOGONAL = (
     ("r6_thickening", ["--submanifold", "x5=0,x6=0", "--ell", "2"], 0),
 )
 THICKEN = ("scalar_field_2d", "r4_premultisymplectic")
-GOLDEN_SPECS = ("dw_n3", "dw_n4", "rational_frame")
+GOLDEN_SPECS = ("dw_n3", "dw_n4", "dw_rational_n3", "rational_frame")
 SECTIONS = (("section_zero", 0), ("section_nonzero", 1))  # (section file, exit code)
 TEXT_COMMANDS = ("orthogonal", "eom")
 TIMING = re.compile(r"\[\d+\.\d ms\]")
@@ -83,8 +88,10 @@ def _cases():
     yield "thicken", "dw_n3", [], None, 0
     yield "thicken", "dw_n4", [], None, 0
     yield "thicken", "rational_frame", [], None, 0
+    yield "thicken", "dw_rational_n3", [], None, 0
     yield "eom", "dw_n3_thickened", ["--symbolic"], None, 0
     yield "eom", "dw_n4_thickened", ["--symbolic"], None, 0
+    yield "eom", "dw_rational_n3_thickened", ["--symbolic"], None, 0
     for section, code in SECTIONS:
         section_path = os.path.join(GOLDEN_DIR, section + ".json")
         yield "eom", "scalar_field_2d", ["--section", section_path], None, code
