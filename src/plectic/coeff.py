@@ -238,21 +238,38 @@ class Poly:
         return Poly._trusted(self.variables, out)
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        """The product, with the terms in the order of the general loop below:
+        self's terms outside, other's inside.
+
+        A factor of at most one term is a shortcut.  The factor 1 gives the
+        other operand itself (Polys are immutable), and another constant
+        only scales it.  A bare monomial (one term with coefficient exactly
+        1) multiplies into each term of the other operand, with no
+        coefficient product and no collision check: the product by a fixed
+        monomial is injective.
+        """
+        # the exact type test first: Fraction's ABC instance check is slow
+        if type(other) is not Poly and isinstance(other, (int, Fraction)):
             if not other:
                 return Poly._trusted(self.variables, {})
             return Poly._trusted(self.variables, {e: c * other for e, c in self.terms.items()})
         self._check(other)
-        # a factor 1 gives the other operand itself (Polys are immutable), and
-        # another constant factor only scales it, keeping its term order
         if other.is_one():
             return self
         if self.is_one():
             return other
-        if other.is_const():
-            return self * other.const_value()
-        if self.is_const():
-            return other * self.const_value()
+        for a, b in ((self, other), (other, self)):
+            if len(b.terms) > 1:
+                continue
+            if not b.terms:
+                return b
+            [(mono, k)] = b.terms.items()
+            if not mono:
+                return a * k
+            if k == 1:
+                return Poly._trusted(
+                    self.variables, {_mono_mul(e, mono): c for e, c in a.terms.items()}
+                )
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -320,14 +337,16 @@ class Poly:
     # -- display ---------------------------------------------------------
 
     def __str__(self) -> str:
+        return self.render(self.variables)
+
+    def render(self, names: Sequence[str]) -> str:
+        """The text of the polynomial with variable i printed as names[i]."""
         if not self.terms:
             return "0"
         parts = []
         for e in sorted(self.terms, key=term_order_key, reverse=True):
             c = self.terms[e]
-            factors = [
-                self.variables[i] if k == 1 else f"{self.variables[i]}^{k}" for i, k in e
-            ]
+            factors = [names[i] if k == 1 else f"{names[i]}^{k}" for i, k in e]
             mag = abs(c)
             if not factors:
                 body = str(mag)
@@ -711,9 +730,13 @@ class ScalarExpr:
     # -- display ---------------------------------------------------------
 
     def __str__(self) -> str:
+        return self.render(self.variables)
+
+    def render(self, names: Sequence[str]) -> str:
+        """The text of the expression with variable i printed as names[i]."""
         if self.den.is_one():
-            return str(self.num)
-        return f"({self.num})/({self.den})"
+            return self.num.render(names)
+        return f"({self.num.render(names)})/({self.den.render(names)})"
 
     def __repr__(self) -> str:
         return f"ScalarExpr({self})"

@@ -23,11 +23,12 @@ no solution -- are reported as obstructions rather than silently dropped.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from fractions import Fraction
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .coeff import Poly, ScalarExpr, partial_degree, term_order_key
 from .errors import DegreeError, PlecticError
-from .exterior import Chart, CoordinateMap, Form, VectorField, substitute
+from .exterior import Chart, CoordinateMap, Form, Index, substitute
 from .record import Record
 
 JET_SEP = "__"
@@ -122,14 +123,43 @@ def _check_top_degree(omega_hat: Form, fibered: FiberedChart) -> None:
         )
 
 
+def _fiber_contractions(
+    terms: Iterable[Tuple[Index, ScalarExpr]], fibered: FiberedChart
+) -> Dict[str, List[Tuple[Index, ScalarExpr]]]:
+    """The terms of i_V omega_hat for the coordinate field V of every fiber
+    coordinate, in fiber order, from one pass over the (total-chart index,
+    coefficient) terms of omega_hat.
+
+    A term sends (index without the slot, c) to the direction of each fiber
+    slot it holds, with -c at an odd slot.  No sums are needed: removing a
+    fixed axis from distinct sorted indices leaves distinct indices.  So
+    each list holds the keys, order and values of
+    ``omega_hat.interior(VectorField.coordinate(fibered.total, name))``.
+    """
+    by_axis: Dict[int, List[Tuple[Index, ScalarExpr]]] = {
+        axis: [] for axis, name in enumerate(fibered.total.coords) if name not in fibered.base
+    }
+    for idx, c in terms:
+        neg = None
+        for pos, axis in enumerate(idx):
+            contracted = by_axis.get(axis)
+            if contracted is None:
+                continue
+            if pos % 2 and neg is None:
+                neg = -c
+            contracted.append((idx[:pos] + idx[pos + 1 :], neg if pos % 2 else c))
+    return dict(zip(fibered.fiber, by_axis.values()))
+
+
 def eom_residual(omega_hat: Form, fibered: FiberedChart, section: Section) -> EOMResidual:
     """Residuals of a concrete section: pullback of each i_V omega_hat."""
     _check_top_degree(omega_hat, fibered)
     graph = section.graph_map()
-    residuals = {}
-    for name in fibered.fiber:
-        contracted = omega_hat.interior(VectorField.coordinate(fibered.total, name))
-        residuals[name] = graph.pullback(contracted)
+    contractions = _fiber_contractions(omega_hat.terms.items(), fibered)
+    residuals = {
+        name: graph.pullback(Form(fibered.total, omega_hat.degree - 1, dict(contracted)))
+        for name, contracted in contractions.items()
+    }
     return EOMResidual(fibered, residuals)
 
 
@@ -142,35 +172,43 @@ def jet_symbol(fiber_name: str, base_name: str) -> str:
 
 def _jet_chart(fibered: FiberedChart) -> Chart:
     names = list(fibered.base) + list(fibered.fiber)
+    taken = set(names)
     for f in fibered.fiber:
         for b in fibered.base:
             sym = jet_symbol(f, b)
-            if sym in names:
+            if sym in taken:
                 raise PlecticError(f"jet symbol {sym!r} collides with a coordinate")
             names.append(sym)
     return Chart(fibered.total.name + "_jets", tuple(names))
 
 
 def _formal_graph_rows(
-    fibered: FiberedChart, jets: Chart
+    fibered: FiberedChart, jets: Chart, jet_axis: Mapping[str, int]
 ) -> List[List[Tuple[int, ScalarExpr]]]:
     """Differentials along the formal graph: d(fiber f) -> sum_b f__b d(base b).
 
-    One row per total coordinate, as (base axis, jet-chart coefficient) pairs.
+    One row per total coordinate, as (base axis, jet-chart coefficient) pairs;
+    ``jet_axis`` maps each jet-chart name to its axis.
     """
     base_axes = {n: i for i, n in enumerate(fibered.base)}
+    one = ScalarExpr.one(jets.coords)
     rows = []
     for name in fibered.total.coords:
         if name in base_axes:
-            rows.append([(base_axes[name], ScalarExpr.one(jets.coords))])
+            rows.append([(base_axes[name], one)])
         else:
             rows.append(
                 [
-                    (base_axes[b], ScalarExpr.var(jets.coords, jet_symbol(name, b)))
-                    for b in fibered.base
+                    (i, _jet_variable(jets, jet_axis[jet_symbol(name, b)]))
+                    for i, b in enumerate(fibered.base)
                 ]
             )
     return rows
+
+
+def _jet_variable(jets: Chart, axis: int) -> ScalarExpr:
+    """The coordinate function of one jet-chart axis."""
+    return ScalarExpr(Poly(jets.coords, {((axis, 1),): Fraction(1)}))
 
 
 class JetEquation(Record):
@@ -272,39 +310,52 @@ class EOMSystem(Record):
             if eq.kind() == "obstruction"
         ]
 
-    def display(self, expr: ScalarExpr) -> str:
-        """Render jet symbols as partial derivatives: u__x -> d(u)/d(x)."""
-        text = str(expr)
-        subs = [
-            (jet_symbol(f, b), f"d({f})/d({b})")
+    def __post_init__(self):
+        # the printed name of each jet-chart variable: f__b -> d(f)/d(b)
+        pretty = {
+            jet_symbol(f, b): f"d({f})/d({b})"
             for f in self.fibered.fiber
             for b in self.fibered.base
-        ]
-        # longest first, so a jet symbol embedded in a longer field name is safe
-        for sym, pretty in sorted(subs, key=lambda kv: -len(kv[0])):
-            text = text.replace(sym, pretty)
-        return f"{text} = 0"
+        }
+        object.__setattr__(
+            self, "_display_names", tuple(pretty.get(n, n) for n in self.jets.coords)
+        )
+
+    def display(self, expr: ScalarExpr) -> str:
+        """Render jet symbols as partial derivatives: u__x -> d(u)/d(x).
+
+        Each variable is printed once, by its name, so a field name that
+        contains a jet symbol prints as it is.
+        """
+        return f"{expr.render(self._display_names)} = 0"
 
 
 def eom_symbolic_system(omega_hat: Form, fibered: FiberedChart) -> EOMSystem:
-    """Formal residuals, one equation per vertical direction; zeros dropped."""
+    """Formal residuals, one equation per vertical direction; zeros dropped.
+
+    The contractions of every direction come from one pass over omega_hat
+    (``_fiber_contractions``), with each coefficient renamed to the jet
+    chart once; ``substitute`` then pulls each direction back along the
+    formal graph.
+    """
     _check_top_degree(omega_hat, fibered)
     jets = _jet_chart(fibered)
+    jet_axis = {name: axis for axis, name in enumerate(jets.coords)}
     jet_axes = tuple(
-        jets.axis(jet_symbol(f, b)) for f in fibered.fiber for b in fibered.base
+        jet_axis[jet_symbol(f, b)] for f in fibered.fiber for b in fibered.base
     )
-    aux_axes = {jets.axis(a) for a in fibered.auxiliary}
+    aux_axes = {jet_axis[a] for a in fibered.auxiliary}
     for a in fibered.auxiliary:
         for b in fibered.base:
-            aux_axes.add(jets.axis(jet_symbol(a, b)))
+            aux_axes.add(jet_axis[jet_symbol(a, b)])
     volume_index = tuple(range(len(fibered.base)))
-    rows = _formal_graph_rows(fibered, jets)
+    rows = _formal_graph_rows(fibered, jets, jet_axis)
+    contractions = _fiber_contractions(
+        ((idx, c.subs_rename(jets.coords)) for idx, c in omega_hat.terms.items()), fibered
+    )
     equations = []
-    for name in fibered.fiber:
-        contracted = omega_hat.interior(VectorField.coordinate(fibered.total, name))
-        pulled = substitute(
-            ((idx, c.subs_rename(jets.coords)) for idx, c in contracted.terms.items()), rows
-        )
+    for name, contracted in contractions.items():
+        pulled = substitute(contracted, rows)
         residual = pulled.get(volume_index, ScalarExpr.zero(jets.coords))
         if residual.is_zero():
             continue

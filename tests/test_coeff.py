@@ -427,6 +427,34 @@ def test_product_by_one_is_the_other_operand(seed):
     assert (a * b).den is a.den or (a * b).den is b.den
 
 
+# -- products by one term against the general loop -------------------------------
+# A bare monomial (one term with coefficient exactly 1) multiplies into each
+# term of the other operand, with no coefficient product or collision check.
+# Any other coefficient must take the general loop or the constant scaling.
+
+
+def _random_poly(rng, max_terms):
+    """A Poly built by its constructor alone, so no product goes into it."""
+    terms = {
+        _sparse([rng.randint(0, 2) for _ in VARS5]): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        for _ in range(rng.randint(0, max_terms))
+    }
+    return Poly(VARS5, terms)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_product_by_a_single_term_matches_general_loop(seed):
+    rng = random.Random(seed)
+    polys = [_random_poly(rng, 6) for _ in range(12)] + [Poly.const(VARS5, 3)]
+    for _ in range(6):
+        mono = _sparse([rng.randint(0, 2) for _ in VARS5])
+        for k in (Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2)):
+            single = Poly(VARS5, {mono: k})
+            for p in polys:
+                _assert_same(p * single, _mul_loop(p, single))
+                _assert_same(single * p, _mul_loop(single, p))
+
+
 # -- compose against the ScalarExpr path it short-cuts ---------------------------
 # An integer polynomial over 1 composed with integer polynomials over 1 is
 # summed in Poly arithmetic.  The reference is the general path, which sums

@@ -1,11 +1,12 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from plectic.coeff import parse_expr
-from plectic.errors import DegreeError
-from plectic.exterior import Form
+from plectic.coeff import Poly, ScalarExpr, parse_expr, partial_degree
+from plectic.errors import DegreeError, PlecticError
+from plectic.exterior import Chart, Form, VectorField, substitute
 from plectic.fieldtheory import (
     FiberedChart,
     Section,
@@ -16,7 +17,7 @@ from plectic.manifoldspec import parse_spec_dict, thickened_spec_dict
 from plectic.splitting import build_split_frame
 from plectic.thicken import build_thickening
 
-from conftest import fixture_path, random_form, scalar_field_form
+from conftest import fixture_path, random_form, random_poly_expr, scalar_field_form
 
 F = Fraction
 BASE = ("x", "t")
@@ -201,3 +202,161 @@ def test_display_renders_jets_as_partials(chart4, fibered4):
     rendered = {system.display(e) for e in system.physical_system()}
     assert "d(rho_x)/d(x) = 0" in rendered
     assert "-rho_x + d(u)/d(x) = 0" in rendered
+
+
+def test_display_prints_each_variable_once_by_name():
+    # the field w_u__x contains the jet symbol u__x; it must print as it is
+    chart = Chart("c", ("x", "u", "w_u__x"))
+    fibered = FiberedChart(chart, ("x",))
+    omega = Form.from_terms(chart, 2, [(("u", "w_u__x"), "1"), (("u", "x"), "w_u__x")])
+    system = eom_symbolic_system(omega, fibered)
+    [equation] = [eq for eq in system.equations if eq.direction == "u"]
+    assert system.display(equation.physical) == "w_u__x + d(w_u__x)/d(x) = 0"
+
+
+def test_jet_symbol_colliding_with_a_coordinate_is_refused():
+    chart = Chart("c", ("x", "u", "u__x"))
+    fibered = FiberedChart(chart, ("x",))
+    with pytest.raises(PlecticError, match="u__x"):
+        eom_symbolic_system(Form.zero(chart, 2), fibered)
+
+
+# -- one pass over omega_hat against a contraction per direction -----------------
+# The reference contracts omega_hat with the coordinate field of each fiber
+# direction, renames each contracted coefficient to the jet chart and pulls it
+# back along the formal graph, as one direction at a time.
+
+
+def _structure(expr):
+    """num and den of an expression as text and as ordered term lists."""
+    return [(str(p), list(p.terms.items())) for p in (expr.num, expr.den)]
+
+
+def _contract_each_direction(omega_hat, fibered):
+    return {
+        name: omega_hat.interior(VectorField.coordinate(fibered.total, name))
+        for name in fibered.fiber
+    }
+
+
+def _reference_system(omega_hat, fibered):
+    """(jet chart, [(direction, physical, auxiliary)]) of the nonzero residuals."""
+    base = fibered.base
+    jets = tuple(base) + fibered.fiber + tuple(
+        f"{f}__{b}" for f in fibered.fiber for b in base
+    )
+    one = ScalarExpr.one(jets)
+    rows = [
+        [(base.index(n), one)]
+        if n in base
+        else [(i, ScalarExpr.var(jets, f"{n}__{b}")) for i, b in enumerate(base)]
+        for n in fibered.total.coords
+    ]
+    aux = {jets.index(a) for a in fibered.auxiliary}
+    aux |= {jets.index(f"{a}__{b}") for a in fibered.auxiliary for b in base}
+    equations = []
+    for name, contracted in _contract_each_direction(omega_hat, fibered).items():
+        renamed = ((idx, c.subs_rename(jets)) for idx, c in contracted.terms.items())
+        residual = substitute(renamed, rows).get(tuple(range(len(base))))
+        if residual is None or residual.is_zero():
+            continue
+        if any(partial_degree(e, aux) for e in residual.den.terms):
+            physical, auxiliary = ScalarExpr.zero(jets), residual
+        else:
+            parts = ({}, {})
+            for e, c in residual.num.terms.items():
+                parts[bool(partial_degree(e, aux))][e] = c
+            physical, auxiliary = (ScalarExpr(Poly(jets, t), residual.den) for t in parts)
+        equations.append((name, _structure(physical), _structure(auxiliary)))
+    return jets, equations
+
+
+def _thickened_fibered(path):
+    """omega_tilde and the fibered chart of the thickened spec of a spec file."""
+    from plectic.manifoldspec import load_spec
+
+    spec = load_spec(path)
+    manifold = spec.manifold()
+    frame = build_split_frame(manifold, spec.vertical, spec.horizontal)
+    tspec = parse_spec_dict(thickened_spec_dict(build_thickening(manifold, frame), spec))
+    return tspec.form, tspec.fibered_chart()
+
+
+def _golden_spec(name):
+    return os.path.join(os.path.dirname(__file__), "golden", name + ".json")
+
+
+DW_SPECS = (
+    fixture_path("scalar_field_2d.json"),
+    _golden_spec("dw_n3"),
+    _golden_spec("dw_rational_n3"),
+    _golden_spec("dw_n4"),
+)
+RANDOM_CHART = Chart("r", ("x", "t", "u", "v", "w"))
+RANDOM_FIBERED = FiberedChart(RANDOM_CHART, BASE, ("w",))
+
+
+def _random_cases():
+    """(omega_hat, fibered, rng) on a fibered chart, integer and rational
+    coefficients; the zero forms are left out."""
+    for seed in range(24):
+        rng = random.Random(seed)
+        omega = random_form(rng, RANDOM_CHART, 3, max_terms=8, rational=seed % 2 == 1)
+        if not omega.is_zero():
+            yield omega, RANDOM_FIBERED, rng
+
+
+def _assert_system_matches_reference(omega_hat, fibered):
+    system = eom_symbolic_system(omega_hat, fibered)
+    jets, want = _reference_system(omega_hat, fibered)
+    assert system.jets.coords == jets
+    got = [
+        (eq.direction, _structure(eq.physical), _structure(eq.auxiliary))
+        for eq in system.equations
+    ]
+    assert got == want
+
+
+@pytest.mark.parametrize("path", DW_SPECS, ids=os.path.basename)
+def test_symbolic_system_matches_a_contraction_per_direction_on_dw(path):
+    _assert_system_matches_reference(*_thickened_fibered(path))
+
+
+def test_symbolic_system_matches_a_contraction_per_direction_on_random_forms():
+    for omega, fibered, _ in _random_cases():
+        _assert_system_matches_reference(omega, fibered)
+
+
+def _random_section(rng, fibered):
+    # a cube lies outside random_poly_expr's degrees, so no component is
+    # constant and no random denominator c + coordinate vanishes on the graph
+    cube = parse_expr(f"{fibered.base[0]}^3", fibered.base)
+    return Section(
+        fibered, {n: random_poly_expr(rng, fibered.base) + cube for n in fibered.fiber}
+    )
+
+
+def _assert_residuals_match_reference(omega_hat, fibered, section):
+    got = eom_residual(omega_hat, fibered, section).residuals
+    graph = section.graph_map()
+    want = {
+        name: graph.pullback(contracted)
+        for name, contracted in _contract_each_direction(omega_hat, fibered).items()
+    }
+    assert list(got) == list(want)
+    for name, form in got.items():
+        assert form.chart == want[name].chart and form.degree == want[name].degree
+        assert [(i, _structure(c)) for i, c in form.terms.items()] == [
+            (i, _structure(c)) for i, c in want[name].terms.items()
+        ]
+
+
+@pytest.mark.parametrize("path", DW_SPECS[:3], ids=os.path.basename)
+def test_residuals_match_a_contraction_per_direction_on_dw(path):
+    omega, fibered = _thickened_fibered(path)
+    _assert_residuals_match_reference(omega, fibered, _random_section(random.Random(5), fibered))
+
+
+def test_residuals_match_a_contraction_per_direction_on_random_forms():
+    for omega, fibered, rng in _random_cases():
+        _assert_residuals_match_reference(omega, fibered, _random_section(rng, fibered))
