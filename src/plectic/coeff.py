@@ -93,6 +93,14 @@ def _mono_mul(a: tuple, b: tuple) -> tuple:
         return b
     if not b:
         return a
+    if len(b) == 1:  # one variable, as every jet factor of the formal graph: splice it in
+        i, k = b[0]
+        for pos, (j, kj) in enumerate(a):
+            if j >= i:
+                if j == i:
+                    return a[:pos] + ((i, kj + k),) + a[pos + 1 :]
+                return a[:pos] + b + a[pos:]
+        return a + b
     powers = dict(a)
     for i, k in b:
         powers[i] = powers.get(i, 0) + k
@@ -241,8 +249,8 @@ class Poly:
         """The product, with the terms in the order of the general loop below:
         self's terms outside, other's inside.
 
-        A factor of at most one term is a shortcut.  The factor 1 gives the
-        other operand itself (Polys are immutable), and another constant
+        An operand of at most one term is a shortcut.  The factor 1 gives
+        the other operand itself (Polys are immutable), and another constant
         only scales it.  A bare monomial (one term with coefficient exactly
         1) multiplies into each term of the other operand, with no
         coefficient product and no collision check: the product by a fixed
@@ -254,16 +262,16 @@ class Poly:
                 return Poly._trusted(self.variables, {})
             return Poly._trusted(self.variables, {e: c * other for e, c in self.terms.items()})
         self._check(other)
-        if other.is_one():
-            return self
-        if self.is_one():
-            return other
-        for a, b in ((self, other), (other, self)):
-            if len(b.terms) > 1:
-                continue
+        # b: the operand with fewer terms
+        a, b = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
+        if len(b.terms) <= 1:
             if not b.terms:
                 return b
             [(mono, k)] = b.terms.items()
+            if not mono and k == 1:
+                return a
+            if a.is_one():
+                return b
             if not mono:
                 return a * k
             if k == 1:
