@@ -217,14 +217,14 @@ def test_display_prints_each_variable_once_by_name():
 def test_jet_symbol_colliding_with_a_coordinate_is_refused():
     chart = Chart("c", ("x", "u", "u__x"))
     fibered = FiberedChart(chart, ("x",))
-    with pytest.raises(PlecticError, match="u__x"):
+    with pytest.raises(PlecticError, match="'u__x' collides"):
         eom_symbolic_system(Form.zero(chart, 2), fibered)
 
 
 # -- one pass over omega_hat against a contraction per direction -----------------
 # The reference contracts omega_hat with the coordinate field of each fiber
 # direction, renames each contracted coefficient to the jet chart and pulls it
-# back along the formal graph, as one direction at a time.
+# back along the formal graph, one direction at a time.
 
 
 def _structure(expr):
@@ -242,7 +242,7 @@ def _contract_each_direction(omega_hat, fibered):
 def _reference_system(omega_hat, fibered):
     """(jet chart, [(direction, physical, auxiliary)]) of the nonzero residuals."""
     base = fibered.base
-    jets = tuple(base) + fibered.fiber + tuple(
+    jets = base + fibered.fiber + tuple(
         f"{f}__{b}" for f in fibered.fiber for b in base
     )
     one = ScalarExpr.one(jets)
