@@ -22,6 +22,13 @@ with its first horizontal field replaced by ``{"x2": "x1"}``: the same
 fibers and kernels as DW n = 3, but a frame that is not constant, so its
 ``thicken`` and ``eom --symbolic`` outputs run the rational-coefficient
 paths that the integer DW cases skip.
+``tests/golden/dw_half_n3.json`` is ``spec_dict(3, "dw_half_n3")`` with
+its first horizontal field replaced by ``{"x2": "2"}``: a constant frame
+whose coframe carries 1/2, so its coefficients are fractional polynomials
+over the denominator 1, which no other golden case has.  Its ``check``,
+``thicken`` and ``eom --symbolic`` outputs were generated and committed
+before ``coeff._reduce`` stopped running the gcd ladder on such values,
+and pin that the change left them unchanged.
 After an intended output change, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -61,7 +68,7 @@ ORTHOGONAL = (
     ("r6_thickening", ["--submanifold", "x5=0,x6=0", "--ell", "2"], 0),
 )
 THICKEN = ("scalar_field_2d", "r4_premultisymplectic")
-GOLDEN_SPECS = ("dw_n3", "dw_n4", "dw_rational_n3", "rational_frame")
+GOLDEN_SPECS = ("dw_n3", "dw_n4", "dw_rational_n3", "dw_half_n3", "rational_frame")
 SECTIONS = (("section_zero", 0), ("section_nonzero", 1))  # (section file, exit code)
 TEXT_COMMANDS = ("orthogonal", "eom")
 TIMING = re.compile(r"\[\d+\.\d ms\]")
@@ -89,9 +96,12 @@ def _cases():
     yield "thicken", "dw_n4", [], None, 0
     yield "thicken", "rational_frame", [], None, 0
     yield "thicken", "dw_rational_n3", [], None, 0
+    yield "check", "dw_half_n3", [], None, 0
+    yield "thicken", "dw_half_n3", [], None, 0
     yield "eom", "dw_n3_thickened", ["--symbolic"], None, 0
     yield "eom", "dw_n4_thickened", ["--symbolic"], None, 0
     yield "eom", "dw_rational_n3_thickened", ["--symbolic"], None, 0
+    yield "eom", "dw_half_n3_thickened", ["--symbolic"], None, 0
     for section, code in SECTIONS:
         section_path = os.path.join(GOLDEN_DIR, section + ".json")
         yield "eom", "scalar_field_2d", ["--section", section_path], None, code
