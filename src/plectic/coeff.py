@@ -490,7 +490,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     Cheap ladder: rational and monomial contents, equality, one-sided exact
     division; a budgeted pseudo-remainder sequence only for small operands.
     Callers only divide by the result, so returning a partial divisor is
-    always sound.
+    always sound.  ``base`` has a positive coefficient and multiplies only
+    sign-normalized factors; under graded lex, a monomial order, the lead of
+    a product is the product of the leads, so no product needs normalizing.
     """
     if a.is_zero():
         return _normalize_sign(b)
@@ -498,24 +500,17 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return _normalize_sign(a)
     ca, ma, pa = _strip(a)
     cb, mb, pb = _strip(b)
-    c = _frac_gcd(ca, cb)
-    base = Poly(a.variables, {_mono_gcd(ma, mb): c})
+    base = Poly(a.variables, {_mono_gcd(ma, mb): _frac_gcd(ca, cb)})
     if len(pa.terms) == 1 or len(pb.terms) == 1:
-        return _normalize_sign(base)
+        return base
     if pa == pb or pa == -pb:
-        return _normalize_sign(base * _normalize_sign(pa))
-    if len(pa.terms) <= len(pb.terms):
-        q = _div_exact(pb, pa)
-        if q is not None:
-            return _normalize_sign(base * _normalize_sign(pa))
-    else:
-        q = _div_exact(pa, pb)
-        if q is not None:
-            return _normalize_sign(base * _normalize_sign(pb))
+        return base * _normalize_sign(pa)
+    small, big = (pa, pb) if len(pa.terms) <= len(pb.terms) else (pb, pa)
+    if _div_exact(big, small) is not None:
+        return base * _normalize_sign(small)
     if len(pa.terms) <= 24 and len(pb.terms) <= 24:
-        g = _prs_gcd(pa, pb, [60])
-        return _normalize_sign(base * g)
-    return _normalize_sign(base)
+        return base * _prs_gcd(pa, pb, [60])
+    return base
 
 
 def _normalize_sign(p: Poly) -> Poly:
@@ -683,19 +678,17 @@ class ScalarExpr:
     def compose(self, values: Sequence["ScalarExpr"]) -> "ScalarExpr":
         """Substitute values[i] for variable i; values share one variable set.
 
-        An integer polynomial over 1 composed with integer polynomials over 1
-        (``integral_over_one``) is summed in Poly arithmetic, term by term as
-        below, and wrapped in one ScalarExpr: the num and den, term order
-        included, that the ScalarExpr sums and products below give it.
+        A polynomial over 1 composed with polynomials over 1 is summed in
+        Poly arithmetic, term by term as below, and wrapped in one
+        ScalarExpr: ``_reduce`` keeps every polynomial over 1 as given, so
+        that is the num and den, term order included, that the ScalarExpr
+        sums and products below give it.
         """
         if len(values) != len(self.variables):
             raise PlecticError("substitution arity mismatch")
         out_vars = values[0].variables if values else ()
         num = self.num
-        if integral_over_one(num, self.den) and all(
-            integral_over_one(values[i].num, values[i].den)
-            for i in {i for e in num.terms for i, _ in e}
-        ):
+        if self.den.is_one() and all(values[i].den.is_one() for i in self.support()):
             total = Poly.zero(out_vars)
             for e, c in num.terms.items():
                 term = Poly.const(out_vars, c)
@@ -750,20 +743,18 @@ class ScalarExpr:
         return f"ScalarExpr({self})"
 
 
-def integral_over_one(num: Poly, den: Poly) -> bool:
-    """Whether num/den is an integer polynomial over 1, which is already
-    reduced (the gcd is 1, the scale 1), so ``_reduce`` keeps it as it is."""
-    return den.is_one() and all(c.denominator == 1 for c in num.terms.values())
-
-
 def _reduce(num: Poly, den: Poly):
-    """Divide out the gcd and normalize so den is primitive with positive lead."""
+    """Divide out the gcd and normalize so den is primitive with positive lead.
+
+    A polynomial over 1 is returned as given: the gcd ladder would only
+    divide its rational content out and multiply it back.
+    """
+    if den.is_one():
+        return num, den
     if num.is_zero():
         return num, Poly._trusted(num.variables, {(): _ONE})
-    if integral_over_one(num, den):
-        return num, den
     g = poly_gcd(num, den)
-    if not (g.is_const() and g.const_value() == 1):
+    if not g.is_one():
         qn, qd = _div_exact(num, g), _div_exact(den, g)
         if qn is not None and qd is not None:
             num, den = qn, qd
@@ -822,6 +813,12 @@ class _Parser:
         self.i += 1
         return tok
 
+    def nat(self, tok) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:  # longer than Python's int-string limit
+            raise ExprSyntaxError(f"integer of {len(tok[1])} digits is too long", tok[2]) from None
+
     def expect(self, kind: str):
         tok = self.next()
         if tok[0] != kind:
@@ -829,7 +826,10 @@ class _Parser:
         return tok
 
     def parse(self) -> ScalarExpr:
-        e = self.expr()
+        try:
+            e = self.expr()
+        except RecursionError:
+            raise ExprSyntaxError("parentheses nested too deeply", self.peek()[2]) from None
         tok = self.peek()
         if tok[0] != "end":
             raise ExprSyntaxError(f"unexpected trailing input {tok[1]!r}", tok[2])
@@ -868,14 +868,13 @@ class _Parser:
         e = self.base()
         if self.peek()[0] == "^":
             self.next()
-            tok = self.expect("num")
-            e = e ** int(tok[1])
+            e = e ** self.nat(self.expect("num"))
         return e
 
     def base(self) -> ScalarExpr:
-        kind, text, pos = self.next()
+        tok = kind, text, pos = self.next()
         if kind == "num":
-            return ScalarExpr.const(self.variables, int(text))
+            return ScalarExpr.const(self.variables, self.nat(tok))
         if kind == "ident":
             if text not in self.variables:
                 raise UnknownVariableError(f"unknown variable {text!r}", pos)

@@ -17,7 +17,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .coeff import Poly, ScalarExpr, add_terms, as_scalar, exact_point, integral_over_one
+from .coeff import Poly, ScalarExpr, add_terms, as_scalar, exact_point
 from .errors import ChartMismatchError, DegreeError, PlecticError
 from .record import Record
 
@@ -89,13 +89,13 @@ def substitute(
     already chosen is skipped (its products all vanish), a term with an
     empty row is skipped whole, and the product up to a row is shared by
     every choice below it, multiplied left to right as c * e1 * e2 * ...
-    While c and every factor so far are integer polynomials over 1
-    (``integral_over_one``), the bare numerators are multiplied: that is
-    the numerator ``ScalarExpr.__mul__`` gives, with no ``_reduce`` to run.
+    While c and every factor so far are polynomials over 1 (``den.is_one()``),
+    the bare numerators are multiplied: that is the numerator
+    ``ScalarExpr.__mul__`` gives, with no ``_reduce`` to run.
 
     The result, key order and term order included, is that of ``add_term``
     on each product in turn, in ``itertools.product`` order.  But while
-    every product added to an index is an integer polynomial over 1, which
+    every product added to an index is a polynomial over 1, which
     ``ScalarExpr`` sums without reducing, the index holds a raw
     {monomial: Fraction} dict summed by ``add_terms`` as ``Poly.__add__``
     sums, and becomes a ScalarExpr once, at the end or at the first other
@@ -103,13 +103,13 @@ def substitute(
     terms, not O(m).
     """
     out: Dict[Index, object] = {}
-    # rows[i] as (j, e, e.num if e is an integer polynomial over 1 else None)
+    # rows[i] as (j, e, e.num if e is a polynomial over 1 else None)
     prepared: List[object] = [None] * len(rows)
     variables = ()
 
     def add(nidx: Index, sign: int, num, coeff) -> None:
-        # num is the product's numerator if it is an integer polynomial over 1
-        if num is None and integral_over_one(coeff.num, coeff.den):
+        # num is the product's numerator if it is a polynomial over 1
+        if num is None and coeff.den.is_one():
             num = coeff.num
         acc = out.get(nidx)
         if acc is None or type(acc) is dict:
@@ -154,14 +154,14 @@ def substitute(
             row = prepared[i]
             if row is None:
                 row = prepared[i] = [
-                    (j, e, e.num if integral_over_one(e.num, e.den) else None)
+                    (j, e, e.num if e.den.is_one() else None)
                     for j, e in rows[i]
                 ]
             if not row:
                 break
             term_rows.append(row)
         else:
-            if integral_over_one(c.num, c.den):
+            if c.den.is_one():
                 walk(0, (), 1, c.num, None)
             else:
                 walk(0, (), 1, None, c)

@@ -245,12 +245,12 @@ class JetEquation(Record):
 
 def _split_physical(expr: ScalarExpr, jets: Chart, aux_axes: set) -> Tuple[ScalarExpr, ScalarExpr]:
     """Split a polynomial expression by auxiliary-symbol content."""
-    if any(partial_degree(e, aux_axes) for e in expr.den.terms):
+    if any(i in aux_axes for e in expr.den.terms for i, _ in e):
         # auxiliary symbols in a denominator: treat everything as auxiliary
         return ScalarExpr.zero(jets.coords), expr
     phys_terms, aux_terms = {}, {}
     for e, c in expr.num.terms.items():
-        target = aux_terms if partial_degree(e, aux_axes) else phys_terms
+        target = aux_terms if any(i in aux_axes for i, _ in e) else phys_terms
         target[e] = c
     phys = ScalarExpr(Poly(jets.coords, phys_terms), expr.den)
     aux = ScalarExpr(Poly(jets.coords, aux_terms), expr.den)

@@ -238,7 +238,7 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise SpecError(path, f"cannot read file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # malformed, not UTF-8, too many digits, too deep
         raise SpecError(path, f"invalid JSON: {exc}") from exc
 
 

@@ -403,8 +403,21 @@ def test_eom_section_missing_component(tmp_path, capsys):
         (["x", "y"], "2²", None),
         (["x", ""], "1", None),
         (["x", "y"], "1", {"u": 3, "rho_x": "0", "rho_t": "0"}),
+        # past Python's 4300-digit int-string limit, and past its recursion limit
+        (["x", "y"], "1" * 5000, None),
+        (["x", "y"], "(" * 5000 + "x" + ")" * 5000, None),
+        (["x", "y"], "1", {"u": "2" * 5000, "rho_x": "0", "rho_t": "0"}),
+        (["x", "y"], "1", {"u": "(" * 5000 + "x" + ")" * 5000, "rho_x": "0", "rho_t": "0"}),
     ],
-    ids=["superscript-digit", "empty-coordinate", "non-string-section-value"],
+    ids=[
+        "superscript-digit",
+        "empty-coordinate",
+        "non-string-section-value",
+        "long-integer",
+        "deep-parentheses",
+        "section-long-integer",
+        "section-deep-parentheses",
+    ],
 )
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, coordinates, coeff, section):
     if section is None:
@@ -423,6 +436,27 @@ def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, coordinat
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "eom"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"name": "big", "samples": {"seed": ' + "7" * 5001 + "}}",
+        "[" * 200000 + "]" * 200000,
+    ],
+    ids=["5001-digit-int", "deep-brackets"],
+)
+def test_json_that_json_load_refuses_exits_2(tmp_path, capsys, command, text):
+    path = tmp_path / "refused.json"
+    path.write_text(text, encoding="utf-8")
+    if command == "check":
+        argv = ["check", str(path)]
+    else:
+        argv = ["eom", fixture_path("scalar_field_2d.json"), "--section", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: invalid JSON: ") and err.count("\n") == 1
 
 
 def test_plectic_seed_env_override(capsys, monkeypatch):

@@ -80,6 +80,24 @@ def test_parse_illegal_character_position():
     assert err.value.position == 4
 
 
+@pytest.mark.parametrize(
+    "src,message,position",
+    [
+        ("x + " + "1" * 4301, "integer of 4301 digits is too long", 4),
+        ("x^" + "2" * 5000, "integer of 5000 digits is too long", 2),
+        ("(" * 5000 + "x" + ")" * 5000, "parentheses nested too deeply", None),
+    ],
+    ids=["long-literal", "long-exponent", "deep-parentheses"],
+)
+def test_parse_rejects_integers_past_the_digit_limit_and_deep_nesting(src, message, position):
+    with pytest.raises(ExprSyntaxError, match=message) as err:
+        parse_expr(src, VARS)
+    if position is None:  # where the nesting hit the recursion limit
+        assert src[err.value.position] == "("
+    else:
+        assert err.value.position == position
+
+
 @pytest.mark.parametrize("src,position", [("2²", 1), ("x + ٣", 4), ("xé", 1)])
 def test_parse_rejects_non_ascii_digits_and_letters(src, position):
     with pytest.raises(ExprSyntaxError, match="unexpected character") as err:
@@ -204,7 +222,7 @@ def test_gcd_reduction_keeps_values_exact():
 
 
 def _reduce_ladder(num, den):
-    """_reduce without the integer-polynomial shortcut: always run the gcd ladder."""
+    """_reduce without the shortcut over 1: always run the gcd ladder."""
     if num.is_zero():
         return num, Poly.const(num.variables, 1)
     g = poly_gcd(num, den)
@@ -255,7 +273,7 @@ def _polys(variables, coeffs, max_size=4, min_size=0):
 
 @st.composite
 def _reduce_inputs(draw):
-    """(num, den) over 3-5 variables with each kind of denominator."""
+    """(kind, num, den) over 3-5 variables with each kind of denominator."""
     variables = tuple(f"v{i}" for i in range(draw(st.integers(3, 5))))
     kind = draw(st.sampled_from(["one/int", "one/frac", "const", "poly"]))
     num = draw(_polys(variables, _INTEGERS if kind == "one/int" else _FRACTIONS))
@@ -265,14 +283,19 @@ def _reduce_inputs(draw):
         den = Poly.const(variables, draw(_FRACTIONS.filter(lambda c: c not in (0, 1))))
     else:
         den = draw(_polys(variables, _FRACTIONS, min_size=1).filter(lambda p: not p.is_const()))
-    return num, den
+    return kind, num, den
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_reduce_inputs())
-def test_reduce_matches_gcd_ladder_term_order_included(pair):
-    num, den = pair
+def test_reduce_matches_gcd_ladder_term_order_included(case):
+    kind, num, den = case
     got_num, got_den = _reduce(num, den)
+    if kind == "one/frac":
+        # the ladder only divides the rational content out and multiplies it
+        # back, which re-sorts the terms; _reduce keeps them as given
+        assert got_num is num and got_den is den
+        return
     want_num, want_den = _reduce_ladder(num, den)
     assert _ordered(got_num) == _ordered(want_num)
     assert _ordered(got_den) == _ordered(want_den)
@@ -284,6 +307,9 @@ def test_reduce_keeps_integer_polynomials_over_one_as_given():
     one = Poly.const(variables, 1)
     assert _reduce(num, one) == (num, one)
     assert _reduce(num, one)[0] is num
+    # a fractional numerator too: the gcd ladder would list -3/2*a before c/3
+    frac = Poly(variables, {((2, 1),): Fraction(1, 3), ((0, 1),): Fraction(-3, 2)})
+    assert _reduce(frac, one)[0] is frac
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -456,10 +482,10 @@ def test_product_by_a_single_term_matches_general_loop(seed):
 
 
 # -- compose against the ScalarExpr path it short-cuts ---------------------------
-# An integer polynomial over 1 composed with integer polynomials over 1 is
-# summed in Poly arithmetic.  The reference is the general path, which sums
-# and multiplies ScalarExprs, each through _reduce; _reduce sorts the terms
-# of a non-integer result, so only the integer case may skip it.
+# A polynomial over 1 composed with polynomials over 1 is summed in Poly
+# arithmetic.  The reference is the general path, which sums and multiplies
+# ScalarExprs, each through _reduce; _reduce keeps a polynomial over 1 as
+# given, so the two agree term for term.
 
 OUT_VARS = ("s", "t", "w")
 
@@ -535,8 +561,8 @@ def test_compose_with_a_fraction_anywhere_matches_the_eval_poly_path(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_compose_keeps_the_term_order_of_fraction_sums(seed):
-    # g0/2 + g1/2 + g2/2 sums to the integer polynomial h: the ScalarExpr path
-    # sorts the fraction sums before it, so a Poly sum would differ in order
+    # g0/2 + g1/2 + g2/2 sums to the integer polynomial h through fraction
+    # sums, which the Poly path and the ScalarExpr path must order alike
     rng = random.Random(200 + seed)
     v = [ScalarExpr.var(VARS5, name) for name in VARS5[:3]]
     rest = [ScalarExpr.zero(OUT_VARS)] * 2
@@ -553,7 +579,7 @@ def test_compose_keeps_the_term_order_of_fraction_sums(seed):
             _assert_same_expr(got, _compose_by_eval_poly(expr, values))
 
 
-def test_compose_sums_integer_polynomials_in_term_order():
+def test_compose_sums_polynomials_over_1_in_term_order():
     x, t = ScalarExpr.var(VARS, "x"), ScalarExpr.var(VARS, "t")
     s, w = ScalarExpr.var(OUT_VARS, "s"), ScalarExpr.var(OUT_VARS, "w")
     expr = t + 3 * x * x * t - 2
@@ -563,7 +589,7 @@ def test_compose_sums_integer_polynomials_in_term_order():
     _assert_same_expr(got, _compose_by_eval_poly(expr, [w - s, s]))
     # the terms of t first, then those of 3*x^2*t, then -2
     assert list(got.num.terms) == [((0, 1),), ((0, 1), (2, 2)), ((0, 2), (2, 1)), ((0, 3),), ()]
-    # s/2 + t^2/2 is sorted to t^2/2 + s/2 before s/2 + t^2/2 is added
+    # s/2 + t^2/2 keeps the order the sum makes, s first
     s, t = ScalarExpr.var(OUT_VARS, "s"), ScalarExpr.var(OUT_VARS, "t")
     v0, v1, v2 = (ScalarExpr.var(VARS5, name) for name in VARS5[:3])
     rest = [ScalarExpr.zero(OUT_VARS)] * 2
@@ -573,7 +599,7 @@ def test_compose_sums_integer_polynomials_in_term_order():
     ):
         got = expr.compose(values)
         _assert_same_expr(got, _compose_by_eval_poly(expr, values))
-        assert list(got.num.terms) == [((1, 2),), ((0, 1),)]
+        assert list(got.num.terms) == [((0, 1),), ((1, 2),)]
 
 
 # -- sparse monomials against a dense reference --------------------------------
@@ -770,8 +796,6 @@ def _d_poly_gcd(a, b):
 def _d_reduce(num, den):
     if not num.terms:
         return num, num.const(1)
-    if den.terms == den.const(1).terms and all(c.denominator == 1 for c in num.terms.values()):
-        return num, den
     g = _d_poly_gcd(num, den)
     if g.terms != g.const(1).terms:
         qn, qd = _d_div_exact(num, g), _d_div_exact(den, g)
@@ -823,6 +847,10 @@ def test_reduce_term_order_matches_dense_reference(case):
     num, den = a * c, b * c
     if not den.terms:
         den = b if b.terms else c.const(1)
-    got = _reduce(_as_poly(names, num), _as_poly(names, den))
+    pnum, pden = _as_poly(names, num), _as_poly(names, den)
+    got = _reduce(pnum, pden)
+    if den.terms == den.const(1).terms:  # a polynomial over 1 comes back as given
+        assert got[0] is pnum and got[1] is pden
+        return
     want = _d_reduce(num, den)
     assert _same(got[0], want[0]) and _same(got[1], want[1])

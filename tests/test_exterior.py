@@ -423,7 +423,7 @@ def test_a_map_differentiates_its_components_once():
 
 
 # -- substitute against the add_term loop --------------------------------------
-# substitute sums the integer-over-1 products of an index in one raw dict;
+# substitute sums the products over 1 of an index in one raw dict;
 # the reference adds every product with add_term.
 
 
@@ -492,16 +492,16 @@ def test_substitute_keeps_the_key_order_of_cancelled_sums():
     assert list(substitute(terms[:3], rows)) == [(1,), (0,)]
 
 
-def test_substitute_sums_only_integer_products_raw():
-    # _reduce sorts y + x^2/2, the sum the second product makes, and leaves the
-    # integer x^2 + y as it is; summing all three raw would keep y first
+def test_substitute_sums_polynomials_over_1_raw():
+    # y + x^2/2 and y + x^2 are polynomials over 1, which _reduce keeps as
+    # given: the raw sum and add_term both keep y first
     coords = ("x", "y")
     x, y = ScalarExpr.var(coords, "x"), ScalarExpr.var(coords, "y")
     rows = [[(0, ScalarExpr.one(coords))]]
     terms = [((0,), y), ((0,), x * x / 2), ((0,), x * x / 2)]
     got = substitute(terms, rows)
     assert _coefficient_lists(got) == _coefficient_lists(_substitute_by_add_term(terms, rows))
-    assert list(got[(0,)].num.terms) == [((0, 2),), ((1, 1),)]
+    assert list(got[(0,)].num.terms) == [((1, 1),), ((0, 2),)]
 
 
 # -- the depth-first walk of substitute against itertools.product -------------
