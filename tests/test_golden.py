@@ -22,6 +22,12 @@ with its first horizontal field replaced by ``{"x2": "x1"}``: the same
 fibers and kernels as DW n = 3, but a frame that is not constant, so its
 ``thicken`` and ``eom --symbolic`` outputs run the rational-coefficient
 paths that the integer DW cases skip.
+``tests/golden/dw_rational_n4.json`` is the same spec at base dimension 4
+(``spec_dict(4, "dw_rational_n4")``, first horizontal field ``{"x2": "x1"}``);
+like DW n = 4, its ``thicken`` and ``eom --symbolic`` outputs are pinned by
+sha256 in ``DIGESTS``.  They were generated and committed before
+``coeff._div_exact`` became a one-pass division, and pin that the change
+left them unchanged.
 ``tests/golden/dw_half_n3.json`` is ``spec_dict(3, "dw_half_n3")`` with
 its first horizontal field replaced by ``{"x2": "2"}``: a constant frame
 whose coframe carries 1/2, so its coefficients are fractional polynomials
@@ -68,7 +74,9 @@ ORTHOGONAL = (
     ("r6_thickening", ["--submanifold", "x5=0,x6=0", "--ell", "2"], 0),
 )
 THICKEN = ("scalar_field_2d", "r4_premultisymplectic")
-GOLDEN_SPECS = ("dw_n3", "dw_n4", "dw_rational_n3", "dw_half_n3", "rational_frame")
+GOLDEN_SPECS = (
+    "dw_n3", "dw_n4", "dw_rational_n3", "dw_rational_n4", "dw_half_n3", "rational_frame"
+)
 SECTIONS = (("section_zero", 0), ("section_nonzero", 1))  # (section file, exit code)
 TEXT_COMMANDS = ("orthogonal", "eom")
 TIMING = re.compile(r"\[\d+\.\d ms\]")
@@ -78,6 +86,10 @@ DIGESTS = {
     "thicken_dw_n4_spec_seed.spec.json": "edfb5f0f89047f40619f53a2484d9fb845bda048d4414a72840b95355e6bfe86",
     "eom_dw_n4_thickened_spec_seed.jsonl": "f6589d9a580abf7bd9a86198d291596b463776460e5050511d6e489078c1d2b1",
     "eom_dw_n4_thickened_spec_seed.txt": "bd7914c2cc8c997b476f8ba8f1d0873bc29a095aaebd249349028d53cb4e251a",
+    "thicken_dw_rational_n4_spec_seed.jsonl": "c57d6bb4933ca0eb1d4567a187d92adef5b440b7e1613df197b2826bb4ea59cd",
+    "thicken_dw_rational_n4_spec_seed.spec.json": "45edb456628d54f3ed0d516c86909bd51216558cca0942a6921218dbe4f33644",
+    "eom_dw_rational_n4_thickened_spec_seed.jsonl": "7efcbfcf3eaffdd356f26cb69e2eecf8e11779dedd25d220e5cedf6a9f679fbc",
+    "eom_dw_rational_n4_thickened_spec_seed.txt": "589e082dad83dbd1da3a85a9894b5f8304ccf8fd53b8e5384a77d91817d32327",
 }
 
 
@@ -96,11 +108,13 @@ def _cases():
     yield "thicken", "dw_n4", [], None, 0
     yield "thicken", "rational_frame", [], None, 0
     yield "thicken", "dw_rational_n3", [], None, 0
+    yield "thicken", "dw_rational_n4", [], None, 0
     yield "check", "dw_half_n3", [], None, 0
     yield "thicken", "dw_half_n3", [], None, 0
     yield "eom", "dw_n3_thickened", ["--symbolic"], None, 0
     yield "eom", "dw_n4_thickened", ["--symbolic"], None, 0
     yield "eom", "dw_rational_n3_thickened", ["--symbolic"], None, 0
+    yield "eom", "dw_rational_n4_thickened", ["--symbolic"], None, 0
     yield "eom", "dw_half_n3_thickened", ["--symbolic"], None, 0
     for section, code in SECTIONS:
         section_path = os.path.join(GOLDEN_DIR, section + ".json")
