@@ -21,6 +21,7 @@ A leading sign is accepted as a convenience on top of the documented grammar.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import re
@@ -140,17 +141,6 @@ def add_terms(out: dict, terms: Mapping[tuple, Fraction], negate: bool = False) 
                 del out[e]
         else:
             out[e] = c
-
-
-def _bump(e: tuple, idx: int, delta: int) -> tuple:
-    """e with the power of variable idx raised by delta; a zero power is dropped."""
-    powers = dict(e)
-    k = powers.get(idx, 0) + delta
-    if k:
-        powers[idx] = k
-    else:
-        powers.pop(idx, None)
-    return tuple(sorted(powers.items()))
 
 
 class Poly:
@@ -305,13 +295,14 @@ class Poly:
         return result
 
     def diff(self, name: str) -> "Poly":
+        """Partial derivative: each monomial holding the variable is divided by it once."""
         idx = self.variables.index(name)
-        # lowering the power of idx maps distinct monomials to distinct ones
+        var = ((idx, 1),)
         out: dict = {}
         for e, c in self.terms.items():
             for i, k in e:
                 if i == idx:
-                    out[_bump(e, idx, -1)] = c * k
+                    out[_mono_div(e, var)] = c * k
                     break
         return Poly._trusted(self.variables, out)
 
@@ -376,22 +367,35 @@ class Poly:
 
 
 def _div_exact(a: Poly, b: Poly):
-    """Exact multivariate division a / b, or None if b does not divide a."""
+    """Exact multivariate division a / b, or None if b does not divide a.
+
+    One remainder dict is reduced from its largest monomial down: its
+    monomials are sorted once by ``term_order_key``, and each one a step adds
+    is inserted in order.  Graded lex is a monomial order, so a step adds only
+    monomials below the lead it cancels.  The quotient lists its terms largest first.
+    """
     if b.is_zero():
         return None
-    quot: dict = {}
-    rem = a
     lb = b._lead()
     cb = b.terms[lb]
-    while not rem.is_zero():
-        la = rem._lead()
+    rest = [(e, c) for e, c in b.terms.items() if e != lb]
+    rem = dict(a.terms)
+    order = sorted(rem, key=term_order_key)
+    quot: dict = {}
+    while order:
+        la = order.pop()
+        if la not in rem:  # cancelled by an earlier step
+            continue
         e = _mono_div(la, lb)
         if e is None:
             return None
-        c = rem.terms[la] / cb
-        quot[e] = c
-        rem = rem - Poly(a.variables, {e: c}) * b
-    return Poly(a.variables, quot)
+        q = quot[e] = rem.pop(la) / cb
+        step = {_mono_mul(e, m): -q * c for m, c in rest}
+        for m in step:
+            if m not in rem:
+                bisect.insort(order, m, key=term_order_key)
+        add_terms(rem, step)
+    return Poly._trusted(a.variables, quot)
 
 
 def _vcoeffs(p: Poly, idx: int) -> dict:
@@ -405,10 +409,6 @@ def _vcoeffs(p: Poly, idx: int) -> dict:
     return {k: Poly(p.variables, t) for k, t in out.items()}
 
 
-def _shift(p: Poly, idx: int, k: int) -> Poly:
-    return Poly(p.variables, {_bump(e, idx, k): c for e, c in p.terms.items()})
-
-
 def _prem(a: Poly, b: Poly, idx: int) -> Poly:
     """Pseudo-remainder of a by b with respect to variable idx."""
     db = b.degree_in(idx)
@@ -417,7 +417,9 @@ def _prem(a: Poly, b: Poly, idx: int) -> Poly:
     while not r.is_zero() and r.degree_in(idx) >= db:
         dr = r.degree_in(idx)
         lr = _vcoeffs(r, idx)[dr]
-        r = lb * r - _shift(lr * b, idx, dr - db)
+        if dr > db:
+            lr = lr * Poly._trusted(r.variables, {((idx, dr - db),): _ONE})
+        r = lb * r - lr * b
     return r
 
 
@@ -439,13 +441,12 @@ def _monomial_content(p: Poly) -> tuple:
 
 
 def _strip(p: Poly):
-    """Factor p = c * monomial * primitive with c the rational content."""
+    """Factor p = c * monomial * primitive with c the rational content; the
+    primitive part keeps p's term order, which the budgeted gcd depends on."""
     c = p.content()
     mono = _monomial_content(p)
-    stripped = Poly(
-        p.variables, {_mono_div(e, mono): coeff / c for e, coeff in p.terms.items()}
-    )
-    return c, mono, stripped
+    terms = {_mono_div(e, mono): coeff / c for e, coeff in p.terms.items()}
+    return c, mono, Poly._trusted(p.variables, terms)
 
 
 def _prs_gcd(a: Poly, b: Poly, budget: list) -> Poly:
@@ -487,8 +488,8 @@ def _prs_gcd(a: Poly, b: Poly, budget: list) -> Poly:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """A divisor of gcd(a, b), exact and sign-normalized; 1 when coprime.
 
-    Cheap ladder: rational and monomial contents, equality, one-sided exact
-    division; a budgeted pseudo-remainder sequence only for small operands.
+    Cheap ladder: rational and monomial contents, one-sided exact division;
+    a budgeted pseudo-remainder sequence only for small operands.
     Callers only divide by the result, so returning a partial divisor is
     always sound.  ``base`` has a positive coefficient and multiplies only
     sign-normalized factors; under graded lex, a monomial order, the lead of
@@ -503,8 +504,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     base = Poly(a.variables, {_mono_gcd(ma, mb): _frac_gcd(ca, cb)})
     if len(pa.terms) == 1 or len(pb.terms) == 1:
         return base
-    if pa == pb or pa == -pb:
-        return base * _normalize_sign(pa)
     small, big = (pa, pb) if len(pa.terms) <= len(pb.terms) else (pb, pa)
     if _div_exact(big, small) is not None:
         return base * _normalize_sign(small)

@@ -24,7 +24,7 @@ no solution -- are reported as obstructions rather than silently dropped.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 from .coeff import Poly, ScalarExpr, partial_degree, term_order_key
 from .errors import DegreeError, PlecticError
@@ -218,18 +218,19 @@ class JetEquation(Record):
     the field symbols (fiber names) and jet symbols (``f__b``), over the jet
     chart; it is ``physical + auxiliary``.  ``physical`` collects the
     monomials free of auxiliary field/jet symbols; ``auxiliary`` is the
-    remainder.
+    remainder.  ``jet_axes`` is the set of jet-symbol axes, one set shared
+    by every equation of a system.
     """
 
     direction: str
     physical: ScalarExpr
     auxiliary: ScalarExpr
-    jet_axes: Tuple[int, ...]
+    jet_axes: FrozenSet[int]
 
     def jet_degree(self) -> int:
         """Largest total jet-symbol degree among the physical part's monomials."""
-        axes = set(self.jet_axes)
-        return max((partial_degree(e, axes) for e in self.physical.num.terms), default=0)
+        terms = self.physical.num.terms
+        return max((partial_degree(e, self.jet_axes) for e in terms), default=0)
 
     def kind(self) -> str:
         """Classify the physical part: pde, derived, obstruction, or empty."""
@@ -257,7 +258,7 @@ def _split_physical(expr: ScalarExpr, jets: Chart, aux_axes: set) -> Tuple[Scala
     return phys, aux
 
 
-def normalize_equation(expr: ScalarExpr, jet_axes: Sequence[int]) -> ScalarExpr:
+def normalize_equation(expr: ScalarExpr, jet_axes: AbstractSet[int]) -> ScalarExpr:
     """Scale so the leading jet monomial has rational coefficient +1.
 
     The leading monomial is the graded-lex largest among those of maximal jet
@@ -266,8 +267,7 @@ def normalize_equation(expr: ScalarExpr, jet_axes: Sequence[int]) -> ScalarExpr:
     """
     if expr.is_zero():
         return expr
-    axes = set(jet_axes)
-    lead = max(expr.num.terms, key=lambda e: (partial_degree(e, axes), term_order_key(e)))
+    lead = max(expr.num.terms, key=lambda e: (partial_degree(e, jet_axes), term_order_key(e)))
     return expr * (1 / expr.num.terms[lead])
 
 
@@ -341,7 +341,7 @@ def eom_symbolic_system(omega_hat: Form, fibered: FiberedChart) -> EOMSystem:
     _check_top_degree(omega_hat, fibered)
     jets = _jet_chart(fibered)
     jet_axis = {name: axis for axis, name in enumerate(jets.coords)}
-    jet_axes = tuple(
+    jet_axes = frozenset(
         jet_axis[jet_symbol(f, b)] for f in fibered.fiber for b in fibered.base
     )
     aux_axes = {jet_axis[a] for a in fibered.auxiliary}

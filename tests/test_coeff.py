@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plectic import coeff
 from plectic.coeff import (
     _GCD_TERM_LIMIT,
     DivisionByZeroExprError,
@@ -854,3 +855,61 @@ def test_reduce_term_order_matches_dense_reference(case):
         return
     want = _d_reduce(num, den)
     assert _same(got[0], want[0]) and _same(got[1], want[1])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_dense_cases())
+def test_div_exact_matches_dense_reference(case):
+    # the quotient term for term and in order, or None on both sides
+    names, (a, b, c), _ = case
+    divisions = [(a * c, c), (a, c), (a, a), (a, -a)]
+    if c.terms:
+        lead = c.lead()
+        one_term = _Dense(c.n, {lead: c.terms[lead]})
+        divisions += [(a * one_term, one_term), (b, one_term)]
+    for num, den in divisions:
+        if not den.terms:
+            continue
+        got = _div_exact(_as_poly(names, num), _as_poly(names, den))
+        want = _d_div_exact(num, den)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert _same(got, want)
+
+
+def test_div_exact_by_one_term_sorts_the_remainder_once(monkeypatch):
+    # a search for the remainder's lead on every step would make about n^2 / 2 calls
+    calls = [0]
+    key = coeff.term_order_key
+
+    def counted(e):
+        calls[0] += 1
+        return key(e)
+
+    monkeypatch.setattr(coeff, "term_order_key", counted)
+    names = ("x", "y", "z")
+    exps = itertools.product(range(1, 9), range(5), range(10))  # 400 monomials, all divisible by x
+    a = Poly(names, {_sparse(e): Fraction(sum(e) + 1, 3) for e in exps})
+    b = Poly(names, {((0, 1),): Fraction(2)})
+    q = _div_exact(a, b)
+    assert calls[0] <= 3 * len(a.terms)
+    assert q * b == a
+    assert list(q.terms) == sorted(q.terms, key=key, reverse=True)
+
+
+def test_reduce_finds_the_shared_factor_in_the_given_term_order():
+    # The pseudo-remainder sequence of poly_gcd runs on a step budget, so
+    # whether it finds c depends on the term order of the primitive parts
+    # that _strip hands it: in the order of num and den it finds c, sorted
+    # largest first it runs out and num / den would come back unreduced.
+    names = ("v0", "v1")
+    a = _Dense(2, {(0, 0): Fraction(4), (2, 2): Fraction(-1), (0, 1): Fraction(1)})
+    b = _Dense(
+        2, {(3, 3): Fraction(-5), (0, 3): Fraction(-5), (0, 1): Fraction(1), (0, 0): Fraction(3, 2)}
+    )
+    c = _Dense(2, {(1, 1): Fraction(-4), (0, 0): Fraction(-1), (2, 3): Fraction(-4)})
+    num, den = b * c, a * c
+    got = _reduce(_as_poly(names, num), _as_poly(names, den))
+    want = _d_reduce(num, den)
+    assert _same(got[0], want[0]) and _same(got[1], want[1])
+    assert (len(got[0].terms), len(got[1].terms)) == (len(b.terms), len(a.terms))
