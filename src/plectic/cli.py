@@ -275,7 +275,11 @@ def cmd_eom(args) -> int:
     fibered = spec.fibered_chart()
     if bool(args.symbolic) == bool(args.section):
         raise SpecError("eom", "exactly one of --symbolic or --section is required")
-    section = load_section(args.section, fibered) if args.section else None
+    # computed before the header: a spec that fails here prints nothing
+    if args.symbolic:
+        system = eom_symbolic_system(spec.form, fibered)
+    else:
+        residual = eom_residual(spec.form, fibered, load_section(args.section, fibered))
     out.header(
         command="eom",
         spec=spec.name,
@@ -284,8 +288,6 @@ def cmd_eom(args) -> int:
         auxiliary=list(fibered.auxiliary),
     )
     if args.symbolic:
-        system = eom_symbolic_system(spec.form, fibered)
-
         def by_direction(pairs, key="equation", show=system.display):
             return [{"direction": d, key: show(e)} for d, e in pairs]
 
@@ -309,7 +311,6 @@ def cmd_eom(args) -> int:
                 lines.append(("  [from direction {direction}] " + text).format(**item))
         out.info("\n".join(lines), payload, "eom_symbolic")
         return EXIT_OK
-    residual = eom_residual(spec.form, fibered, section)
     entries = [
         {
             "direction": name,

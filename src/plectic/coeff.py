@@ -39,6 +39,9 @@ _GCD_TERM_LIMIT = 80
 # the coefficient of every constant-one polynomial; Fractions are immutable
 _ONE = Fraction(1)
 
+# the largest exponent the parser accepts: ``Poly.__pow__`` multiplies n times
+_MAX_EXPONENT = 64
+
 
 class ExprSyntaxError(PlecticError):
     """Malformed coefficient expression; carries the 0-based offset."""
@@ -440,13 +443,12 @@ def _monomial_content(p: Poly) -> tuple:
     return mono
 
 
-def _strip(p: Poly):
-    """Factor p = c * monomial * primitive with c the rational content; the
-    primitive part keeps p's term order, which the budgeted gcd depends on."""
-    c = p.content()
-    mono = _monomial_content(p)
+def _strip(p: Poly, c: Fraction, mono: tuple) -> Poly:
+    """The primitive part of p = c * mono * primitive, for p's rational and
+    monomial contents; it keeps p's term order, which the budgeted gcd
+    depends on."""
     terms = {_mono_div(e, mono): coeff / c for e, coeff in p.terms.items()}
-    return c, mono, Poly._trusted(p.variables, terms)
+    return Poly._trusted(p.variables, terms)
 
 
 def _prs_gcd(a: Poly, b: Poly, budget: list) -> Poly:
@@ -499,11 +501,11 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return _normalize_sign(b)
     if b.is_zero():
         return _normalize_sign(a)
-    ca, ma, pa = _strip(a)
-    cb, mb, pb = _strip(b)
+    ca, ma, cb, mb = a.content(), _monomial_content(a), b.content(), _monomial_content(b)
     base = Poly(a.variables, {_mono_gcd(ma, mb): _frac_gcd(ca, cb)})
-    if len(pa.terms) == 1 or len(pb.terms) == 1:
+    if len(a.terms) == 1 or len(b.terms) == 1:
         return base
+    pa, pb = _strip(a, ca, ma), _strip(b, cb, mb)
     small, big = (pa, pb) if len(pa.terms) <= len(pb.terms) else (pb, pa)
     if _div_exact(big, small) is not None:
         return base * _normalize_sign(small)
@@ -867,7 +869,11 @@ class _Parser:
         e = self.base()
         if self.peek()[0] == "^":
             self.next()
-            e = e ** self.nat(self.expect("num"))
+            tok = self.expect("num")
+            n = self.nat(tok)
+            if n > _MAX_EXPONENT:
+                raise ExprSyntaxError(f"exponent {n} is larger than {_MAX_EXPONENT}", tok[2])
+            e = e ** n
         return e
 
     def base(self) -> ScalarExpr:

@@ -218,30 +218,15 @@ class JetEquation(Record):
     the field symbols (fiber names) and jet symbols (``f__b``), over the jet
     chart; it is ``physical + auxiliary``.  ``physical`` collects the
     monomials free of auxiliary field/jet symbols; ``auxiliary`` is the
-    remainder.  ``jet_axes`` is the set of jet-symbol axes, one set shared
-    by every equation of a system.
+    remainder.  ``kind`` classifies the physical part by the largest total
+    jet-symbol degree of its monomials: ``obstruction`` (0), ``pde`` (1),
+    ``derived`` (2 or more), or ``empty`` when it is zero.
     """
 
     direction: str
     physical: ScalarExpr
     auxiliary: ScalarExpr
-    jet_axes: FrozenSet[int]
-
-    def jet_degree(self) -> int:
-        """Largest total jet-symbol degree among the physical part's monomials."""
-        terms = self.physical.num.terms
-        return max((partial_degree(e, self.jet_axes) for e in terms), default=0)
-
-    def kind(self) -> str:
-        """Classify the physical part: pde, derived, obstruction, or empty."""
-        if self.physical.is_zero():
-            return "empty"
-        deg = self.jet_degree()
-        if deg == 0:
-            return "obstruction"
-        if deg == 1:
-            return "pde"
-        return "derived"
+    kind: str
 
 
 def _split_physical(expr: ScalarExpr, jets: Chart, aux_axes: set) -> Tuple[ScalarExpr, ScalarExpr]:
@@ -272,43 +257,44 @@ def normalize_equation(expr: ScalarExpr, jet_axes: AbstractSet[int]) -> ScalarEx
 
 
 class EOMSystem(Record):
-    """The formal first-order system of a form over a fibered chart."""
+    """The formal first-order system of a form over a fibered chart.
+
+    ``jet_axes`` is the set of jet-symbol axes of ``jets``, by which
+    ``normalize_equation`` measures jet degree.
+    """
 
     fibered: FiberedChart
     jets: Chart
+    jet_axes: FrozenSet[int]
     equations: List[JetEquation]
 
     def physical_system(self) -> List[ScalarExpr]:
         """Distinct normalized physical PDE parts (jet-affine, at least one jet)."""
         out: List[ScalarExpr] = []
         for eq in self.equations:
-            if eq.kind() != "pde":
+            if eq.kind != "pde":
                 continue
-            n = normalize_equation(eq.physical, eq.jet_axes)
+            n = normalize_equation(eq.physical, self.jet_axes)
             if not any(n == seen or n == -seen for seen in out):
                 out.append(n)
         return out
 
     def auxiliary_system(self) -> List[Tuple[str, ScalarExpr]]:
         return [
-            (eq.direction, normalize_equation(eq.auxiliary, eq.jet_axes))
+            (eq.direction, normalize_equation(eq.auxiliary, self.jet_axes))
             for eq in self.equations
             if not eq.auxiliary.is_zero()
         ]
 
     def derived_combinations(self) -> List[Tuple[str, ScalarExpr]]:
         return [
-            (eq.direction, normalize_equation(eq.physical, eq.jet_axes))
+            (eq.direction, normalize_equation(eq.physical, self.jet_axes))
             for eq in self.equations
-            if eq.kind() == "derived"
+            if eq.kind == "derived"
         ]
 
     def obstructions(self) -> List[Tuple[str, ScalarExpr]]:
-        return [
-            (eq.direction, eq.physical)
-            for eq in self.equations
-            if eq.kind() == "obstruction"
-        ]
+        return [(eq.direction, eq.physical) for eq in self.equations if eq.kind == "obstruction"]
 
     def __post_init__(self):
         # the printed name of each jet-chart variable: f__b -> d(f)/d(b)
@@ -336,7 +322,7 @@ def eom_symbolic_system(omega_hat: Form, fibered: FiberedChart) -> EOMSystem:
     The contractions of every direction come from one pass over omega_hat
     (``_fiber_contractions``), with each coefficient renamed to the jet
     chart once; ``substitute`` then pulls each direction back along the
-    formal graph.
+    formal graph.  Each equation's ``kind`` is set here, once.
     """
     _check_top_degree(omega_hat, fibered)
     jets = _jet_chart(fibered)
@@ -360,5 +346,7 @@ def eom_symbolic_system(omega_hat: Form, fibered: FiberedChart) -> EOMSystem:
         if residual.is_zero():
             continue
         physical, auxiliary = _split_physical(residual, jets, aux_axes)
-        equations.append(JetEquation(name, physical, auxiliary, jet_axes))
-    return EOMSystem(fibered, jets, equations)
+        degree = max((partial_degree(e, jet_axes) for e in physical.num.terms), default=None)
+        kind = "empty" if degree is None else ("obstruction", "pde", "derived")[min(degree, 2)]
+        equations.append(JetEquation(name, physical, auxiliary, kind))
+    return EOMSystem(fibered, jets, jet_axes, equations)

@@ -324,18 +324,10 @@ def multisymplectic_orthogonal(
     choices of W_j from n_basis}.  Tuples range over unordered combinations
     (the contraction alternates, so ordered tuples add nothing); if fewer
     than ell spanning vectors exist the result is the full tangent space.
-
-    A basis whose vectors each have exactly one nonzero entry spans a
-    coordinate subspace and goes to ``coordinate_orthogonal`` on its axes;
-    any other basis is contracted tuple by tuple with ``contract_constant``.
-    A scaled or repeated unit vector only scales or repeats a tuple's rows,
-    so both give the same row space, hence the same basis.
+    Each tuple is contracted with ``contract_constant``.
     """
     if ell < 1:
         raise PlecticError("ell must be >= 1")
-    supports = [[j for j, x in enumerate(w) if x] for w in n_basis]
-    if all(len(s) == 1 for s in supports):
-        return coordinate_orthogonal(form, point, [s[0] for s in supports], ell)
     consts = form.eval_coefficients(point)
     rows = []
     for ws in itertools.combinations(range(len(n_basis)), ell):

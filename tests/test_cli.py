@@ -380,6 +380,32 @@ def test_eom_requires_fibration(capsys):
     assert "fibration" in err
 
 
+@pytest.mark.parametrize(
+    "coordinates,degree,modes,message",
+    [
+        (["x", "t", "u", "v"], 2, ["--symbolic", "--section"],
+         "form degree 2 != base dimension + 1 = 3"),
+        (["x", "t", "u", "u__x"], 3, ["--symbolic"],
+         "jet symbol 'u__x' collides with a coordinate"),
+    ],
+    ids=["degree", "jet-collision"],
+)
+def test_eom_input_error_prints_no_header(tmp_path, capsys, coordinates, degree, modes, message):
+    spec = write_json(tmp_path / "bad.json", {
+        "name": "bad",
+        "coordinates": coordinates,
+        "form": {"degree": degree, "terms": [{"indices": coordinates[1:degree + 1], "coeff": "1"}]},
+        "fibration": {"base": ["x", "t"]},
+    })
+    section = write_json(tmp_path / "section.json", {n: "0" for n in coordinates[2:]})
+    for mode in modes:
+        argv = ["eom", spec, mode] + ([section] if mode == "--section" else [])
+        for json_flag in ([], ["--json"]):
+            code, out, err = run(capsys, *argv, *json_flag)
+            assert (code, out) == (2, "")
+            assert err == f"error: {message}\n"
+
+
 def test_plectic_seed_env_must_be_integer(capsys, monkeypatch):
     monkeypatch.setenv("PLECTIC_SEED", "soon")
     code, _, err = run(capsys, "check", fixture_path("scalar_field_2d.json"))
@@ -492,6 +518,23 @@ def test_check_rejects_negative_samples(capsys):
     assert code == 2
     assert out == ""
     assert "--samples" in err and "positive" in err
+
+
+def test_check_refuses_a_huge_exponent_in_time(tmp_path):
+    # x^100000000 would take 10^8 multiplications; the timeout turns a hang into a failure
+    spec = write_json(tmp_path / "pow.json", {
+        "name": "pow",
+        "coordinates": ["x", "y"],
+        "form": {"degree": 1, "terms": [{"indices": ["x"], "coeff": "x^100000000"}]},
+    })
+    src = os.path.dirname(os.path.dirname(plectic.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "plectic.cli", "check", spec],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "exponent 100000000 is larger than 64 (at position 2)" in proc.stderr
 
 
 def test_json_is_byte_stable_across_hash_seeds(tmp_path):

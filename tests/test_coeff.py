@@ -87,8 +87,10 @@ def test_parse_illegal_character_position():
         ("x + " + "1" * 4301, "integer of 4301 digits is too long", 4),
         ("x^" + "2" * 5000, "integer of 5000 digits is too long", 2),
         ("(" * 5000 + "x" + ")" * 5000, "parentheses nested too deeply", None),
+        ("x^65", "exponent 65 is larger than 64", 2),
+        ("2^100000000", "exponent 100000000 is larger than 64", 2),
     ],
-    ids=["long-literal", "long-exponent", "deep-parentheses"],
+    ids=["long-literal", "long-exponent", "deep-parentheses", "x^65", "2^100000000"],
 )
 def test_parse_rejects_integers_past_the_digit_limit_and_deep_nesting(src, message, position):
     with pytest.raises(ExprSyntaxError, match=message) as err:
@@ -97,6 +99,10 @@ def test_parse_rejects_integers_past_the_digit_limit_and_deep_nesting(src, messa
         assert src[err.value.position] == "("
     else:
         assert err.value.position == position
+
+
+def test_parse_accepts_the_largest_exponent():
+    assert parse_expr("x^64", VARS) == ScalarExpr(Poly(VARS, {((0, 64),): Fraction(1)}))
 
 
 @pytest.mark.parametrize("src,position", [("2²", 1), ("x + ٣", 4), ("xé", 1)])
@@ -895,6 +901,27 @@ def test_div_exact_by_one_term_sorts_the_remainder_once(monkeypatch):
     assert calls[0] <= 3 * len(a.terms)
     assert q * b == a
     assert list(q.terms) == sorted(q.terms, key=key, reverse=True)
+
+
+def test_reduce_over_one_term_builds_no_primitive_part(monkeypatch):
+    # a one-term operand ends poly_gcd at the content rung, so neither
+    # operand's primitive part is needed
+    calls = [0]
+    strip = coeff._strip
+
+    def counted(*args):
+        calls[0] += 1
+        return strip(*args)
+
+    monkeypatch.setattr(coeff, "_strip", counted)
+    names = ("x", "y", "z")
+    exps = itertools.product(range(1, 5), range(5), range(5))  # 100 monomials, all divisible by x
+    num = Poly(names, {_sparse(e): Fraction(2 * sum(e) + 2, 3) for e in exps})
+    den = Poly(names, {((0, 2), (1, 1)): Fraction(4, 3)})
+    got_num, got_den = _reduce(num, den)
+    assert calls[0] == 0
+    assert got_den == Poly(names, {((0, 1), (1, 1)): Fraction(1)})
+    assert got_num * Poly(names, {((0, 1),): Fraction(4, 3)}) == num
 
 
 def test_reduce_finds_the_shared_factor_in_the_given_term_order():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from plectic import fieldtheory
 from plectic.coeff import Poly, ScalarExpr, parse_expr, partial_degree
 from plectic.errors import DegreeError, PlecticError
 from plectic.exterior import Chart, Form, VectorField, substitute
@@ -239,8 +240,16 @@ def _contract_each_direction(omega_hat, fibered):
     }
 
 
+def _reference_kind(physical, jet_axes):
+    """The class of a physical part, by the largest jet degree of its monomials."""
+    if physical.is_zero():
+        return "empty"
+    degree = max(partial_degree(e, jet_axes) for e in physical.num.terms)
+    return {0: "obstruction", 1: "pde"}.get(degree, "derived")
+
+
 def _reference_system(omega_hat, fibered):
-    """(jet chart, [(direction, physical, auxiliary)]) of the nonzero residuals."""
+    """(jet chart, [(direction, physical, auxiliary, kind)]) of the nonzero residuals."""
     base = fibered.base
     jets = base + fibered.fiber + tuple(
         f"{f}__{b}" for f in fibered.fiber for b in base
@@ -254,6 +263,7 @@ def _reference_system(omega_hat, fibered):
     ]
     aux = {jets.index(a) for a in fibered.auxiliary}
     aux |= {jets.index(f"{a}__{b}") for a in fibered.auxiliary for b in base}
+    jet_axes = set(range(len(fibered.total.coords), len(jets)))
     equations = []
     for name, contracted in _contract_each_direction(omega_hat, fibered).items():
         renamed = ((idx, c.subs_rename(jets)) for idx, c in contracted.terms.items())
@@ -267,7 +277,8 @@ def _reference_system(omega_hat, fibered):
             for e, c in residual.num.terms.items():
                 parts[bool(partial_degree(e, aux))][e] = c
             physical, auxiliary = (ScalarExpr(Poly(jets, t), residual.den) for t in parts)
-        equations.append((name, _structure(physical), _structure(auxiliary)))
+        kind = _reference_kind(physical, jet_axes)
+        equations.append((name, _structure(physical), _structure(auxiliary), kind))
     return jets, equations
 
 
@@ -310,8 +321,9 @@ def _assert_system_matches_reference(omega_hat, fibered):
     system = eom_symbolic_system(omega_hat, fibered)
     jets, want = _reference_system(omega_hat, fibered)
     assert system.jets.coords == jets
+    assert system.jet_axes == set(range(len(fibered.total.coords), len(jets)))
     got = [
-        (eq.direction, _structure(eq.physical), _structure(eq.auxiliary))
+        (eq.direction, _structure(eq.physical), _structure(eq.auxiliary), eq.kind)
         for eq in system.equations
     ]
     assert got == want
@@ -325,6 +337,32 @@ def test_symbolic_system_matches_a_contraction_per_direction_on_dw(path):
 def test_symbolic_system_matches_a_contraction_per_direction_on_random_forms():
     for omega, fibered, _ in _random_cases():
         _assert_system_matches_reference(omega, fibered)
+
+
+def test_accessors_compute_jet_degrees_only_to_normalize(monkeypatch):
+    # each equation is classified once, when the system is built: the
+    # accessors call partial_degree once per monomial they normalize
+    omega, fibered = _thickened_fibered(_golden_spec("dw_n3"))
+    system = eom_symbolic_system(omega, fibered)
+    jet_axes = set(range(len(fibered.total.coords), len(system.jets.coords)))
+    kinds = [_reference_kind(eq.physical, jet_axes) for eq in system.equations]
+    normalized = sum(
+        len(eq.physical.num.terms) for eq, kind in zip(system.equations, kinds)
+        if kind in ("pde", "derived")
+    ) + sum(len(eq.auxiliary.num.terms) for eq in system.equations)
+    assert {"pde", "derived", "obstruction"} <= set(kinds)
+    calls = [0]
+
+    def counted(e, axes):
+        calls[0] += 1
+        return partial_degree(e, axes)
+
+    monkeypatch.setattr(fieldtheory, "partial_degree", counted)
+    system.physical_system()
+    system.auxiliary_system()
+    system.derived_combinations()
+    system.obstructions()
+    assert calls[0] == normalized
 
 
 def _random_section(rng, fibered):

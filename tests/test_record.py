@@ -129,3 +129,6 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     added = set(proc.stdout.split())
     assert "plectic.cli" in added
     assert not added & {"dataclasses", "inspect"}
+    # the runtime stays standard-library only
+    outside = {m.partition(".")[0] for m in added} - {"plectic"} - sys.stdlib_module_names
+    assert not outside, sorted(outside)

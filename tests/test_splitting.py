@@ -409,10 +409,9 @@ def _unit_basis(rng, dim):
 
 
 def test_orthogonal_matches_brute_force_evaluation():
-    # unit bases take the read-off of coordinate subspaces, other bases the
-    # tuple-by-tuple contraction; a zero vector adds nothing to the span but
-    # sends any basis down the contraction path, which must give the same list,
-    # and coordinate_orthogonal on the unit basis's axes must give it too
+    # every basis is contracted tuple by tuple, and a zero vector, which adds
+    # nothing to the span, must leave the list as it is; on a unit basis,
+    # coordinate_orthogonal reads the same list off the terms, given the axes
     rng = random.Random(83)
     chart = Chart("c5", ("a", "b", "c", "d", "e"))
     zero = [F(0)] * 5
