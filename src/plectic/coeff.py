@@ -42,6 +42,10 @@ _ONE = Fraction(1)
 # the largest exponent the parser accepts: ``Poly.__pow__`` multiplies n times
 _MAX_EXPONENT = 64
 
+# the most terms the parser lets the numerator or denominator of a power have,
+# as predicted by ``_power_terms`` before the power is computed
+_MAX_POWER_TERMS = 10_000
+
 
 class ExprSyntaxError(PlecticError):
     """Malformed coefficient expression; carries the 0-based offset."""
@@ -87,9 +91,32 @@ def partial_degree(e: tuple, axes) -> int:
 
 
 def exact_point(point: Sequence) -> list:
-    """The point with every entry an int or a Fraction; floats, Decimals and
-    other rationals are converted exactly, as Fraction(x) does."""
-    return [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in point]
+    """The point with every entry an int or a Fraction: an integral value is an
+    int, and floats, Decimals and other rationals are converted exactly, as
+    Fraction(x) does."""
+    out = []
+    for x in point:
+        if type(x) is not int:
+            if not isinstance(x, Fraction):
+                x = Fraction(x)
+            if x.denominator == 1:
+                x = x.numerator
+        out.append(x)
+    return out
+
+
+def _power_terms(p: Poly, n: int) -> int:
+    """An upper bound on the number of terms of p^n, for n >= 1.
+
+    For p with m terms, v variables and total degree D, each term of p^n is
+    the product of a multiset of n terms of p, and a monomial of degree at
+    most n*D in the v variables: min(C(m+n-1, n), C(v+n*D, v)).
+    """
+    if not p.terms:
+        return 0
+    v = len({i for e in p.terms for i, _ in e})
+    degree = max(sum(k for _, k in e) for e in p.terms)
+    return min(math.comb(len(p.terms) + n - 1, n), math.comb(v + n * degree, v))
 
 
 def _mono_mul(a: tuple, b: tuple) -> tuple:
@@ -310,18 +337,22 @@ class Poly:
         return Poly._trusted(self.variables, out)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        """Value at a point of Fractions or ints (Fraction * int is a Fraction).
+        """Value, as a Fraction, at a point of Fractions or ints.
 
+        An integral coefficient is multiplied as an int, so at an integer
+        point (what exact_point makes of one) the sum is built from ints.
         Other numbers are not converted here; pass them through exact_point.
         """
         if len(point) != len(self.variables):
             raise ValueError("point dimension mismatch")
-        total = Fraction(0)
+        total = 0
         for e, c in self.terms.items():
+            if c.denominator == 1:
+                c = c.numerator
             for i, k in e:
                 c = c * point[i] ** k
             total += c
-        return total
+        return total if type(total) is Fraction else Fraction(total)
 
     def degree_in(self, idx: int) -> int:
         return max((k for e in self.terms for i, k in e if i == idx), default=0)
@@ -331,10 +362,13 @@ class Poly:
         return max(self.terms, key=term_order_key)
 
     def content(self) -> Fraction:
-        c = Fraction(0)
-        for coeff in self.terms.values():
-            c = _frac_gcd(c, abs(coeff))
-        return c if c else Fraction(1)
+        """The rational gcd of the coefficients, positive: the gcd of their
+        numerators over the lcm of their denominators (1 for zero)."""
+        coeffs = self.terms.values()
+        return Fraction(
+            math.gcd(*[c.numerator for c in coeffs]) or 1,
+            math.lcm(*[c.denominator for c in coeffs]),
+        )
 
     # -- display ---------------------------------------------------------
 
@@ -873,6 +907,11 @@ class _Parser:
             n = self.nat(tok)
             if n > _MAX_EXPONENT:
                 raise ExprSyntaxError(f"exponent {n} is larger than {_MAX_EXPONENT}", tok[2])
+            terms = max(_power_terms(e.num, n), _power_terms(e.den, n))
+            if terms > _MAX_POWER_TERMS:
+                raise ExprSyntaxError(
+                    f"power ^{n} may have {terms} terms, more than {_MAX_POWER_TERMS}", tok[2]
+                )
             e = e ** n
         return e
 

@@ -1,7 +1,10 @@
 """Exact linear algebra over Q and over symbolic rational functions.
 
 A matrix is a list of sparse rows ``{column: value}`` that carry no zero
-entries; the values are Fractions or ScalarExprs.  One exact elimination,
+entries; the values are ints, Fractions or ScalarExprs.  A pivot row of ints
+is scaled by exact int division where the pivot divides the entry, and to a
+Fraction where it does not, so an integer matrix is reduced on ints as far as
+its pivots allow.  One exact elimination,
 ``rref``, is field-generic and serves rank and kernels over Q (every
 pointwise verdict in the package), containment over Q (the tests' span
 checks) and the symbolic inverse of a frame over Q(x), which is the rref of
@@ -54,7 +57,8 @@ def rref(
     column (the new pivot), and cleared from the earlier rows.  Zero rows
     vanish, so the rank is the number of rows returned.  The form is unique,
     so results do not depend on the order of the rows.  Works over any field
-    whose values test nonzero with ``bool``: Fraction and ScalarExpr.
+    whose values test nonzero with ``bool``: Fraction and ScalarExpr, and
+    ints, which a pivot row scales to Fractions only where it must.
     With ``pivot_limit``, the elimination stops and returns None at the first
     row whose leading column is pivot_limit or more.
     """
@@ -72,7 +76,13 @@ def rref(
         if q >= pivot_limit:
             return None
         p = v[q]
-        v = {j: x / p for j, x in v.items()}
+        if type(p) is int:
+            v = {
+                j: (x // p if not x % p else Fraction(x, p)) if type(x) is int else x / p
+                for j, x in v.items()
+            }
+        else:
+            v = {j: x / p for j, x in v.items()}
         for r in reduced.values():
             if q in r:
                 _reduce(r, {q: v})
@@ -89,7 +99,8 @@ def kernel_basis(rows: Sequence[SparseRow], ncols: int) -> List[Vector]:
     """Exact basis of the right null space {v : M v = 0}, as dense vectors.
 
     Basis size always equals ncols - rank(M); basis vectors carry a 1 in
-    their defining free coordinate.
+    their defining free coordinate.  Over Q the entries are exact rationals,
+    ints or Fractions as the elimination left them.
     """
     reduced = rref(rows, ncols)
     basis = []

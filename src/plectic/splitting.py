@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .coeff import ScalarExpr
+from .coeff import ScalarExpr, exact_point
 from .errors import ChartMismatchError, PlecticError, PoleError
 from .exterior import (
     Chart,
@@ -66,14 +66,26 @@ class PreMultisymplecticManifold(Record):
             raise NotClosedError(residual)
 
 
+def _values_at(form: Form, point: Sequence[Fraction]) -> Dict[Index, Fraction]:
+    """The nonzero coefficients of a form at a point, each an int when integral."""
+    point = exact_point(point)
+    values = {}
+    for idx, c in form.terms.items():
+        v = c.evaluate(point)
+        if v:
+            values[idx] = v.numerator if v.denominator == 1 else v
+    return values
+
+
 def contraction_matrix(form: Form, point: Sequence[Fraction]):
     """Matrix of X |-> i_X form at a point, built from its nonzero terms.
 
     Only nonzero rows are returned: sparse {coordinate position: value} rows,
     indexed by the strictly increasing (degree-1)-tuples of coordinate
-    positions that carry a nonzero entry (lexicographic order).
+    positions that carry a nonzero entry (lexicographic order).  Integral
+    values are ints, so ``linalg.rref`` reduces them on ints.
     """
-    by_rest = _contraction_rows(form.eval_coefficients(point))
+    by_rest = _contraction_rows(_values_at(form, point))
     row_indices = sorted(by_rest)
     return [by_rest[rest] for rest in row_indices], row_indices
 
@@ -355,9 +367,7 @@ def coordinate_orthogonal(
         raise PlecticError("ell must be >= 1")
     axes = set(axes)
     contracted: Dict[Index, Dict[Index, Fraction]] = {}
-    for idx, c in form.eval_coefficients(point).items():
-        if not c:
-            continue
+    for idx, c in _values_at(form, point).items():
         inside = [pos for pos, axis in enumerate(idx) if axis in axes]
         for s in itertools.combinations(inside, ell):
             # moving the positions s to the front, in order, passes

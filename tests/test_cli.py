@@ -537,6 +537,23 @@ def test_check_refuses_a_huge_exponent_in_time(tmp_path):
     assert "exponent 100000000 is larger than 64 (at position 2)" in proc.stderr
 
 
+def test_check_refuses_a_huge_power_in_time(tmp_path):
+    # (x+t+u+v+w)^64 has 814,385 terms; it is refused before it is multiplied out
+    spec = write_json(tmp_path / "power.json", {
+        "name": "power",
+        "coordinates": ["x", "t", "u", "v", "w"],
+        "form": {"degree": 1, "terms": [{"indices": ["x"], "coeff": "(x+t+u+v+w)^64"}]},
+    })
+    src = os.path.dirname(os.path.dirname(plectic.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "plectic.cli", "check", spec],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "power ^64 may have 814385 terms, more than 10000 (at position 12)" in proc.stderr
+
+
 def test_json_is_byte_stable_across_hash_seeds(tmp_path):
     # string hashing changes set and dict order between interpreter runs;
     # neither --json nor the emitted spec may depend on it

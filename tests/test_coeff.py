@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -103,6 +104,42 @@ def test_parse_rejects_integers_past_the_digit_limit_and_deep_nesting(src, messa
 
 def test_parse_accepts_the_largest_exponent():
     assert parse_expr("x^64", VARS) == ScalarExpr(Poly(VARS, {((0, 64),): Fraction(1)}))
+
+
+POWER_VARS = ("x", "t", "u", "v", "w", "y")
+
+
+@pytest.mark.parametrize(
+    "src,terms",
+    [("(x+t+u+v+w)^24", 20475), ("(1/(x+t+u+v+w))^24", 20475)],
+    ids=["numerator", "denominator"],
+)
+def test_parse_rejects_a_power_predicted_past_the_term_limit(src, terms):
+    # the prediction comes before the power is built: (x+t+u+v+w)^24 has
+    # 20,475 terms and would take seconds to multiply out
+    with pytest.raises(ExprSyntaxError, match=f"may have {terms} terms, more than 10000") as err:
+        parse_expr(src, POWER_VARS)
+    assert err.value.position == src.rindex("^") + 1
+
+
+@pytest.mark.parametrize(
+    "src,terms", [("(x+t+u+v+w)^16", 4845), ("(x+y)^64", 65), ("((x+y)^8)^8", 65)]
+)
+def test_parse_accepts_powers_within_the_term_limit(src, terms):
+    # ((x+y)^8)^8: 9 terms to the 8th is C(16, 8) = 12,870 multisets, but at
+    # most C(2 + 64, 2) = 2,145 monomials of degree 64 or less in x and y
+    assert len(parse_expr(src, POWER_VARS).num.terms) == terms
+
+
+def test_power_terms_bound_the_terms_of_the_power():
+    rng = random.Random(6)
+    for _ in range(60):
+        p = _random_poly(rng, 5)
+        for n in (1, 2, 3):
+            predicted = coeff._power_terms(p, n)
+            assert len((p**n).terms) <= predicted
+            assert predicted <= math.comb(len(p.terms) + n - 1, n)
+    assert coeff._power_terms(Poly(VARS, {}), 5) == 0
 
 
 @pytest.mark.parametrize("src,position", [("2²", 1), ("x + ٣", 4), ("xé", 1)])
@@ -211,6 +248,31 @@ def test_leibniz_rule(a, b):
 @given(_scalars())
 def test_print_parse_roundtrip(a):
     assert parse_expr(str(a), VARS) == a
+
+
+def _content_fold(p):
+    """The rational gcd of p's coefficients, folded one coefficient at a time."""
+    c = Fraction(0)
+    for coeff in p.terms.values():
+        c = _frac_gcd(c, abs(coeff))
+    return c if c else Fraction(1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_content_matches_the_coefficient_fold(seed):
+    # mixed signs, fractional and zero coefficients, scaled by a shared factor
+    rng = random.Random(seed)
+    for _ in range(300):
+        scale = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+        terms = {
+            _sparse([rng.randint(0, 2) for _ in VARS5]):
+                scale * Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6, 9]))
+            for _ in range(rng.randint(0, 6))
+        }
+        p = Poly(VARS5, terms)
+        content = p.content()
+        assert type(content) is Fraction and content > 0
+        assert content == _content_fold(p)
 
 
 def test_gcd_reduction_keeps_values_exact():

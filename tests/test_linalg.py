@@ -11,6 +11,7 @@ from plectic.linalg import (
     invert,
     kernel_basis,
     rank,
+    rref,
     sparse,
     subspace_contained,
 )
@@ -173,6 +174,55 @@ def _random_matrix(rng, nrows, ncols):
                 for _ in range(ncols)
             ])
     return m
+
+
+def _random_int_matrix(rng, nrows, ncols):
+    """Small ints with non-unit entries, zero rows and rows that combine
+    earlier ones, so the rank is often below min(nrows, ncols)."""
+    m = []
+    for _ in range(nrows):
+        roll = rng.random()
+        if roll < 0.15:
+            m.append([0] * ncols)
+        elif roll < 0.35 and len(m) >= 2:
+            a, b = rng.sample(m, 2)
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            m.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            m.append([0 if rng.random() < 0.3 else rng.randint(-6, 6) for _ in range(ncols)])
+    return m
+
+
+def _int_rows(m):
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
+def _exact(values):
+    return all(type(x) in (int, Fraction) for x in values)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rref_rank_and_kernel_agree_on_int_and_fraction_matrices(seed):
+    # an int pivot row is scaled by exact int division where the pivot
+    # divides and to a Fraction where it does not: never to a float, and to
+    # the values the same matrix of Fractions gives
+    rng = random.Random(seed)
+    divided = 0
+    for trial in range(60):
+        nrows, ncols = [(3, 7), (8, 4), (6, 6)][trial % 3]
+        m = _random_int_matrix(rng, nrows, ncols)
+        ints, fracs = _int_rows(m), _rows(m)
+        reduced = rref(ints, ncols)
+        assert reduced == rref(fracs, ncols)
+        assert all(_exact(row.values()) for row in reduced.values())
+        divided += sum(type(x) is Fraction for row in reduced.values() for x in row.values())
+        assert rank(ints, ncols) == rank(fracs, ncols) == len(reduced)
+        basis = kernel_basis(ints, ncols)
+        assert basis == kernel_basis(fracs, ncols)
+        assert all(_exact(v) for v in basis)
+        for v in basis:
+            assert all(sum(row[j] * v[j] for j in range(ncols)) == 0 for row in m)
+    assert divided  # some pivots did not divide their row
 
 
 def test_rank_kernel_and_containment_agree_with_sympy():

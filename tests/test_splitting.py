@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -19,7 +20,7 @@ from plectic.splitting import (
     multisymplectic_orthogonal,
     verify_constant_rank,
 )
-from plectic.sampling import SampleConfig, pole_rejector
+from plectic.sampling import SampleConfig, pole_rejector, sample_points
 
 from conftest import random_form
 
@@ -117,6 +118,34 @@ def test_contraction_matrix_keeps_only_nonzero_rows():
         assert indices == [rest for rest, row in full.items() if any(row)]
         assert rows == [linalg.sparse(full[rest]) for rest in indices]
         assert all(row and all(row.values()) and max(row) < 6 for row in rows)
+
+
+def test_rref_of_a_dw_n3_contraction_matrix_holds_only_ints():
+    # every DW contraction entry at an integer point is an int; the
+    # elimination stays on ints at a point where each pivot divides its row,
+    # and elsewhere gives the Fractions the matrix of Fractions gives
+    from plectic.manifoldspec import load_spec
+    from plectic.splitting import contraction_matrix
+    from plectic.thicken import build_thickening
+
+    spec = load_spec(os.path.join(os.path.dirname(__file__), "golden", "dw_n3.json"))
+    manifold = spec.manifold()
+    omega = build_thickening(
+        manifold, build_split_frame(manifold, spec.vertical, spec.horizontal)
+    ).omega_tilde
+    dim = omega.chart.dim
+    int_only = []
+    for n, point in enumerate(sample_points(dim, SampleConfig(8, 3), pole_rejector(omega))):
+        rows, _ = contraction_matrix(omega, point)
+        assert all(type(x) is int for row in rows for x in row.values())
+        reduced = linalg.rref(rows, dim)
+        assert reduced == linalg.rref([{j: F(x) for j, x in row.items()} for row in rows], dim)
+        assert len(reduced) == dim
+        values = [x for row in reduced.values() for x in row.values()]
+        assert all(type(x) in (int, F) for x in values)
+        if all(type(x) is int for x in values):
+            int_only.append(n)
+    assert int_only == [1, 5]
 
 
 def test_kernel_dimension_invariant_under_relabeling(manifold4):
