@@ -474,6 +474,8 @@ def _monomial_content(p: Poly) -> tuple:
     mono = next(terms)
     for e in terms:
         mono = _mono_gcd(mono, e)
+        if not mono:  # the gcd of () with any monomial is ()
+            break
     return mono
 
 

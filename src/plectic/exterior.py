@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .coeff import Poly, ScalarExpr, add_terms, as_scalar, exact_point
-from .errors import ChartMismatchError, DegreeError, PlecticError
+from .errors import ChartMismatchError, DegreeError, PlecticError, PoleError
 from .record import Record
 
 Index = Tuple[int, ...]
@@ -87,7 +87,8 @@ def substitute(
 
     The choices are walked depth-first, row by row: an entry whose j is
     already chosen is skipped (its products all vanish), a term with an
-    empty row is skipped whole, and the product up to a row is shared by
+    empty row is skipped whole (``CoordinateMap.pullback`` drops such terms
+    before it composes them), and the product up to a row is shared by
     every choice below it, multiplied left to right as c * e1 * e2 * ...
     While c and every factor so far are polynomials over 1 (``den.is_one()``),
     the bare numerators are multiplied: that is the numerator
@@ -429,7 +430,7 @@ def interior_multi(fields: Sequence[VectorField], form: Form) -> Form:
 class CoordinateMap:
     """Rational map between charts: one source-coordinate expression per target coordinate."""
 
-    __slots__ = ("source", "target", "components", "_rows")
+    __slots__ = ("source", "target", "components", "_rows", "_dead")
 
     def __init__(self, source: Chart, target: Chart, components: Sequence):
         if len(components) != target.dim:
@@ -438,6 +439,7 @@ class CoordinateMap:
         self.target = target
         self.components = tuple(source.scalar(c) if not isinstance(c, ScalarExpr) else c for c in components)
         self._rows = None
+        self._dead = None
 
     @classmethod
     def identity(cls, chart: Chart) -> "CoordinateMap":
@@ -454,17 +456,45 @@ class CoordinateMap:
         )
 
     def pullback(self, form: Form) -> Form:
-        """Pull a form on the target chart back to the source chart."""
+        """Pull a form on the target chart back to the source chart.
+
+        A term with a factor dq^i whose component is constant along the map
+        (an empty differential row, as every fiber row of a zero section is)
+        pulls back to zero, so only the terms whose index misses those axes
+        are composed.  A dropped term still has its denominator composed and
+        raises ``PoleError`` where that vanishes on the image, as composing
+        the whole term would; a denominator shared by several dropped terms
+        is tested once.  A map with no constant component, such as a
+        thickening's ``tau``, composes every term.
+        """
         if form.chart != self.target:
             raise ChartMismatchError(
                 f"form lives on {form.chart.name!r}, map targets {self.target.name!r}"
             )
-        composed = ((idx, c.compose(self.components)) for idx, c in form.terms.items())
-        return Form(self.source, form.degree, substitute(composed, self._partial_rows()))
+        rows, values = self._partial_rows(), self.components
+        terms = form.terms.items()
+        if self._dead:
+            terms = self._kept_terms(terms)
+        composed = ((idx, c.compose(values)) for idx, c in terms)
+        return Form(self.source, form.degree, substitute(composed, rows))
+
+    def _kept_terms(self, terms) -> List[Tuple[Index, ScalarExpr]]:
+        """The terms whose index misses every constant component's axis; the
+        denominators of the others are composed and tested for a pole."""
+        dead, kept, tested = self._dead, [], set()
+        for idx, c in terms:
+            if dead.isdisjoint(idx):
+                kept.append((idx, c))
+            elif not c.den.is_one() and c.den not in tested:
+                tested.add(c.den)
+                if ScalarExpr(c.den).compose(self.components).is_zero():
+                    raise PoleError("substitution lands in the zero set of the denominator")
+        return kept
 
     def _partial_rows(self) -> List[List[Tuple[int, ScalarExpr]]]:
         """The differential of each component as its nonzero (j, d comp / d source_j)
-        pairs, computed at first use and kept (the map is immutable).
+        pairs, computed at first use and kept (the map is immutable), with the
+        set of target axes whose row is empty.
 
         Only the source axes in a component's support are differentiated along.
         """
@@ -475,6 +505,7 @@ class CoordinateMap:
                 row = [(j, comp.diff(coords[j])) for j in comp.support()]
                 rows.append([(j, p) for j, p in row if not p.is_zero()])
             self._rows = rows
+            self._dead = frozenset(i for i, row in enumerate(rows) if not row)
         return self._rows
 
     def pushforward_vector(self, point: Sequence[Fraction], vector: Sequence[Fraction]) -> List[Fraction]:

@@ -102,10 +102,21 @@ class Thickening(Record):
         return self.base.chart.dim
 
     def describe_frame(self) -> dict:
-        return {
-            "vertical_frame": [str(v) for v in self.frame.vertical],
-            "horizontal_frame": [str(h) for h in self.frame.horizontal],
-        }
+        """The frame fields as text, in new lists on every call.
+
+        Every sampled report quotes them, so they are rendered at the first
+        call and kept, not at construction, which a build without sampled
+        checks would pay for.
+        """
+        text = getattr(self, "_frame_text", None)
+        if text is None:
+            text = (
+                tuple(str(v) for v in self.frame.vertical),
+                tuple(str(h) for h in self.frame.horizontal),
+            )
+            object.__setattr__(self, "_frame_text", text)
+        vertical, horizontal = text
+        return {"vertical_frame": list(vertical), "horizontal_frame": list(horizontal)}
 
 
 def tautological_form(

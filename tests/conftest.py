@@ -13,6 +13,7 @@ from plectic import (
     build_split_frame,
     build_thickening,
 )
+from plectic.exterior import substitute
 
 
 def fixture_path(name: str) -> str:
@@ -102,6 +103,16 @@ def random_vector_field(rng: random.Random, chart: Chart) -> VectorField:
     return VectorField(
         chart, [random_poly_expr(rng, chart.coords, max_terms=2, max_exp=1) for _ in chart.coords]
     )
+
+
+# -- references ------------------------------------------------------------------
+
+
+def pullback_composing_every_term(phi, form: Form) -> Form:
+    """phi^* form with every term composed, also those whose index meets an
+    empty differential row, which substitute then drops."""
+    composed = [(idx, c.compose(phi.components)) for idx, c in form.terms.items()]
+    return Form(phi.source, form.degree, substitute(composed, phi._partial_rows()))
 
 
 # -- reference conversion for the sympy cross-checks ----------------------------

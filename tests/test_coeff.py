@@ -340,6 +340,27 @@ def _polys(variables, coeffs, max_size=4, min_size=0):
     )
 
 
+def _monomial_fold(p):
+    """The gcd of p's monomials, folded over every term."""
+    terms = iter(p.terms)
+    mono = next(terms)
+    for e in terms:
+        mono = coeff._mono_gcd(mono, e)
+    return mono
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_monomial_content_matches_the_full_fold(data):
+    # a shared monomial factor makes most contents nonconstant; the fold
+    # stops at the first () it reaches
+    variables = ("a", "b", "c")
+    p = data.draw(_polys(variables, _FRACTIONS.filter(bool), max_size=6, min_size=1))
+    shared = data.draw(st.tuples(*(st.integers(0, 3) for _ in variables)).map(_sparse))
+    p = p * Poly(variables, {shared: Fraction(1)})
+    assert coeff._monomial_content(p) == _monomial_fold(p)
+
+
 @st.composite
 def _reduce_inputs(draw):
     """(kind, num, den) over 3-5 variables with each kind of denominator."""

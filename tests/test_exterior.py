@@ -422,6 +422,70 @@ def test_a_map_differentiates_its_components_once():
     assert rows == _jacobian_all_axes(phi)
 
 
+# -- pullback composes only the terms it keeps ---------------------------------
+# A term with a factor along a constant component (an empty row) pulls back
+# to zero; the reference composes it anyway and lets substitute drop it.
+
+
+def _pullback_or_pole(pull, phi, form):
+    try:
+        return _term_lists(pull(phi, form))
+    except PoleError:
+        return PoleError
+
+
+def test_pullback_along_constant_components_matches_composing_every_term():
+    rng = random.Random(233)
+    src = Chart("src", ("a", "b", "c"))
+    target = Chart("tgt", ("x", "y", "z", "w"))
+    dropped = dropped_poles = 0
+    for trial in range(80):
+        comps = [random_poly_expr(rng, src.coords, max_terms=2, max_exp=1) for _ in range(4)]
+        if trial % 3 == 0:
+            comps[rng.randrange(4)] = random_scalar(rng, src.coords)
+        # constants in -3..-1 meet the random denominators c + coordinate, c in 1..3
+        for axis in rng.sample(range(4), rng.randint(1, 3)):
+            comps[axis] = ScalarExpr.const(src.coords, rng.randint(-3, -1))
+        phi = CoordinateMap(src, target, comps)
+        alpha = random_form(rng, target, rng.randint(1, 3), max_terms=4, rational=trial % 4 != 0)
+        got = _pullback_or_pole(CoordinateMap.pullback, phi, alpha)
+        assert got == _pullback_or_pole(_pullback_all_axes, phi, alpha), trial
+        dead = {i for i, row in enumerate(phi._partial_rows()) if not row}
+        kept = Form(target, alpha.degree, {i: c for i, c in alpha.terms.items() if dead.isdisjoint(i)})
+        dropped += len(kept.terms) < len(alpha.terms)
+        # a pole that only the dropped terms carry
+        dropped_poles += got is PoleError and _pullback_or_pole(_pullback_all_axes, phi, kept) != got
+    assert dropped >= 40 and dropped_poles >= 3
+
+
+def test_pullback_raises_on_a_pole_of_a_dropped_term(monkeypatch):
+    # (1/p) dp pulls back to zero along p = 0, but its coefficient has no
+    # value there: composing the whole term raises, and so does the pullback
+    target = Chart("xyp", ("x", "y", "p"))
+    src = Chart("xy", ("x", "y"))
+    along_zero = CoordinateMap(src, target, ["x", "y", "0"])
+    one_over_p = Form.from_terms(target, 1, [(("p",), "1/p")])
+    for form in (one_over_p, one_over_p + dx(target, "x")):
+        with pytest.raises(PoleError, match="zero set of the denominator"):
+            along_zero.pullback(form)
+    assert CoordinateMap(src, target, ["x", "y", "1"]).pullback(one_over_p).is_zero()
+    # two dropped terms over p + 1, which does not vanish there: one
+    # composition for the kept term and one test of the shared denominator
+    alpha = Form.from_terms(
+        target, 2, [(("p", "x"), "1/(p + 1)"), (("p", "y"), "x/(p + 1)"), (("x", "y"), "x*p + y")]
+    )
+    calls = [0]
+    compose = ScalarExpr.compose
+
+    def counted(self, values):
+        calls[0] += 1
+        return compose(self, values)
+
+    monkeypatch.setattr(ScalarExpr, "compose", counted)
+    assert along_zero.pullback(alpha) == Form.from_terms(src, 2, [(("x", "y"), "y")])
+    assert calls[0] == 2
+
+
 # -- substitute against the add_term loop --------------------------------------
 # substitute sums the products over 1 of an index in one raw dict;
 # the reference adds every product with add_term.

@@ -18,7 +18,13 @@ from plectic.manifoldspec import parse_spec_dict, thickened_spec_dict
 from plectic.splitting import build_split_frame
 from plectic.thicken import build_thickening
 
-from conftest import fixture_path, random_form, random_poly_expr, scalar_field_form
+from conftest import (
+    fixture_path,
+    pullback_composing_every_term,
+    random_form,
+    random_poly_expr,
+    scalar_field_form,
+)
 
 F = Fraction
 BASE = ("x", "t")
@@ -398,3 +404,31 @@ def test_residuals_match_a_contraction_per_direction_on_dw(path):
 def test_residuals_match_a_contraction_per_direction_on_random_forms():
     for omega, fibered, rng in _random_cases():
         _assert_residuals_match_reference(omega, fibered, _random_section(rng, fibered))
+
+
+def test_residuals_along_constant_components_match_composing_every_term(chart4, fibered4):
+    # rho_x = 3 on section_zero's graph: each term with a drho_x factor pulls
+    # back to zero, and the pullback drops it before composing it
+    cases = [(scalar_field_form(chart4), fibered4, _section(fibered4, "3*x + 5", "3", "x*t"))]
+    cube = parse_expr("x^3", BASE)
+    for omega, fibered, rng in _random_cases():
+        # positive constants miss the random denominators c + coordinate, c >= 1
+        components = {
+            n: ScalarExpr.const(BASE, rng.randint(1, 3))
+            if rng.random() < 0.5
+            else random_poly_expr(rng, BASE) + cube
+            for n in fibered.fiber
+        }
+        cases.append((omega, fibered, Section(fibered, components)))
+    for omega, fibered, section in cases:
+        got = eom_residual(omega, fibered, section).residuals
+        graph = section.graph_map()
+        want = {
+            name: pullback_composing_every_term(graph, contracted)
+            for name, contracted in _contract_each_direction(omega, fibered).items()
+        }
+        assert list(got) == list(want)
+        for name, form in got.items():
+            assert [(i, _structure(c)) for i, c in form.terms.items()] == [
+                (i, _structure(c)) for i, c in want[name].terms.items()
+            ]

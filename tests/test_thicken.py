@@ -36,7 +36,7 @@ from plectic.thicken import (
 
 from plectic.manifoldspec import load_spec
 from plectic.record import FrozenError
-from conftest import fixture_path
+from conftest import fixture_path, pullback_composing_every_term
 
 F = Fraction
 
@@ -200,8 +200,11 @@ def _theta0_by_wedges(thickening):
     return total
 
 
-def _framed_fixture_thickening(name):
-    spec = load_spec(fixture_path(name))
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def _spec_thickening(path):
+    spec = load_spec(path)
     manifold = spec.manifold()
     return build_thickening(manifold, build_split_frame(manifold, spec.vertical, spec.horizontal))
 
@@ -211,8 +214,8 @@ def test_theta0_is_the_sum_of_wedged_coframe_monomials(thickening4):
     # to the order of the terms and of every numerator and denominator term
     cases = [
         thickening4,
-        _framed_fixture_thickening("scalar_field_2d.json"),
-        _framed_fixture_thickening("r4_premultisymplectic.json"),
+        _spec_thickening(fixture_path("scalar_field_2d.json")),
+        _spec_thickening(fixture_path("r4_premultisymplectic.json")),
         _dw3_thickening(),
     ]
     for thickening in cases:
@@ -230,6 +233,62 @@ def test_theta0_is_the_sum_of_wedged_coframe_monomials(thickening4):
 def test_theta0_vanishes_on_zero_section(thickening4):
     pulled = thickening4.zero_section.pullback(thickening4.theta0)
     assert pulled.is_zero()
+
+
+def _term_lists(form):
+    return [
+        (idx, list(c.num.terms.items()), list(c.den.terms.items()))
+        for idx, c in form.terms.items()
+    ]
+
+
+@pytest.mark.parametrize(
+    "path, kept, terms, denominators",
+    [
+        (fixture_path("scalar_field_2d.json"), 3, 11, 0),
+        (os.path.join(GOLDEN, "dw_n3.json"), 7, 45, 0),
+        (os.path.join(GOLDEN, "dw_n4.json"), 21, 173, 0),
+        (os.path.join(GOLDEN, "dw_rational_n3.json"), 12, 50, 1),
+    ],
+    ids=["dw_n2", "dw_n3", "dw_n4", "dw_rational_n3"],
+)
+def test_zero_section_composes_only_the_terms_it_keeps(monkeypatch, path, kept, terms, denominators):
+    # every fiber row of the zero section is empty, so a term with a fiber
+    # factor pulls back to zero; only the denominator shared by the dropped
+    # rational terms is composed, to test it for a pole
+    thickening = _spec_thickening(path)
+    section, omega_tilde = thickening.zero_section, thickening.omega_tilde
+    want = _term_lists(pullback_composing_every_term(section, omega_tilde))
+    calls = _counting(monkeypatch, ScalarExpr, "compose")
+    pulled = section.pullback(omega_tilde)
+    assert _term_lists(pulled) == want
+    assert pulled == thickening.base.omega
+    assert len(omega_tilde.terms) == terms
+    assert calls[0] == kept + denominators
+    fibers = {thickening.big_chart.axis(n) for n in thickening.fiber_names}
+    assert sum(fibers.isdisjoint(idx) for idx in omega_tilde.terms) == kept
+    dropped_rational = [
+        c for idx, c in omega_tilde.terms.items() if not fibers.isdisjoint(idx) and not c.den.is_one()
+    ]
+    assert (len(dropped_rational) > denominators) == bool(denominators)
+
+
+def test_the_frame_is_rendered_once_per_thickening(monkeypatch, thickening4):
+    fresh = thickening4.replace()
+    calls = _counting(monkeypatch, VectorField, "__str__")
+    first = fresh.describe_frame()
+    assert calls[0] == 5  # two vertical and three horizontal fields
+    second = fresh.describe_frame()
+    assert calls[0] == 5
+    assert first == second == {
+        "vertical_frame": [str(v) for v in thickening4.frame.vertical],
+        "horizontal_frame": [str(h) for h in thickening4.frame.horizontal],
+    }
+    # each call gives new lists, so no two reports share one
+    assert first["vertical_frame"] is not second["vertical_frame"]
+    assert first["horizontal_frame"] is not second["horizontal_frame"]
+    first["vertical_frame"].append("mutated")
+    assert fresh.describe_frame() == second
 
 
 def test_theta0_pointwise_pairing(thickening4):
