@@ -35,6 +35,18 @@ over the denominator 1, which no other golden case has.  Its ``check``,
 ``thicken`` and ``eom --symbolic`` outputs were generated and committed
 before ``coeff._reduce`` stopped running the gcd ladder on such values,
 and pin that the change left them unchanged.
+``tests/golden/dw_rational_n5.json`` is the rational DW spec at base
+dimension 5 (``spec_dict(5, "dw_rational_n5")``, first horizontal field
+``{"x2": "x1"}``).  Its ``eom --symbolic`` outputs on the 467-dimensional
+thickened chart are pinned by sha256 in ``DIGESTS``.  Every coefficient of
+its coframe has a power of x1 as its denominator, so each output index of
+``exterior.substitute`` sums many products over monomial denominators.
+``tests/golden/dw_quad_n3.json`` is ``spec_dict(3, "dw_quad_n3")`` with
+its first horizontal field replaced by ``{"x2": "1 + x1^2"}``: the one
+golden case whose coframe has a denominator that is not a monomial,
+1 + x1^2.  Its ``thicken`` outputs were generated and committed before
+``exterior.substitute`` summed each output index's products over their
+denominators, and pin that the change left them unchanged.
 After an intended output change, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -75,7 +87,14 @@ ORTHOGONAL = (
 )
 THICKEN = ("scalar_field_2d", "r4_premultisymplectic")
 GOLDEN_SPECS = (
-    "dw_n3", "dw_n4", "dw_rational_n3", "dw_rational_n4", "dw_half_n3", "rational_frame"
+    "dw_n3",
+    "dw_n4",
+    "dw_rational_n3",
+    "dw_rational_n4",
+    "dw_rational_n5",
+    "dw_half_n3",
+    "dw_quad_n3",
+    "rational_frame",
 )
 SECTIONS = (("section_zero", 0), ("section_nonzero", 1))  # (section file, exit code)
 TEXT_COMMANDS = ("orthogonal", "eom")
@@ -90,6 +109,8 @@ DIGESTS = {
     "thicken_dw_rational_n4_spec_seed.spec.json": "45edb456628d54f3ed0d516c86909bd51216558cca0942a6921218dbe4f33644",
     "eom_dw_rational_n4_thickened_spec_seed.jsonl": "7efcbfcf3eaffdd356f26cb69e2eecf8e11779dedd25d220e5cedf6a9f679fbc",
     "eom_dw_rational_n4_thickened_spec_seed.txt": "589e082dad83dbd1da3a85a9894b5f8304ccf8fd53b8e5384a77d91817d32327",
+    "eom_dw_rational_n5_thickened_spec_seed.jsonl": "f676d5c5756d063187d1ec46c29c59409bdaa4ebe670f7cddebace9c1d628416",
+    "eom_dw_rational_n5_thickened_spec_seed.txt": "6a0f435dc6502f8f8102bec0086b9b18a5f308f5a7af55d9a89ec59d4d1e4327",
 }
 
 
@@ -111,11 +132,13 @@ def _cases():
     yield "thicken", "dw_rational_n4", [], None, 0
     yield "check", "dw_half_n3", [], None, 0
     yield "thicken", "dw_half_n3", [], None, 0
+    yield "thicken", "dw_quad_n3", [], None, 0
     yield "eom", "dw_n3_thickened", ["--symbolic"], None, 0
     yield "eom", "dw_n4_thickened", ["--symbolic"], None, 0
     yield "eom", "dw_rational_n3_thickened", ["--symbolic"], None, 0
     yield "eom", "dw_rational_n4_thickened", ["--symbolic"], None, 0
     yield "eom", "dw_half_n3_thickened", ["--symbolic"], None, 0
+    yield "eom", "dw_rational_n5_thickened", ["--symbolic"], None, 0
     for section, code in SECTIONS:
         section_path = os.path.join(GOLDEN_DIR, section + ".json")
         yield "eom", "scalar_field_2d", ["--section", section_path], None, code
