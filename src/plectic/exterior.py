@@ -94,14 +94,14 @@ def substitute(
     the bare numerators are multiplied: that is the numerator
     ``ScalarExpr.__mul__`` gives, with no ``_reduce`` to run.
 
-    The result, key order and term order included, is that of ``add_term``
-    on each product in turn, in ``itertools.product`` order.  But while
-    every product added to an index is a polynomial over 1, which
-    ``ScalarExpr`` sums without reducing, the index holds a raw
-    {monomial: Fraction} dict summed by ``add_terms`` as ``Poly.__add__``
-    sums, and becomes a ScalarExpr once, at the end or at the first other
-    product; a sum into a coefficient of m terms then costs the product's
-    terms, not O(m).
+    Each output index sums its products' numerators raw with ``add_terms``,
+    one {monomial: Fraction} dict per denominator; a dict that cancels is
+    deleted, and an index with none left.  At the end each dict becomes one
+    ScalarExpr, reduced once, and the index is their sum in order of first
+    appearance, dropped if zero.  An index of polynomials over 1 is thus,
+    key and term order included, ``add_term`` on each product in turn in
+    ``itertools.product`` order; any other index has its value, and its
+    text wherever ``_reduce`` is canonical, as over a monomial denominator.
     """
     out: Dict[Index, object] = {}
     # rows[i] as (j, e, e.num if e is a polynomial over 1 else None)
@@ -110,22 +110,14 @@ def substitute(
 
     def add(nidx: Index, sign: int, num, coeff) -> None:
         # num is the product's numerator if it is a polynomial over 1
-        if num is None and coeff.den.is_one():
-            num = coeff.num
-        acc = out.get(nidx)
-        if acc is None or type(acc) is dict:
-            if num is not None:
-                if acc is None:
-                    acc = out[nidx] = {}
-                add_terms(acc, num.terms, negate=sign < 0)
-                if not acc:
-                    del out[nidx]
-                return
-            if acc is not None:
-                out[nidx] = ScalarExpr(Poly(variables, acc))
-        elif coeff is None:
-            coeff = ScalarExpr(num)
-        add_term(out, nidx, coeff if sign > 0 else -coeff)
+        den = None if num is not None or coeff.den.is_one() else coeff.den
+        parts = out.setdefault(nidx, {})
+        acc = parts.setdefault(den, {})
+        add_terms(acc, (coeff.num if num is None else num).terms, negate=sign < 0)
+        if not acc:
+            del parts[den]
+            if not parts:
+                del out[nidx]
 
     def walk(level: int, chosen: Index, sign: int, num, coeff) -> None:
         # chosen: the sorted j of rows < level; num or coeff: their product
@@ -166,10 +158,10 @@ def substitute(
                 walk(0, (), 1, c.num, None)
             else:
                 walk(0, (), 1, None, c)
-    for nidx, acc in out.items():
-        if type(acc) is dict:
-            out[nidx] = ScalarExpr(Poly(variables, acc))
-    return out
+    for nidx, parts in out.items():
+        first, *rest = (ScalarExpr(Poly(variables, acc), den) for den, acc in parts.items())
+        out[nidx] = sum(rest, first)
+    return {nidx: c for nidx, c in out.items() if c}
 
 
 class Form:

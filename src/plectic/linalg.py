@@ -15,7 +15,7 @@ kernel bases, enter through ``sparse``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .errors import PlecticError
 
@@ -48,9 +48,7 @@ def _reduce(v: SparseRow, reduced: Dict[int, SparseRow]) -> None:
                 del v[j]
 
 
-def rref(
-    rows: Sequence[SparseRow], ncols: int, pivot_limit: Optional[int] = None
-) -> Optional[Dict[int, SparseRow]]:
+def rref(rows: Sequence[SparseRow], ncols: int) -> Dict[int, SparseRow]:
     """Reduced row echelon form of sparse rows, keyed by pivot column.
 
     Each row is reduced against the rows so far, scaled to 1 at its leading
@@ -59,11 +57,7 @@ def rref(
     so results do not depend on the order of the rows.  Works over any field
     whose values test nonzero with ``bool``: Fraction and ScalarExpr, and
     ints, which a pivot row scales to Fractions only where it must.
-    With ``pivot_limit``, the elimination stops and returns None at the first
-    row whose leading column is pivot_limit or more.
     """
-    if pivot_limit is None:
-        pivot_limit = ncols
     reduced: Dict[int, SparseRow] = {}
     for row in rows:
         if len(reduced) == ncols:
@@ -73,8 +67,6 @@ def rref(
         if not v:
             continue
         q = min(v)
-        if q >= pivot_limit:
-            return None
         p = v[q]
         if type(p) is int:
             v = {
@@ -133,16 +125,15 @@ def subspace_contained(span_a: Sequence[Vector], span_b: Sequence[Vector]) -> bo
 def invert(rows: Sequence[SparseRow], n: int) -> List[SparseRow]:
     """Exact inverse of an n x n matrix of sparse rows: the rref of [M | I].
 
-    The elimination stops at the first row of [M | I] whose M part reduces
-    to zero; M is singular then, and SingularMatrixError names the first
-    column without a pivot in the rref of M.  Each inverse row lists its
-    entries by column.
+    The pivots of the rref of [M | I] below column n are those of the rref
+    of M, so M is singular iff one of its columns has none, and
+    SingularMatrixError names the first such column.  Each inverse row lists
+    its entries by column.
     """
     if len(rows) != n or any(not 0 <= j < n for row in rows for j in row):
         raise DimensionMismatchError("matrix is not square")
-    reduced = rref([{**row, n + i: Fraction(1)} for i, row in enumerate(rows)], 2 * n, n)
-    if reduced is None:
-        pivots = rref(rows, n)
-        column = next(c for c in range(n) if c not in pivots)
+    reduced = rref([{**row, n + i: Fraction(1)} for i, row in enumerate(rows)], 2 * n)
+    column = next((c for c in range(n) if c not in reduced), None)
+    if column is not None:
         raise SingularMatrixError(f"no nonzero pivot in column {column}")
     return [{j - n: x for j, x in sorted(reduced[c].items()) if j >= n} for c in range(n)]

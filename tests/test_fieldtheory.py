@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from plectic import fieldtheory
-from plectic.coeff import Poly, ScalarExpr, parse_expr, partial_degree
+from plectic.coeff import Poly, ScalarExpr, _div_exact, parse_expr, partial_degree
 from plectic.errors import DegreeError, PlecticError
 from plectic.exterior import Chart, Form, VectorField, substitute
 from plectic.fieldtheory import (
@@ -343,6 +343,17 @@ def test_symbolic_system_matches_a_contraction_per_direction_on_dw(path):
 def test_symbolic_system_matches_a_contraction_per_direction_on_random_forms():
     for omega, fibered, _ in _random_cases():
         _assert_system_matches_reference(omega, fibered)
+
+
+def test_quadratic_frame_equations_divide_the_cube_of_its_denominator():
+    # the dw_quad_n3 coframe divides by 1 + x1^2; substitute reduces each
+    # index's sum once, so no equation keeps a power of it above the third
+    omega, fibered = _thickened_fibered(_golden_spec("dw_quad_n3"))
+    system = eom_symbolic_system(omega, fibered)
+    cube = parse_expr("(1 + x1^2)^3", system.jets.coords).num
+    dens = [part.den for eq in system.equations for part in (eq.physical, eq.auxiliary)]
+    assert len(dens) == 70
+    assert [str(den) for den in dens if _div_exact(cube, den) is None] == []
 
 
 def test_accessors_compute_jet_degrees_only_to_normalize(monkeypatch):

@@ -46,7 +46,9 @@ its first horizontal field replaced by ``{"x2": "1 + x1^2"}``: the one
 golden case whose coframe has a denominator that is not a monomial,
 1 + x1^2.  Its ``thicken`` outputs were generated and committed before
 ``exterior.substitute`` summed each output index's products over their
-denominators, and pin that the change left them unchanged.
+denominators, and pin that the change left them unchanged.  Its
+``eom --symbolic`` outputs were written after that change, which reduced
+four auxiliary equations to the denominator (1 + x1^2)^3.
 After an intended output change, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -139,6 +141,7 @@ def _cases():
     yield "eom", "dw_rational_n4_thickened", ["--symbolic"], None, 0
     yield "eom", "dw_half_n3_thickened", ["--symbolic"], None, 0
     yield "eom", "dw_rational_n5_thickened", ["--symbolic"], None, 0
+    yield "eom", "dw_quad_n3_thickened", ["--symbolic"], None, 0
     for section, code in SECTIONS:
         section_path = os.path.join(GOLDEN_DIR, section + ".json")
         yield "eom", "scalar_field_2d", ["--section", section_path], None, code
