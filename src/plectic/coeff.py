@@ -325,8 +325,11 @@ class Poly:
         return result
 
     def diff(self, name: str) -> "Poly":
-        """Partial derivative: each monomial holding the variable is divided by it once."""
-        idx = self.variables.index(name)
+        """Partial derivative along the named variable."""
+        return self._diff(self.variables.index(name))
+
+    def _diff(self, idx: int) -> "Poly":
+        """Partial derivative along variable idx: each monomial holding it is divided by it once."""
         var = ((idx, 1),)
         out: dict = {}
         for e, c in self.terms.items():
@@ -337,7 +340,13 @@ class Poly:
         return Poly._trusted(self.variables, out)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        """Value, as a Fraction, at a point of Fractions or ints.
+        """Value, as a Fraction, at a point of Fractions or ints."""
+        v = self._value(point)
+        return v if type(v) is Fraction else Fraction(v)
+
+    def _value(self, point: Sequence[Fraction]):
+        """Value at a point of Fractions or ints: an int where it is integral,
+        a Fraction elsewhere.
 
         An integral coefficient is multiplied as an int, so at an integer
         point (what exact_point makes of one) the sum is built from ints.
@@ -352,7 +361,7 @@ class Poly:
             for i, k in e:
                 c = c * point[i] ** k
             total += c
-        return total if type(total) is Fraction else Fraction(total)
+        return total if type(total) is int or total.denominator != 1 else total.numerator
 
     def degree_in(self, idx: int) -> int:
         return max((k for e in self.terms for i, k in e if i == idx), default=0)
@@ -687,13 +696,19 @@ class ScalarExpr:
     # -- calculus --------------------------------------------------------
 
     def diff(self, name: str) -> "ScalarExpr":
-        """Partial derivative: (p/q)' = (q p' - p q') / q^2."""
-        if name not in self.variables:
-            raise PlecticError(f"unknown variable {name!r}")
+        """Partial derivative along the named variable."""
+        try:
+            axis = self.variables.index(name)
+        except ValueError:
+            raise PlecticError(f"unknown variable {name!r}") from None
+        return self._diff(axis)
+
+    def _diff(self, axis: int) -> "ScalarExpr":
+        """Partial derivative along variable axis: (p/q)' = (q p' - p q') / q^2."""
         if self.den.is_one():
-            return ScalarExpr(self.num.diff(name), self.den)
+            return ScalarExpr(self.num._diff(axis), self.den)
         return ScalarExpr(
-            self.den * self.num.diff(name) - self.num * self.den.diff(name),
+            self.den * self.num._diff(axis) - self.num * self.den._diff(axis),
             self.den * self.den,
         )
 

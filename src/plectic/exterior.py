@@ -293,11 +293,10 @@ class Form:
 
     def d(self) -> "Form":
         """Exterior derivative; d(d(a)) = 0."""
-        coords = self.chart.coords
         out: Dict[Index, ScalarExpr] = {}
         for idx, c in self.terms.items():
             for axis in c.support():
-                dc = c.diff(coords[axis])
+                dc = c._diff(axis)
                 if dc.is_zero():
                     continue
                 sign, nidx = sort_index((axis,) + idx)
@@ -491,10 +490,9 @@ class CoordinateMap:
         Only the source axes in a component's support are differentiated along.
         """
         if self._rows is None:
-            coords = self.source.coords
             rows = []
             for comp in self.components:
-                row = [(j, comp.diff(coords[j])) for j in comp.support()]
+                row = [(j, comp._diff(j)) for j in comp.support()]
                 rows.append([(j, p) for j, p in row if not p.is_zero()])
             self._rows = rows
             self._dead = frozenset(i for i, row in enumerate(rows) if not row)

@@ -10,6 +10,16 @@ pointwise verdict in the package), containment over Q (the tests' span
 checks) and the symbolic inverse of a frame over Q(x), which is the rref of
 [M | I].  Zero rows and zero entries cost nothing.  Dense vectors, such as
 kernel bases, enter through ``sparse``.
+
+Before it eliminates, ``rref`` peels off the unit rows: a row with a single
+entry at column q spans the unit row e_q, and deleting the unit columns
+from the other rows leaves the row space as it is, split as span(e_S) plus
+the span of what is left.  The rref is unique, so the peel changes no rank,
+kernel vector or witness, only how much arithmetic reaches them.  Most rows
+of a point's contraction matrix in the DeDonder-Weyl family have one entry,
+and the peel alone reaches full rank there.  [M | I] has no single-entry
+row unless M has a zero row, so ``invert`` does the same arithmetic as
+without the peel.
 """
 
 from __future__ import annotations
@@ -51,18 +61,40 @@ def _reduce(v: SparseRow, reduced: Dict[int, SparseRow]) -> None:
 def rref(rows: Sequence[SparseRow], ncols: int) -> Dict[int, SparseRow]:
     """Reduced row echelon form of sparse rows, keyed by pivot column.
 
-    Each row is reduced against the rows so far, scaled to 1 at its leading
-    column (the new pivot), and cleared from the earlier rows.  Zero rows
-    vanish, so the rank is the number of rows returned.  The form is unique,
-    so results do not depend on the order of the rows.  Works over any field
-    whose values test nonzero with ``bool``: Fraction and ScalarExpr, and
-    ints, which a pivot row scales to Fractions only where it must.
+    First the unit rows are peeled off with no arithmetic.  A row left with
+    one entry (q, x) spans the unit row e_q, which is x / x at q; deleting
+    the unit columns S found so far from the other rows may leave more such
+    rows, so passes repeat until one finds no new unit.  The row space is
+    span(e_S) plus the span of the rows with the columns S deleted, so the
+    rows left are eliminated as before, starting from the units: each is
+    reduced against the rows so far, scaled to 1 at its leading column (the
+    new pivot), and cleared from the earlier rows.  Zero rows vanish, so the
+    rank is the number of rows returned.  The form is unique, so results do
+    not depend on the order of the rows or on how many the peel takes.
+    Works over any field whose values test nonzero with ``bool``: Fraction
+    and ScalarExpr, and ints, which a pivot row scales to Fractions only
+    where it must.  The peel pivots on any nonzero single entry, which is
+    sound over a field; an elimination that admits only some pivots, such
+    as a certificate that pivots only on units of Q(x), must apply its rule
+    to the peel as well.
     """
     reduced: Dict[int, SparseRow] = {}
-    for row in rows:
+    found = True
+    while found:
+        found, pending = False, []
+        for row in rows:
+            v = row if len(row) == 1 else {j: x for j, x in row.items() if j not in reduced}
+            if len(v) == 1:
+                ((q, x),) = v.items()
+                if q not in reduced:
+                    reduced[q] = {q: x // x if type(x) is int else x / x}
+                    found = True
+            elif v:
+                pending.append(v)
+        rows = pending
+    for v in rows:  # the peel's own copies
         if len(reduced) == ncols:
             break
-        v = dict(row)
         _reduce(v, reduced)
         if not v:
             continue

@@ -71,9 +71,14 @@ def _values_at(form: Form, point: Sequence[Fraction]) -> Dict[Index, Fraction]:
     point = exact_point(point)
     values = {}
     for idx, c in form.terms.items():
-        v = c.evaluate(point)
+        if c.den.is_one():
+            v = c.num._value(point)
+        else:
+            v = c.evaluate(point)
+            if v.denominator == 1:
+                v = v.numerator
         if v:
-            values[idx] = v.numerator if v.denominator == 1 else v
+            values[idx] = v
     return values
 
 

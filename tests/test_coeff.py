@@ -21,7 +21,7 @@ from plectic.coeff import (
     parse_expr,
     poly_gcd,
 )
-from plectic.errors import PoleError
+from plectic.errors import PlecticError, PoleError
 
 from conftest import random_poly_expr, random_scalar
 
@@ -442,6 +442,19 @@ def test_evaluate_mixes_fractions_and_ints():
     e = parse_expr("x*t/3 + 1", VARS)
     assert e.evaluate([Fraction(1, 2), 4]) == Fraction(5, 3)
     assert parse_expr("1/(x - t)", VARS).evaluate([Fraction(3), 1]) == Fraction(1, 2)
+
+
+def test_poly_value_is_an_int_where_integral_and_evaluate_a_fraction():
+    # halves that sum to an integer come back as an int
+    p = parse_expr("x/2 + t/2", VARS).num
+    for point, value in (([1, 1], 1), ([Fraction(1, 3), Fraction(5, 3)], 1), ([2, 1], Fraction(3, 2))):
+        assert p._value(point) == value and type(p._value(point)) is type(value)
+        assert p.evaluate(point) == value and type(p.evaluate(point)) is Fraction
+
+
+def test_diff_names_an_unknown_variable():
+    with pytest.raises(PlecticError, match="unknown variable 'y'"):
+        parse_expr("x*t", VARS).diff("y")
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -1,9 +1,14 @@
+import functools
+import json
+import os
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from plectic import linalg
 from plectic.coeff import ScalarExpr, parse_expr
 from plectic.linalg import (
     DimensionMismatchError,
@@ -299,3 +304,157 @@ def test_invert_agrees_with_sympy_on_random_scalar_matrices():
                 entry = sum((m[i].get(k, zero) * inv[k].get(j, zero) for k in range(n)), zero)
                 assert entry == (one if i == j else zero), (trial, i, j)
     assert 10 <= singular <= 30
+
+
+# -- the unit-row peel against elimination alone ------------------------------
+
+
+def _reference_reduce(v, reduced):
+    for p in [p for p in v if p in reduced]:
+        g = -v[p]
+        for j, x in reduced[p].items():
+            s = v[j] + g * x if j in v else g * x
+            if s:
+                v[j] = s
+            else:
+                del v[j]
+
+
+def _reference_rref(rows, ncols):
+    """rref by elimination alone, with no peel: each row is reduced against
+    the rows so far, scaled to 1 at its leading column and cleared from the
+    earlier rows."""
+    reduced = {}
+    for row in rows:
+        if len(reduced) == ncols:
+            break
+        v = dict(row)
+        _reference_reduce(v, reduced)
+        if not v:
+            continue
+        q = min(v)
+        p = v[q]
+        if type(p) is int:
+            v = {
+                j: (x // p if not x % p else Fraction(x, p)) if type(x) is int else x / p
+                for j, x in v.items()
+            }
+        else:
+            v = {j: x / p for j, x in v.items()}
+        for r in reduced.values():
+            if q in r:
+                _reference_reduce(r, {q: v})
+        reduced[q] = v
+    return reduced
+
+
+def _peelable_matrix(rng, kind):
+    """(rows, ncols): layers of rows that have one entry once the columns of
+    the layers before are deleted, rows left with two or more entries, some
+    of them on unit columns too, duplicate singletons and zero rows, shuffled."""
+    ints = [x for x in range(-6, 7) if x]
+
+    def value():
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return rng.choice(ints)
+        return F(rng.choice(ints), rng.randint(1, 4))
+
+    ncols = rng.randint(6, 12)
+    cols = list(range(ncols))
+    rng.shuffle(cols)
+    rows, units = [], []
+    for _ in range(3):
+        k = rng.randint(1, 3)
+        layer, cols = cols[:k], cols[k:]
+        for q in layer:
+            row = {q: value()}
+            for j in rng.sample(units, min(len(units), rng.randint(0, 3))):
+                row[j] = value()
+            rows.append(row)
+        units += layer
+    for _ in range(rng.randint(1, 4)):
+        support = rng.sample(cols, min(len(cols), rng.randint(2, 3)))
+        support += rng.sample(units, rng.randint(0, min(2, len(units))))
+        rows.append({j: value() for j in support})
+    rows += [{q: value()} for q in rng.sample(units, min(2, len(units)))] + [{}, {}]
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+@pytest.mark.parametrize("kind", ("int", "fraction", "mixed"))
+def test_rref_matches_elimination_alone_on_peelable_matrices(kind):
+    rng = random.Random(sum(map(ord, kind)))
+    for trial in range(150):
+        rows, ncols = _peelable_matrix(rng, kind)
+        copies = [dict(row) for row in rows]
+        assert rref(rows, ncols) == _reference_rref(rows, ncols), (kind, trial)
+        assert rows == copies  # the caller's rows are left as they were
+
+
+@functools.lru_cache(maxsize=None)
+def _dw_rref_inputs(n):
+    """{check: [(rows, ncols) of each rref call]} of the non-degeneracy,
+    coisotropy and tau^* omega kernel checks of DW of base dimension n at one
+    seeded point.  DW n = 5 is the rational golden spec with its first
+    horizontal field made constant again."""
+    from plectic.manifoldspec import parse_spec_dict
+    from plectic.sampling import SampleConfig
+    from plectic.splitting import (
+        PreMultisymplecticManifold,
+        build_split_frame,
+        verify_constant_rank,
+    )
+    from plectic.thicken import build_thickening, verify_coisotropic, verify_nondegenerate
+
+    name = f"dw_n{n}" if n < 5 else f"dw_rational_n{n}"
+    with open(os.path.join(os.path.dirname(__file__), "golden", name + ".json")) as fh:
+        data = json.load(fh)
+    data["frame"]["horizontal"][0] = {"x2": "1"}
+    spec = parse_spec_dict(data)
+    manifold = spec.manifold()
+    th = build_thickening(manifold, build_split_frame(manifold, spec.vertical, spec.horizontal))
+    pulled = PreMultisymplecticManifold(
+        th.big_chart, manifold.degree, th.tau.pullback(manifold.omega)
+    )
+    checks = {
+        "non-degeneracy": lambda: verify_nondegenerate(th, SampleConfig(1, 1)),
+        "coisotropy": lambda: verify_coisotropic(th, config=SampleConfig(1, 1)),
+        "tau^* omega": lambda: verify_constant_rank(pulled, config=SampleConfig(1, 1)),
+    }
+    inputs = {}
+    for check, run in checks.items():
+        calls = []
+
+        def spy(rows, ncols, real=linalg.rref):
+            calls.append((rows, ncols))
+            return real(rows, ncols)
+
+        with mock.patch.object(linalg, "rref", spy):
+            assert run().verdict == "EVIDENCE", (n, check)
+        inputs[check] = calls
+    return inputs
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_rref_matches_elimination_alone_on_dw_check_matrices(n):
+    for check, calls in _dw_rref_inputs(n).items():
+        assert calls, check
+        for rows, ncols in calls:
+            assert rref(rows, ncols) == _reference_rref(rows, ncols), (n, check)
+
+
+class _Opaque:
+    """A nonzero field value that admits no arithmetic but x / x."""
+
+    def __truediv__(self, other):
+        return 1 if other is self else NotImplemented
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_the_peel_ranks_a_dw_non_degeneracy_matrix_with_no_arithmetic(n):
+    # the rows with one entry, then those left with one once the unit
+    # columns are deleted, reach full rank, so values that refuse every
+    # other operation are enough
+    [(rows, ncols)] = _dw_rref_inputs(n)["non-degeneracy"]
+    opaque = [{j: _Opaque() for j in row} for row in rows]
+    assert rref(opaque, ncols) == {q: {q: 1} for q in range(ncols)}

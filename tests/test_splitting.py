@@ -121,9 +121,10 @@ def test_contraction_matrix_keeps_only_nonzero_rows():
 
 
 def test_rref_of_a_dw_n3_contraction_matrix_holds_only_ints():
-    # every DW contraction entry at an integer point is an int; the
-    # elimination stays on ints at a point where each pivot divides its row,
-    # and elsewhere gives the Fractions the matrix of Fractions gives
+    # every DW contraction entry at an integer point is an int, and the
+    # rows with one entry, and those left with one once the unit columns are
+    # deleted, reach full rank: each rref is the identity, in int 1s, and
+    # equals the rref of the matrix of Fractions
     from plectic.manifoldspec import load_spec
     from plectic.splitting import contraction_matrix
     from plectic.thicken import build_thickening
@@ -140,12 +141,10 @@ def test_rref_of_a_dw_n3_contraction_matrix_holds_only_ints():
         assert all(type(x) is int for row in rows for x in row.values())
         reduced = linalg.rref(rows, dim)
         assert reduced == linalg.rref([{j: F(x) for j, x in row.items()} for row in rows], dim)
-        assert len(reduced) == dim
-        values = [x for row in reduced.values() for x in row.values()]
-        assert all(type(x) in (int, F) for x in values)
-        if all(type(x) is int for x in values):
+        assert reduced == {q: {q: 1} for q in range(dim)}
+        if all(type(x) is int for row in reduced.values() for x in row.values()):
             int_only.append(n)
-    assert int_only == [1, 5]
+    assert int_only == list(range(8))
 
 
 def test_kernel_dimension_invariant_under_relabeling(manifold4):

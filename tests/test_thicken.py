@@ -588,7 +588,7 @@ def test_d_differentiates_only_along_each_coefficients_support(monkeypatch):
     omega_tilde = _dw3_thickening().omega_tilde
     assert omega_tilde.chart.dim == 38
     expected = sum(len(c.support()) for c in omega_tilde.terms.values())
-    calls = _counting(monkeypatch, ScalarExpr, "diff")
+    calls = _counting(monkeypatch, ScalarExpr, "_diff")
     assert omega_tilde.d().is_zero()
     assert calls[0] == expected < 38 * len(omega_tilde.terms)
 
