@@ -470,12 +470,17 @@ def _prem(a: Poly, b: Poly, idx: int) -> Poly:
 
 
 def _vcontent(p: Poly, idx: int, budget: list) -> Poly:
+    """The gcd of p's coefficients in variable idx, fewest terms first, then
+    lowest degree: an order of values, where the budgeted gcd most often
+    reaches a constant."""
     g = Poly.zero(p.variables)
-    for coeff in _vcoeffs(p, idx).values():
-        g = _prs_gcd(g, coeff, budget)
+    coeffs = _vcoeffs(p, idx)
+    for k in sorted(coeffs, key=lambda k: (len(coeffs[k].terms), k)):
+        g = _prs_gcd(g, coeffs[k], budget)
         if g.is_const():
             break
     return g if not g.is_zero() else Poly.const(p.variables, 1)
+
 
 def _monomial_content(p: Poly) -> tuple:
     """The largest monomial dividing every term of the nonzero p."""
@@ -488,17 +493,11 @@ def _monomial_content(p: Poly) -> tuple:
     return mono
 
 
-def _strip(p: Poly, c: Fraction, mono: tuple) -> Poly:
-    """The primitive part of p = c * mono * primitive, for p's rational and
-    monomial contents; it keeps p's term order, which the budgeted gcd
-    depends on."""
-    terms = {_mono_div(e, mono): coeff / c for e, coeff in p.terms.items()}
-    return Poly._trusted(p.variables, terms)
-
-
 def _prs_gcd(a: Poly, b: Poly, budget: list) -> Poly:
     """Primitive pseudo-remainder-sequence gcd; bails to 1 when the shared
-    step budget runs out (any common divisor is acceptable to callers)."""
+    step budget runs out (any common divisor is acceptable to callers).
+    Every step depends only on values, so the budget runs out at the same
+    step, and the result has the same value, in any term order of a and b."""
     if a.is_zero():
         return _normalize_sign(b)
     if b.is_zero():
@@ -541,6 +540,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     always sound.  ``base`` has a positive coefficient and multiplies only
     sign-normalized factors; under graded lex, a monomial order, the lead of
     a product is the product of the leads, so no product needs normalizing.
+    Every rung depends only on values, not on the term order of a or b.
     """
     if a.is_zero():
         return _normalize_sign(b)
@@ -550,7 +550,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     base = Poly(a.variables, {_mono_gcd(ma, mb): _frac_gcd(ca, cb)})
     if len(a.terms) == 1 or len(b.terms) == 1:
         return base
-    pa, pb = _strip(a, ca, ma), _strip(b, cb, mb)
+    pa = _div_exact(a, Poly._trusted(a.variables, {ma: ca}))
+    pb = _div_exact(b, Poly._trusted(b.variables, {mb: cb}))
     small, big = (pa, pb) if len(pa.terms) <= len(pb.terms) else (pb, pa)
     if _div_exact(big, small) is not None:
         return base * _normalize_sign(small)
@@ -730,38 +731,35 @@ class ScalarExpr:
     def compose(self, values: Sequence["ScalarExpr"]) -> "ScalarExpr":
         """Substitute values[i] for variable i; values share one variable set.
 
-        A polynomial over 1 composed with polynomials over 1 is summed in
-        Poly arithmetic, term by term as below, and wrapped in one
-        ScalarExpr: ``_reduce`` keeps every polynomial over 1 as given, so
-        that is the num and den, term order included, that the ScalarExpr
-        sums and products below give it.
+        Each term of num and of den is multiplied out raw, its numerator
+        summed into the part of its denominator; ``raw_sum`` reduces each
+        part once.  Reduced forms depend only on values, so the result has
+        the value, and wherever that reduces completely the text, of the
+        same sum in ScalarExpr arithmetic.
         """
         if len(values) != len(self.variables):
             raise PlecticError("substitution arity mismatch")
         out_vars = values[0].variables if values else ()
-        num = self.num
-        if self.den.is_one() and all(values[i].den.is_one() for i in self.support()):
-            total = Poly.zero(out_vars)
-            for e, c in num.terms.items():
-                term = Poly.const(out_vars, c)
-                for i, k in e:
-                    term = term * values[i].num ** k
-                total = total + term
-            return ScalarExpr(total)
 
         def eval_poly(p: Poly) -> "ScalarExpr":
-            total = ScalarExpr.zero(out_vars)
+            parts: dict = {}
             for e, c in p.terms.items():
-                term = ScalarExpr.const(out_vars, c)
+                num, den = Poly.const(out_vars, c), None
                 for i, k in e:
-                    term = term * values[i] ** k
-                total = total + term
-            return total
+                    v = values[i]
+                    num = num * v.num**k
+                    if not v.den.is_one():
+                        den = v.den**k if den is None else den * v.den**k
+                add_terms(parts.setdefault(den, {}), num.terms)
+            return raw_sum(out_vars, parts)
 
+        num = eval_poly(self.num)
+        if self.den.is_one():
+            return num
         den = eval_poly(self.den)
         if den.is_zero():
             raise PoleError("substitution lands in the zero set of the denominator")
-        return eval_poly(self.num) / den
+        return num / den
 
     def subs_rename(self, variables: Sequence[str]) -> "ScalarExpr":
         """Re-express over a variable superset.
@@ -799,7 +797,8 @@ def _reduce(num: Poly, den: Poly):
     """Divide out the gcd and normalize so den is primitive with positive lead.
 
     A polynomial over 1 is returned as given: the gcd ladder would only
-    divide its rational content out and multiply it back.
+    divide its rational content out and multiply it back.  As poly_gcd's,
+    the values of the result do not depend on the term order of num or den.
     """
     if den.is_one():
         return num, den
@@ -817,6 +816,18 @@ def _reduce(num: Poly, den: Poly):
         num = num * (1 / scale)
         den = den * (1 / scale)
     return num, den
+
+
+def raw_sum(variables: tuple, parts: Mapping) -> ScalarExpr:
+    """The sum of raw parts {den or None for 1: numerator terms}, each
+    reduced once and added in order of first appearance; an empty part is
+    skipped.  The accumulator of compose and ``exterior.substitute``."""
+    total = None
+    for den, acc in parts.items():
+        if acc:
+            part = ScalarExpr(Poly._trusted(variables, acc), den)
+            total = part if total is None else total + part
+    return ScalarExpr.zero(variables) if total is None else total
 
 
 # -- parser ----------------------------------------------------------------

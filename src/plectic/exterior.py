@@ -17,7 +17,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .coeff import Poly, ScalarExpr, add_terms, as_scalar, exact_point
+from .coeff import Poly, ScalarExpr, add_terms, as_scalar, exact_point, raw_sum
 from .errors import ChartMismatchError, DegreeError, PlecticError, PoleError
 from .record import Record
 
@@ -89,54 +89,41 @@ def substitute(
     already chosen is skipped (its products all vanish), a term with an
     empty row is skipped whole (``CoordinateMap.pullback`` drops such terms
     before it composes them), and the product up to a row is shared by
-    every choice below it, multiplied left to right as c * e1 * e2 * ...
-    While c and every factor so far are polynomials over 1 (``den.is_one()``),
-    the bare numerators are multiplied: that is the numerator
-    ``ScalarExpr.__mul__`` gives, with no ``_reduce`` to run.
+    every choice below it, carried raw as a numerator and a denominator
+    (None for 1), multiplied left to right as c * e1 * e2 * ...
 
-    Each output index sums its products' numerators raw with ``add_terms``,
-    one {monomial: Fraction} dict per denominator; a dict that cancels is
-    deleted, and an index with none left.  At the end each dict becomes one
-    ScalarExpr, reduced once, and the index is their sum in order of first
-    appearance, dropped if zero.  An index of polynomials over 1 is thus,
-    key and term order included, ``add_term`` on each product in turn in
-    ``itertools.product`` order; any other index has its value, and its
-    text wherever ``_reduce`` is canonical, as over a monomial denominator.
+    Each output index sums its products' numerators with ``add_terms``, one
+    dict per denominator; a dict that cancels is deleted, and an index with
+    none left.  At the end ``raw_sum`` reduces each dict once and adds
+    them, and a zero index is dropped.  Reduced forms depend only on
+    values, so each index has the value of ``add_term`` on each product in
+    turn, and its text wherever that reduces completely; keys keep its
+    order unless products over unequal denominators cancel.
     """
-    out: Dict[Index, object] = {}
-    # rows[i] as (j, e, e.num if e is a polynomial over 1 else None)
+    out: Dict[Index, dict] = {}
+    # rows[i] as (j, e.num, e.den or None for 1)
     prepared: List[object] = [None] * len(rows)
     variables = ()
 
-    def add(nidx: Index, sign: int, num, coeff) -> None:
-        # num is the product's numerator if it is a polynomial over 1
-        den = None if num is not None or coeff.den.is_one() else coeff.den
-        parts = out.setdefault(nidx, {})
-        acc = parts.setdefault(den, {})
-        add_terms(acc, (coeff.num if num is None else num).terms, negate=sign < 0)
-        if not acc:
-            del parts[den]
-            if not parts:
-                del out[nidx]
-
-    def walk(level: int, chosen: Index, sign: int, num, coeff) -> None:
-        # chosen: the sorted j of rows < level; num or coeff: their product
+    def walk(level: int, chosen: Index, sign: int, num: Poly, den) -> None:
+        # chosen: the sorted j of rows < level; num / den: their product
         if level == len(term_rows):
-            add(chosen, sign, num, coeff)
+            parts = out.setdefault(chosen, {})
+            acc = parts.setdefault(den, {})
+            add_terms(acc, num.terms, negate=sign < 0)
+            if not acc:
+                del parts[den]
+                if not parts:
+                    del out[chosen]
             return
-        expr = coeff
-        for j, e, enum in term_rows[level]:
+        for j, enum, eden in term_rows[level]:
             pos = bisect_left(chosen, j)
             if pos < len(chosen) and chosen[pos] == j:
                 continue
             nchosen = chosen[:pos] + (j,) + chosen[pos:]
             nsign = -sign if (len(chosen) - pos) % 2 else sign
-            if num is not None and enum is not None:
-                walk(level + 1, nchosen, nsign, num * enum, None)
-                continue
-            if expr is None:
-                expr = ScalarExpr(num)
-            walk(level + 1, nchosen, nsign, None, expr * e)
+            nden = den if eden is None else eden if den is None else den * eden
+            walk(level + 1, nchosen, nsign, num * enum, nden)
 
     for idx, c in terms:
         if c.is_zero():
@@ -147,21 +134,15 @@ def substitute(
             row = prepared[i]
             if row is None:
                 row = prepared[i] = [
-                    (j, e, e.num if e.den.is_one() else None)
-                    for j, e in rows[i]
+                    (j, e.num, None if e.den.is_one() else e.den) for j, e in rows[i]
                 ]
             if not row:
                 break
             term_rows.append(row)
         else:
-            if c.den.is_one():
-                walk(0, (), 1, c.num, None)
-            else:
-                walk(0, (), 1, None, c)
-    for nidx, parts in out.items():
-        first, *rest = (ScalarExpr(Poly(variables, acc), den) for den, acc in parts.items())
-        out[nidx] = sum(rest, first)
-    return {nidx: c for nidx, c in out.items() if c}
+            walk(0, (), 1, c.num, None if c.den.is_one() else c.den)
+    sums = ((nidx, raw_sum(variables, parts)) for nidx, parts in out.items())
+    return {nidx: c for nidx, c in sums if c}
 
 
 class Form:

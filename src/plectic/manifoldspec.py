@@ -193,6 +193,7 @@ def parse_spec_dict(data: dict, name_hint: str = "<spec>") -> ManifoldSpec:
             "fibration.auxiliary",
             "must list fiber coordinates",
         )
+        _require(len(set(aux)) == len(aux), "fibration.auxiliary", "duplicate coordinates")
         fibration_auxiliary = tuple(aux)
 
     samples = SampleConfig()

@@ -13,6 +13,7 @@ from plectic import (
     build_split_frame,
     build_thickening,
 )
+from plectic.coeff import Poly, term_order_key
 from plectic.exterior import substitute
 
 
@@ -103,6 +104,29 @@ def random_vector_field(rng: random.Random, chart: Chart) -> VectorField:
     return VectorField(
         chart, [random_poly_expr(rng, chart.coords, max_terms=2, max_exp=1) for _ in chart.coords]
     )
+
+
+# -- term orders -------------------------------------------------------------------
+
+
+def with_terms_in(expr: ScalarExpr, order) -> ScalarExpr:
+    """expr with the (monomial, coefficient) items of num and den listed in
+    order(items), and nothing reduced."""
+    out = object.__new__(ScalarExpr)
+    out.num, out.den = (
+        Poly(p.variables, dict(order(list(p.terms.items())))) for p in (expr.num, expr.den)
+    )
+    return out
+
+
+def term_orders(rng: random.Random):
+    """Reorderings of a list of polynomial items: reversed, sorted both ways
+    by term order, and shuffled."""
+    key = lambda item: term_order_key(item[0])  # noqa: E731
+    yield lambda items: items[::-1]
+    yield lambda items: sorted(items, key=key)
+    yield lambda items: sorted(items, key=key, reverse=True)
+    yield lambda items: rng.sample(items, len(items))
 
 
 # -- references ------------------------------------------------------------------

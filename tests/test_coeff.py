@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plectic import coeff
 from plectic.coeff import (
@@ -22,8 +22,10 @@ from plectic.coeff import (
     poly_gcd,
 )
 from plectic.errors import PlecticError, PoleError
+from plectic.exterior import Chart, CoordinateMap
+from plectic.fieldtheory import FiberedChart, Section
 
-from conftest import random_poly_expr, random_scalar
+from conftest import random_poly_expr, random_scalar, sympy_expr, term_orders, with_terms_in
 
 VARS = ("x", "t")
 VARS5 = ("x", "t", "u", "rho_x", "rho_t")
@@ -584,11 +586,11 @@ def test_product_by_a_single_term_matches_general_loop(seed):
                 _assert_same(single * p, _mul_loop(single, p))
 
 
-# -- compose against the ScalarExpr path it short-cuts ---------------------------
-# A polynomial over 1 composed with polynomials over 1 is summed in Poly
-# arithmetic.  The reference is the general path, which sums and multiplies
-# ScalarExprs, each through _reduce; _reduce keeps a polynomial over 1 as
-# given, so the two agree term for term.
+# -- compose against ScalarExpr arithmetic ------------------------------------
+# compose multiplies each term out raw and reduces each denominator's part
+# once.  The reference sums and multiplies ScalarExprs, each through _reduce;
+# _reduce keeps a polynomial over 1 as given, so over 1 the two agree term
+# for term, and elsewhere in value, and in text where _reduce is canonical.
 
 OUT_VARS = ("s", "t", "w")
 
@@ -662,10 +664,72 @@ def test_compose_with_a_fraction_anywhere_matches_the_eval_poly_path(seed):
         _assert_same_expr(expr.compose(values), want)
 
 
+def _assert_same_value(got, want):
+    """Equal values, and equal text where the denominator is a monomial."""
+    assert got == want
+    if len(want.den.terms) == 1:
+        assert str(got) == str(want)
+
+
+def _compose_or_pole(compose, expr, values):
+    try:
+        return compose(expr, values)
+    except (PoleError, ZeroDivisionError):  # the reference divides by a zero ScalarExpr
+        return PoleError
+
+
+def _rational_value(rng, variables):
+    # a constant in -3..-1 meets the random denominators c + coordinate
+    if rng.random() < 0.4:
+        return ScalarExpr.const(variables, rng.randint(-3, -1))
+    return random_scalar(rng, variables)
+
+
+def test_compose_of_rational_coefficients_matches_scalar_arithmetic():
+    rng = random.Random(300)
+    poles = 0
+    for _ in range(100):
+        expr = random_scalar(rng, VARS5)
+        values = [_rational_value(rng, OUT_VARS) for _ in VARS5]
+        got = _compose_or_pole(ScalarExpr.compose, expr, values)
+        want = _compose_or_pole(_compose_by_eval_poly, expr, values)
+        if want is PoleError:
+            assert got is PoleError
+            poles += 1
+            continue
+        _assert_same_value(got, want)
+    assert poles >= 3
+    # a denominator that vanishes only once the values' denominators are used
+    s, w = ScalarExpr.var(OUT_VARS, "s"), ScalarExpr.var(OUT_VARS, "w")
+    expr = parse_expr("1/(x - t)", VARS)
+    with pytest.raises(PoleError):
+        expr.compose([s / (w + 1), s / (w + 1)])
+    assert expr.compose([s / (w + 1), s / (w + 2)]) == (w + 1) * (w + 2) / s
+
+
+def test_compose_after_a_map_and_along_a_rational_section_matches_scalar_arithmetic():
+    rng = random.Random(404)
+    src, mid, tgt = Chart("src", OUT_VARS), Chart("mid", VARS), Chart("tgt", VARS5)
+    fibered = FiberedChart(tgt, ("x", "t"))
+    cube = ScalarExpr.var(VARS, "x") ** 3
+    for _ in range(10):
+        inner = CoordinateMap(src, mid, [random_scalar(rng, OUT_VARS) for _ in VARS])
+        outer = CoordinateMap(mid, tgt, [random_scalar(rng, VARS) for _ in VARS5])
+        for got, comp in zip(outer.after(inner).components, outer.components):
+            _assert_same_value(got, _compose_by_eval_poly(comp, inner.components))
+        # a cube lies outside random_scalar's degrees, so no component is
+        # constant and no denominator c + coordinate vanishes on the graph
+        section = Section(fibered, {n: random_scalar(rng, VARS) + cube for n in fibered.fiber})
+        graph = section.graph_map().components
+        for _ in range(3):
+            expr = random_scalar(rng, VARS5)
+            _assert_same_value(expr.compose(graph), _compose_by_eval_poly(expr, graph))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_compose_keeps_the_term_order_of_fraction_sums(seed):
     # g0/2 + g1/2 + g2/2 sums to the integer polynomial h through fraction
-    # sums, which the Poly path and the ScalarExpr path must order alike
+    # sums, which compose's raw sum and ScalarExpr arithmetic must order alike
     rng = random.Random(200 + seed)
     v = [ScalarExpr.var(VARS5, name) for name in VARS5[:3]]
     rest = [ScalarExpr.zero(OUT_VARS)] * 2
@@ -836,8 +900,9 @@ def _d_prem(a, b, idx):
 
 def _d_vcontent(p, idx, budget):
     g = _Dense(p.n, {})
-    for coeff in _d_vcoeffs(p, idx).values():
-        g = _d_prs_gcd(g, coeff, budget)
+    coeffs = _d_vcoeffs(p, idx)
+    for k in sorted(coeffs, key=lambda k: (len(coeffs[k].terms), k)):  # as coeff walks them
+        g = _d_prs_gcd(g, coeffs[k], budget)
         if g.is_const():
             break
     return g if g.terms else p.const(1)
@@ -1001,38 +1066,142 @@ def test_div_exact_by_one_term_sorts_the_remainder_once(monkeypatch):
 
 def test_reduce_over_one_term_builds_no_primitive_part(monkeypatch):
     # a one-term operand ends poly_gcd at the content rung, so neither
-    # operand's primitive part is needed
+    # operand's primitive part is divided out: the only exact divisions are
+    # those of the final num and den by the gcd
     calls = [0]
-    strip = coeff._strip
+    div_exact = coeff._div_exact
 
     def counted(*args):
         calls[0] += 1
-        return strip(*args)
+        return div_exact(*args)
 
-    monkeypatch.setattr(coeff, "_strip", counted)
+    monkeypatch.setattr(coeff, "_div_exact", counted)
     names = ("x", "y", "z")
     exps = itertools.product(range(1, 5), range(5), range(5))  # 100 monomials, all divisible by x
     num = Poly(names, {_sparse(e): Fraction(2 * sum(e) + 2, 3) for e in exps})
     den = Poly(names, {((0, 2), (1, 1)): Fraction(4, 3)})
     got_num, got_den = _reduce(num, den)
-    assert calls[0] == 0
+    assert calls[0] == 2
     assert got_den == Poly(names, {((0, 1), (1, 1)): Fraction(1)})
     assert got_num * Poly(names, {((0, 1),): Fraction(4, 3)}) == num
 
 
-def test_reduce_finds_the_shared_factor_in_the_given_term_order():
-    # The pseudo-remainder sequence of poly_gcd runs on a step budget, so
-    # whether it finds c depends on the term order of the primitive parts
-    # that _strip hands it: in the order of num and den it finds c, sorted
-    # largest first it runs out and num / den would come back unreduced.
-    names = ("v0", "v1")
-    a = _Dense(2, {(0, 0): Fraction(4), (2, 2): Fraction(-1), (0, 1): Fraction(1)})
-    b = _Dense(
+# -- reduced forms depend only on values ---------------------------------------
+# The gcd ladder walks every polynomial in an order fixed by its value, so
+# every term order of the same num and den reduces to the same values, and
+# prints alike.
+
+_WITNESS_NAMES = ("v0", "v1")
+_WITNESS = [  # a, b, c: num = b * c and den = a * c share the factor c
+    _Dense(2, {(0, 0): Fraction(4), (2, 2): Fraction(-1), (0, 1): Fraction(1)}),
+    _Dense(
         2, {(3, 3): Fraction(-5), (0, 3): Fraction(-5), (0, 1): Fraction(1), (0, 0): Fraction(3, 2)}
+    ),
+    _Dense(2, {(1, 1): Fraction(-4), (0, 0): Fraction(-1), (2, 3): Fraction(-4)}),
+]
+
+
+def _witness_quotient():
+    a, b, c = _WITNESS
+    return _as_poly(_WITNESS_NAMES, b * c), _as_poly(_WITNESS_NAMES, a * c)
+
+
+def _reorders(p, rng):
+    """p as given, then in each of term_orders."""
+    items = list(p.terms.items())
+    return [p] + [Poly(p.variables, dict(order(items))) for order in term_orders(rng)]
+
+
+def _small_polys(variables):
+    """2-4 terms, total degree at most 3."""
+    exps = [e for e in itertools.product(range(4), repeat=len(variables)) if sum(e) <= 3]
+    monomials = st.sampled_from([_sparse(e) for e in exps])
+    return st.dictionaries(monomials, _FRACTIONS.filter(bool), min_size=2, max_size=4).map(
+        lambda terms: Poly(variables, terms)
     )
-    c = _Dense(2, {(1, 1): Fraction(-4), (0, 0): Fraction(-1), (2, 3): Fraction(-4)})
+
+
+@st.composite
+def _shared_factor_quotients(draw):
+    """(b * c, a * c) over three variables."""
+    a, b, c = (draw(_small_polys(("a", "b", "c"))) for _ in range(3))
+    return b * c, a * c
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_shared_factor_quotients(), st.randoms(use_true_random=False))
+@example(_witness_quotient(), random.Random(0))
+def test_reduce_and_gcd_depend_only_on_values(case, rng):
+    num, den = case
+    want_num, want_den = _reduce(num, den)
+    want_gcd = poly_gcd(num, den).terms
+    for n, d in zip(_reorders(num, rng), _reorders(den, rng)):
+        got_num, got_den = _reduce(n, d)
+        assert (got_num.terms, got_den.terms) == (want_num.terms, want_den.terms)
+        assert poly_gcd(n, d).terms == want_gcd
+
+
+def test_compose_prints_alike_in_any_term_order_of_its_input():
+    # x / t composed with the witness num and den over 1 divides them, so
+    # its text is the reduced witness b / a in every term order of the values
+    rng = random.Random(24)
+    x, t = ScalarExpr.var(VARS, "x"), ScalarExpr.var(VARS, "t")
+    num, den = _witness_quotient()
+    cases = [(x / t, [ScalarExpr(num), ScalarExpr(den)])]
+    for _ in range(20):
+        cases.append((random_scalar(rng, VARS5), [random_scalar(rng, OUT_VARS) for _ in VARS5]))
+    for expr, values in cases:
+        want = _compose_or_pole(ScalarExpr.compose, expr, values)
+        for order in term_orders(rng):
+            reordered = [with_terms_in(v, order) for v in values]
+            got = _compose_or_pole(ScalarExpr.compose, with_terms_in(expr, order), reordered)
+            assert str(got) == str(want)
+    a, b, _ = _WITNESS
+    assert str(cases[0][0].compose(cases[0][1])) == str(
+        ScalarExpr(_as_poly(_WITNESS_NAMES, b), _as_poly(_WITNESS_NAMES, a))
+    )
+
+
+def _seeded_quotient(rng, variables):
+    """(b * c, a * c), each of a, b, c of 2-4 terms and total degree at most 3."""
+    exps = [e for e in itertools.product(range(4), repeat=len(variables)) if sum(e) <= 3]
+
+    def poly():
+        monomials = rng.sample(exps, rng.randint(2, 4))
+        coeffs = (Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2)) for _ in monomials)
+        return Poly(variables, {_sparse(e): k for e, k in zip(monomials, coeffs)})
+
+    a, b, c = poly(), poly(), poly()
+    return b * c, a * c
+
+
+def test_reduce_reaches_the_sympy_denominator_on_most_seeded_quotients():
+    # The step budget makes the gcd partial, so a reduced quotient need not be
+    # in lowest terms; this records how often it is: 33 of these 60 seeded
+    # quotients reduce to sympy.cancel's denominator up to a constant.
+    sympy = pytest.importorskip("sympy")
+    variables = ("a", "b", "c")
+    symbols = sympy.symbols(variables)
+    rng = random.Random(2024)
+    reached = 0
+    for _ in range(60):
+        num, den = _seeded_quotient(rng, variables)
+        got = sympy_expr(sympy, ScalarExpr(_reduce(num, den)[1]), symbols)
+        num, den = (sympy_expr(sympy, ScalarExpr(p), symbols) for p in (num, den))
+        want = sympy.fraction(sympy.cancel(num / den))[1]
+        reached += sympy.cancel(got / want).is_number
+    assert reached >= 33
+
+
+def test_reduce_finds_the_shared_factor_in_the_given_term_order():
+    # The pseudo-remainder sequence of poly_gcd runs on a step budget.  Its
+    # walk depends only on values, so the term order of num and den no
+    # longer matters: it finds c in every order
+    # (test_reduce_and_gcd_depend_only_on_values), and num / den comes back
+    # as b / a, as in the dense reference.
+    a, b, c = _WITNESS
     num, den = b * c, a * c
-    got = _reduce(_as_poly(names, num), _as_poly(names, den))
+    got = _reduce(_as_poly(_WITNESS_NAMES, num), _as_poly(_WITNESS_NAMES, den))
     want = _d_reduce(num, den)
     assert _same(got[0], want[0]) and _same(got[1], want[1])
     assert (len(got[0].terms), len(got[1].terms)) == (len(b.terms), len(a.terms))

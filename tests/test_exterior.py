@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from plectic.coeff import ScalarExpr
+from plectic.coeff import ScalarExpr, parse_expr
 from plectic.errors import ChartMismatchError, DegreeError, PoleError
 from plectic.exterior import (
     Chart,
@@ -26,6 +26,8 @@ from conftest import (
     random_vector_field,
     scalar_field_form,
     sympy_expr,
+    term_orders,
+    with_terms_in,
 )
 
 F = Fraction
@@ -515,14 +517,13 @@ def _coefficient_lists(out):
 
 
 def _assert_matches_the_add_term_loop(got, want):
-    """Key order for every index; where the reference coefficient is over 1,
-    its terms in order.  Elsewhere equal values, and equal text where the
-    reference denominator is a monomial, on which _reduce is canonical."""
+    """Key order and value for every index; text where the reference
+    denominator is 1 or a monomial, on which _reduce is canonical.  The
+    term order of a coefficient over 1 is not compared: reduced forms
+    depend only on values, and the raw sums may order the terms of an
+    integer polynomial otherwise than the reduced products did."""
     assert list(got) == list(want)
     for idx, c in want.items():
-        if c.den.is_one():
-            assert _coefficient_lists({idx: got[idx]}) == _coefficient_lists({idx: c})
-            continue
         assert got[idx] == c, idx
         if len(c.den.terms) == 1:
             assert str(got[idx]) == str(c), idx
@@ -581,6 +582,34 @@ def test_substitute_sums_polynomials_over_1_raw():
     got = substitute(terms, rows)
     assert _coefficient_lists(got) == _coefficient_lists(_substitute_by_add_term(terms, rows))
     assert list(got[(0,)].num.terms) == [((1, 1),), ((0, 2),)]
+
+
+def _texts(out):
+    return [(idx, str(c)) for idx, c in out.items()]
+
+
+def test_substitute_prints_alike_in_any_term_order_of_its_input():
+    # (b * c) dv0 along the row dv0 = dv1 / (a * c): its one product is
+    # b * c / (a * c), which reduces to b / a in every term order of b * c
+    # and a * c, since the gcd's walk depends only on values
+    rng = random.Random(24)
+    names = ("v0", "v1")
+    witness = ("4 - v0^2*v1^2 + v1", "-5*v0^3*v1^3 - 5*v1^3 + v1 + 3/2", "-4*v0*v1 - 1 - 4*v0^2*v1^3")
+    a, b, c = (parse_expr(src, names) for src in witness)
+    cases = [([((0,), b * c)], [[(1, 1 / (a * c))], []])]
+    chart = Chart("c4", ("x", "y", "z", "w"))
+    for trial in range(10):
+        alpha = random_form(rng, chart, rng.randint(1, 3), max_terms=3, rational=True)
+        cases.append((list(alpha.terms.items()), _random_rows(rng, chart.coords, chart.dim)))
+    for terms, rows in cases:
+        want = _texts(substitute(terms, rows))
+        for order in term_orders(rng):
+            got = substitute(
+                [(idx, with_terms_in(c, order)) for idx, c in terms],
+                [[(j, with_terms_in(e, order)) for j, e in row] for row in rows],
+            )
+            assert _texts(got) == want
+    assert _texts(substitute(*cases[0])) == [((1,), str(b / a))]
 
 
 # -- the depth-first walk of substitute against itertools.product -------------

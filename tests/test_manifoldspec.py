@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from plectic.cli import main
 from plectic.manifoldspec import (
     SpecError,
     load_section,
@@ -94,6 +95,22 @@ def test_fibration_auxiliary_must_be_fiber():
     data["fibration"] = {"base": ["x"], "auxiliary": ["x"]}
     with pytest.raises(SpecError, match="fiber"):
         parse_spec_dict(data)
+
+
+def test_fibration_auxiliary_duplicates_rejected_with_exit_2(tmp_path, capsys):
+    with open(fixture_path("scalar_field_2d.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["fibration"]["auxiliary"] = ["rho_t", "rho_t"]
+    with pytest.raises(SpecError, match=r"fibration\.auxiliary.*duplicate"):
+        parse_spec_dict(data)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["eom", str(path), "--symbolic"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "duplicate" in captured.err
+    data["fibration"]["auxiliary"] = ["rho_t"]
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["eom", str(path), "--symbolic"]) == 0
 
 
 def test_samples_block_validated():
