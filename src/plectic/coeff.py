@@ -26,11 +26,13 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from typing import Mapping, Sequence, Tuple, Union
+from typing import List, Mapping, Sequence, Tuple, Union
 
 from .errors import PlecticError, PoleError
 
 ScalarLike = Union["ScalarExpr", "Poly", Fraction, int]
+# an exact value at a point: an int where it is integral, a Fraction elsewhere
+Exact = Union[int, Fraction]
 
 # Polynomials larger than this skip gcd reduction; cross-multiplication
 # equality stays exact regardless.
@@ -90,10 +92,10 @@ def partial_degree(e: tuple, axes) -> int:
     return sum(k for i, k in e if i in axes)
 
 
-def exact_point(point: Sequence) -> list:
-    """The point with every entry an int or a Fraction: an integral value is an
-    int, and floats, Decimals and other rationals are converted exactly, as
-    Fraction(x) does."""
+def exact_point(point: Sequence) -> List[Exact]:
+    """The point as evaluation takes it: an integral entry becomes an int, and
+    any other float, Decimal or rational the Fraction it denotes, as
+    Fraction(x) reads it."""
     out = []
     for x in point:
         if type(x) is not int:
@@ -339,18 +341,13 @@ class Poly:
                     break
         return Poly._trusted(self.variables, out)
 
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        """Value, as a Fraction, at a point of Fractions or ints."""
-        v = self._value(point)
-        return v if type(v) is Fraction else Fraction(v)
-
-    def _value(self, point: Sequence[Fraction]):
-        """Value at a point of Fractions or ints: an int where it is integral,
-        a Fraction elsewhere.
+    def evaluate(self, point: Sequence[Exact]) -> Exact:
+        """Value at a point of ints and Fractions: an int where it is
+        integral, a Fraction elsewhere.
 
         An integral coefficient is multiplied as an int, so at an integer
-        point (what exact_point makes of one) the sum is built from ints.
-        Other numbers are not converted here; pass them through exact_point.
+        point the sum is built from ints.  Other numbers are not converted
+        here; pass them through exact_point.
         """
         if len(point) != len(self.variables):
             raise ValueError("point dimension mismatch")
@@ -720,13 +717,17 @@ class ScalarExpr:
         """
         return tuple(sorted({i for p in (self.num, self.den) for e in p.terms for i, _ in e}))
 
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
+    def evaluate(self, point: Sequence[Exact]) -> Exact:
+        """Value at a point of ints and Fractions, as Poly.evaluate gives it:
+        an int where it is integral, a Fraction elsewhere (raises PoleError
+        where the denominator vanishes)."""
         if self.den.is_one():
             return self.num.evaluate(point)
         den = self.den.evaluate(point)
         if den == 0:
             raise PoleError(f"pole at {tuple(map(str, point))}: denominator {self.den} vanishes")
-        return self.num.evaluate(point) / den
+        v = Fraction(self.num.evaluate(point), den)
+        return v if v.denominator != 1 else v.numerator
 
     def compose(self, values: Sequence["ScalarExpr"]) -> "ScalarExpr":
         """Substitute values[i] for variable i; values share one variable set.

@@ -17,7 +17,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .coeff import Poly, ScalarExpr, add_terms, as_scalar, exact_point, raw_sum
+from .coeff import Exact, Poly, ScalarExpr, add_terms, as_scalar, exact_point, raw_sum
 from .errors import ChartMismatchError, DegreeError, PlecticError, PoleError
 from .record import Record
 
@@ -66,7 +66,7 @@ def sort_index(indices: Sequence[int]):
 
 
 def add_term(out: Dict[Index, ScalarExpr], idx: Index, c: ScalarExpr) -> None:
-    """Add c to out[idx] in place, dropping a zero sum (ScalarExpr or Fraction)."""
+    """Add c to out[idx] in place, dropping a zero sum (ScalarExpr, int or Fraction)."""
     s = out[idx] + c if idx in out else c
     if s:
         out[idx] = s
@@ -288,10 +288,15 @@ class Form:
 
     # -- evaluation ------------------------------------------------------
 
-    def eval_coefficients(self, point: Sequence[Fraction]) -> Dict[Index, Fraction]:
-        """Evaluate every coefficient at a rational point (raises PoleError)."""
+    def eval_coefficients(self, point: Sequence) -> Dict[Index, Exact]:
+        """The nonzero coefficients at a rational point, each an int where it
+        is integral and a Fraction elsewhere (raises PoleError).
+
+        Entries of the point go through exact_point, so a float or Decimal
+        stands for the rational it denotes.
+        """
         point = exact_point(point)
-        return {idx: c.evaluate(point) for idx, c in self.terms.items()}
+        return {idx: v for idx, c in self.terms.items() if (v := c.evaluate(point))}
 
     def evaluate(self, point: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]]) -> Fraction:
         """Exact multilinear alternating evaluation on rational tangent vectors."""
@@ -376,7 +381,8 @@ class VectorField:
             comps[chart.axis(name)] = chart.scalar(value)
         return cls(chart, comps)
 
-    def evaluate(self, point: Sequence[Fraction]) -> List[Fraction]:
+    def evaluate(self, point: Sequence) -> List[Exact]:
+        """The components at a rational point, zeros kept, each an int where integral."""
         point = exact_point(point)
         return [c.evaluate(point) for c in self.components]
 
@@ -515,11 +521,12 @@ def _interior(terms: Mapping[Index, object], components: Sequence) -> Dict[Index
     return out
 
 
-def contract_constant(values: Sequence[Fraction], cterms: Mapping[Index, Fraction]) -> Dict[Index, Fraction]:
+def contract_constant(values: Sequence, cterms: Mapping[Index, Exact]) -> Dict[Index, Exact]:
     """Interior product of an evaluated form by a rational vector (first slot).
 
-    The Fraction entry point of the interior-product loop ``Form.interior``
+    The entry point over Q of the interior-product loop ``Form.interior``
     runs over Q(x); ``splitting.multisymplectic_orthogonal`` contracts
-    general (non-coordinate) bases with it.
+    general (non-coordinate) bases with it.  The vector goes through
+    exact_point, so int values and int entries contract to ints.
     """
-    return _interior(cterms, [Fraction(x) for x in values])
+    return _interior(cterms, exact_point(values))

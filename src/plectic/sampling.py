@@ -1,6 +1,6 @@
-"""Deterministic rational sample points for pointwise verification.
+"""Deterministic integer sample points for pointwise verification.
 
-Coordinates are drawn uniformly from the integers of a closed range
+Coordinates are drawn uniformly, as ints, from the integers of a closed range
 (default [-5, 5]) with a seeded generator; points where a supplied
 rejection predicate fires (poles) are redrawn.  Every sampled verdict
 echoes what it checked through ``echo``: a SampleConfig (count, seed, range)
@@ -11,8 +11,7 @@ came with no config.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from typing import Callable, List, Optional, Sized, Tuple
+from typing import Callable, List, Optional, Sequence, Sized, Tuple
 
 from .errors import PlecticError
 from .record import Record
@@ -46,14 +45,14 @@ def echo(config: Optional[SampleConfig], points: Sized) -> dict:
 def sample_points(
     dim: int,
     config: SampleConfig,
-    reject: Optional[Callable[[Tuple[Fraction, ...]], bool]] = None,
-) -> List[Tuple[Fraction, ...]]:
-    """Draw config.count points in Q^dim, redrawing rejected ones."""
+    reject: Optional[Callable[[Tuple[int, ...]], bool]] = None,
+) -> List[Tuple[int, ...]]:
+    """Draw config.count points in Z^dim, redrawing rejected ones."""
     rng = random.Random(config.seed)
     points = []
     rejects = 0
     while len(points) < config.count:
-        point = tuple(Fraction(rng.randint(config.low, config.high)) for _ in range(dim))
+        point = tuple(rng.randint(config.low, config.high) for _ in range(dim))
         if reject is not None and reject(point):
             rejects += 1
             if rejects > _MAX_REJECTS:
@@ -63,7 +62,7 @@ def sample_points(
     return points
 
 
-def pole_rejector(form) -> Callable[[Tuple[Fraction, ...]], bool]:
+def pole_rejector(form) -> Callable[[Sequence], bool]:
     """Rejection predicate: any coefficient denominator vanishes at the point.
 
     A constant denominator is nonzero, so only the distinct non-constant ones

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .coeff import ScalarExpr, exact_point
+from .coeff import Exact, ScalarExpr
 from .errors import ChartMismatchError, PlecticError, PoleError
 from .exterior import (
     Chart,
@@ -66,41 +66,24 @@ class PreMultisymplecticManifold(Record):
             raise NotClosedError(residual)
 
 
-def _values_at(form: Form, point: Sequence[Fraction]) -> Dict[Index, Fraction]:
-    """The nonzero coefficients of a form at a point, each an int when integral."""
-    point = exact_point(point)
-    values = {}
-    for idx, c in form.terms.items():
-        if c.den.is_one():
-            v = c.num._value(point)
-        else:
-            v = c.evaluate(point)
-            if v.denominator == 1:
-                v = v.numerator
-        if v:
-            values[idx] = v
-    return values
-
-
-def contraction_matrix(form: Form, point: Sequence[Fraction]):
+def contraction_matrix(form: Form, point: Sequence) -> Tuple[List[linalg.SparseRow], List[Index]]:
     """Matrix of X |-> i_X form at a point, built from its nonzero terms.
 
     Only nonzero rows are returned: sparse {coordinate position: value} rows,
     indexed by the strictly increasing (degree-1)-tuples of coordinate
-    positions that carry a nonzero entry (lexicographic order).  Integral
-    values are ints, so ``linalg.rref`` reduces them on ints.
+    positions that carry a nonzero entry (lexicographic order).  The values
+    are those of ``Form.eval_coefficients``, ints where they are integral,
+    so ``linalg.rref`` reduces them on ints.
     """
-    by_rest = _contraction_rows(_values_at(form, point))
+    by_rest = _contraction_rows(form.eval_coefficients(point))
     row_indices = sorted(by_rest)
     return [by_rest[rest] for rest in row_indices], row_indices
 
 
-def _contraction_rows(cterms: Dict[Index, Fraction]) -> Dict[Index, linalg.SparseRow]:
-    """Nonzero rows of X |-> i_X of a constant form, keyed by the remaining index."""
+def _contraction_rows(cterms: Dict[Index, Exact]) -> Dict[Index, linalg.SparseRow]:
+    """Rows of X |-> i_X of a constant form's nonzero terms, keyed by the remaining index."""
     by_rest: Dict[Index, linalg.SparseRow] = {}
     for idx, c in cterms.items():
-        if not c:
-            continue
         for pos, axis in enumerate(idx):
             rest = idx[:pos] + idx[pos + 1 :]
             by_rest.setdefault(rest, {})[axis] = c if pos % 2 == 0 else -c
@@ -371,8 +354,8 @@ def coordinate_orthogonal(
     if ell < 1:
         raise PlecticError("ell must be >= 1")
     axes = set(axes)
-    contracted: Dict[Index, Dict[Index, Fraction]] = {}
-    for idx, c in _values_at(form, point).items():
+    contracted: Dict[Index, Dict[Index, Exact]] = {}
+    for idx, c in form.eval_coefficients(point).items():
         inside = [pos for pos, axis in enumerate(idx) if axis in axes]
         for s in itertools.combinations(inside, ell):
             # moving the positions s to the front, in order, passes

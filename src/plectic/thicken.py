@@ -322,7 +322,7 @@ def verify_coisotropic(
     if points is None:
         config = config or SampleConfig(count=25)
         reject = pole_rejector(thickening.omega_tilde)
-        zeros = (Fraction(0),) * thickening.fiber_count
+        zeros = (0,) * thickening.fiber_count
         base_points = sample_points(d, config, lambda p: reject(p + zeros))
         points = [p + zeros for p in base_points]
     else:

@@ -446,12 +446,53 @@ def test_evaluate_mixes_fractions_and_ints():
     assert parse_expr("1/(x - t)", VARS).evaluate([Fraction(3), 1]) == Fraction(1, 2)
 
 
-def test_poly_value_is_an_int_where_integral_and_evaluate_a_fraction():
+def test_poly_evaluate_is_an_int_where_integral_and_a_fraction_elsewhere():
     # halves that sum to an integer come back as an int
     p = parse_expr("x/2 + t/2", VARS).num
     for point, value in (([1, 1], 1), ([Fraction(1, 3), Fraction(5, 3)], 1), ([2, 1], Fraction(3, 2))):
-        assert p._value(point) == value and type(p._value(point)) is type(value)
-        assert p.evaluate(point) == value and type(p.evaluate(point)) is Fraction
+        assert p.evaluate(point) == value and type(p.evaluate(point)) is type(value)
+
+
+def test_evaluate_divides_exactly():
+    # int over int is a Fraction where it does not divide and the int where it
+    # does; true division would make a float of both
+    for src, point, value in (
+        ("x/2", [1, 0], Fraction(1, 2)),
+        ("1/(x + 1)", [1, 0], Fraction(1, 2)),
+        ("(x+1)/(x-1)", [3, 0], 2),
+        ("t/(x + t)", [Fraction(1, 2), Fraction(1, 2)], Fraction(1, 2)),
+    ):
+        got = parse_expr(src, VARS).evaluate(point)
+        assert got == value and type(got) is type(value)
+
+
+def _reference_value(e, point):
+    """Value of e at the point in Fraction arithmetic, term by term."""
+    def value(p):
+        return sum(
+            (Fraction(c) * math.prod(Fraction(point[i]) ** k for i, k in m) for m, c in p.terms.items()),
+            Fraction(0),
+        )
+    den = value(e.den)
+    return None if den == 0 else value(e.num) / den
+
+
+_POINT_ENTRIES = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_scalars(), st.lists(_POINT_ENTRIES, min_size=2, max_size=2))
+def test_evaluate_is_exact_and_an_int_exactly_where_integral(a, point):
+    # never a float: the value of the Fraction reference, as an int where
+    # that is integral and as a Fraction elsewhere
+    want = _reference_value(a, point)
+    if want is None:
+        with pytest.raises(PoleError):
+            a.evaluate(point)
+        return
+    got = a.evaluate(point)
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else Fraction)
 
 
 def test_diff_names_an_unknown_variable():

@@ -733,18 +733,36 @@ def test_eval_form_alternating_random():
         assert alpha.evaluate(point, [v, w]) == -alpha.evaluate(point, [w, v])
 
 
+def _is_exact(v) -> bool:
+    """v is an int, or a Fraction that is not integral (never a float)."""
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
 def test_supplied_float_and_decimal_points_are_converted_exactly():
     # a float or Decimal entry is read as the Fraction it denotes, so the
-    # values stay exact Fractions and equal those at the converted point
-    alpha = Form.from_terms(CHART3, 1, [(("x",), "x*y - 1/3"), (("z",), "1/(y + z)")])
+    # values stay exact, equal those at the converted point, and are ints
+    # exactly where they are integral
+    alpha = Form.from_terms(
+        CHART3, 1, [(("x",), "x*y - 1/3"), (("y",), "2*x + z"), (("z",), "1/(y + z)")]
+    )
     point = [0.5, Decimal("0.25"), 2]
     exact = [F(1, 2), F(1, 4), F(2)]
     values = alpha.eval_coefficients(point)
-    assert values == alpha.eval_coefficients(exact)
-    assert all(type(v) is Fraction for v in values.values())
-    field = VectorField.from_mapping(CHART3, {"x": "x*y", "z": "z/3"})
-    assert field.evaluate(point) == field.evaluate(exact)
-    assert all(type(v) is Fraction for v in field.evaluate(point))
+    assert values == alpha.eval_coefficients(exact) == {(0,): F(-5, 24), (1,): 3, (2,): F(4, 9)}
+    assert all(_is_exact(v) for v in values.values())
+    field = VectorField.from_mapping(CHART3, {"x": "x*y", "y": "8*x*y", "z": "z/3"})
+    assert field.evaluate(point) == field.evaluate(exact) == [F(1, 8), 1, F(2, 3)]
+    assert all(_is_exact(v) for v in field.evaluate(point))
+
+
+def test_eval_coefficients_leaves_out_a_coefficient_that_vanishes_at_the_point():
+    from plectic.splitting import contraction_matrix
+
+    alpha = Form.from_terms(CHART3, 2, [(("x", "y"), "x - 1"), (("y", "z"), "3")])
+    assert alpha.eval_coefficients([1, 5, 7]) == {(1, 2): 3}
+    # only dy^dz gives rows: i_X (3 dy^dz) = 3 X_y dz - 3 X_z dy
+    assert contraction_matrix(alpha, [1, 5, 7]) == ([{2: -3}, {1: 3}], [(1,), (2,)])
+    assert alpha.eval_coefficients([2, 5, 7]) == {(0, 1): 1, (1, 2): 3}
 
 
 def test_eval_arity_mismatch():
@@ -822,3 +840,11 @@ def test_interior_over_q_x_and_over_q_agree_with_evaluation():
             assert got.get(idx, 0) == expected
         checked += bool(got)
     assert checked >= 20
+
+
+def test_contract_constant_keeps_integral_entries_as_ints():
+    # i_X (3 dx^dy + 1/2 dy^dz) for X = (2, 1, 0) is -3 dx + 6 dy + 1/2 dz; an
+    # integral Fraction entry of X multiplies as an int
+    got = contract_constant([F(2), 1, F(0)], {(0, 1): 3, (1, 2): F(1, 2)})
+    assert got == {(0,): -3, (1,): 6, (2,): F(1, 2)}
+    assert [type(got[idx]) for idx in ((0,), (1,), (2,))] == [int, int, Fraction]
