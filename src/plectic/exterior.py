@@ -13,6 +13,7 @@ once and used everywhere.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
@@ -148,7 +149,8 @@ def substitute(
 class Form:
     """Differential form of fixed degree with exact rational-function coefficients."""
 
-    __slots__ = ("chart", "degree", "terms")
+    # _layout is set by point_layout, at the form's first pointwise use
+    __slots__ = ("chart", "degree", "terms", "_layout")
 
     def __init__(self, chart: Chart, degree: int, terms: Mapping[Index, ScalarExpr] = None):
         if degree < 0:
@@ -288,15 +290,25 @@ class Form:
 
     # -- evaluation ------------------------------------------------------
 
+    def point_layout(self) -> "PointLayout":
+        """What evaluating the form at a point needs that does not depend on
+        the point, built at the first call and kept (forms are not changed
+        after construction)."""
+        layout = getattr(self, "_layout", None)
+        if layout is None:
+            layout = self._layout = PointLayout(self)
+        return layout
+
     def eval_coefficients(self, point: Sequence) -> Dict[Index, Exact]:
         """The nonzero coefficients at a rational point, each an int where it
         is integral and a Fraction elsewhere (raises PoleError).
 
         Entries of the point go through exact_point, so a float or Decimal
-        stands for the rational it denotes.
+        stands for the rational it denotes.  Only the non-constant
+        coefficients are evaluated (see ``PointLayout.values``).
         """
-        point = exact_point(point)
-        return {idx: v for idx, c in self.terms.items() if (v := c.evaluate(point))}
+        layout = self.point_layout()
+        return {idx: v for idx, v in zip(layout.indices, layout.values(point)) if v}
 
     def evaluate(self, point: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]]) -> Fraction:
         """Exact multilinear alternating evaluation on rational tangent vectors."""
@@ -354,6 +366,121 @@ def _det(rows: List[List[Fraction]]) -> Fraction:
                 f = m[i][c] * inv
                 m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return det
+
+
+# -- a form at a point ----------------------------------------------------------
+
+# a row layout: a row key and the (column, term position, sign) of each entry
+RowLayout = Tuple[Index, List[Tuple[int, int, int]]]
+
+
+class PointLayout:
+    """The point-independent part of evaluating a form and of its pointwise
+    contraction rows, by term position (the order of ``form.terms``).
+
+    Built by ``Form.point_layout``: the values of the constant coefficients,
+    evaluated once, the positions of the other coefficients, and their
+    distinct non-constant denominators (the poles ``sampling.pole_rejector``
+    tests).  Row layouts are built at their first use and kept:
+    ``contraction_rows`` for X |-> i_X form, and ``orthogonal_rows`` for each
+    coordinate subspace and ell.  ``fill_rows`` turns a row layout and the
+    values at a point into sparse rows.
+    """
+
+    __slots__ = ("dim", "indices", "constants", "variable", "denominators", "_contraction",
+                 "_orthogonals")
+
+    def __init__(self, form: Form):
+        self.dim = form.chart.dim
+        self.indices = list(form.terms)
+        origin = (0,) * self.dim
+        # a constant coefficient is nonzero, and the same at every point
+        self.constants, self.variable = [], []
+        for t, c in enumerate(form.terms.values()):
+            if c.is_const():
+                self.constants.append(c.evaluate(origin))
+            else:
+                self.constants.append(0)
+                self.variable.append((t, c))
+        self.denominators = list(
+            dict.fromkeys(c.den for _, c in self.variable if not c.den.is_const())
+        )
+        self._contraction = None
+        self._orthogonals: Dict[Tuple[frozenset, int], List[RowLayout]] = {}
+
+    def values(self, point: Sequence) -> List[Exact]:
+        """Every coefficient's value at a rational point, by term position,
+        zeros kept; only the non-constant coefficients are evaluated.
+
+        The point goes through exact_point; one of the wrong dimension raises
+        ValueError, as evaluation does.
+        """
+        point = exact_point(point)
+        if self.indices and len(point) != self.dim:
+            raise ValueError("point dimension mismatch")
+        values = self.constants.copy()
+        for t, c in self.variable:
+            values[t] = c.evaluate(point)
+        return values
+
+    def contraction_rows(self) -> List[RowLayout]:
+        """The rows of X |-> i_X form, keyed by the remaining (degree-1)-index
+        in increasing order; entry (axis, t, sign) is sign * term t at column
+        axis, the sign that of moving the axis to the first slot."""
+        if self._contraction is None:
+            by_rest: Dict[Index, list] = {}
+            for t, idx in enumerate(self.indices):
+                sign = 1
+                for pos, axis in enumerate(idx):
+                    by_rest.setdefault(idx[:pos] + idx[pos + 1 :], []).append((axis, t, sign))
+                    sign = -sign
+            self._contraction = [(rest, by_rest[rest]) for rest in sorted(by_rest)]
+        return self._contraction
+
+    def orthogonal_rows(self, axes: Iterable[int], ell: int) -> List[RowLayout]:
+        """The rows V -> i_V i_{e_S} form over every ell-subset S of the axes,
+        as ``splitting.coordinate_orthogonal`` uses them.
+
+        The terms of i_{e_S} form are read off the form's terms: a term whose
+        index holds S passes its coefficient, signed by the parity of moving
+        S to the front, to the index with S deleted.  Rows are grouped by S
+        in order of first occurrence, and by row key within each group.
+        """
+        axes = frozenset(axes)
+        rows = self._orthogonals.get((axes, ell))
+        if rows is None:
+            contracted: Dict[Index, Dict[Index, list]] = {}
+            for t, idx in enumerate(self.indices):
+                inside = [pos for pos, axis in enumerate(idx) if axis in axes]
+                for s in itertools.combinations(inside, ell):
+                    # moving the positions s to the front, in order, passes
+                    # sum(s[i] - i) other entries
+                    parity = sum(s) - ell * (ell - 1) // 2
+                    w = tuple([idx[pos] for pos in s])
+                    rest = tuple([axis for axis in idx if axis not in w])
+                    by_rest = contracted.setdefault(w, {})
+                    for pos, axis in enumerate(rest):
+                        sign = -1 if (parity + pos) % 2 else 1
+                        by_rest.setdefault(rest[:pos] + rest[pos + 1 :], []).append((axis, t, sign))
+            rows = [row for by_rest in contracted.values() for row in by_rest.items()]
+            self._orthogonals[axes, ell] = rows
+        return rows
+
+
+def fill_rows(layout: Sequence[RowLayout], values: Sequence[Exact]) -> Tuple[List[dict], List[Index]]:
+    """The sparse rows of a row layout at the values of a point, with their
+    keys; zero entries and empty rows are dropped."""
+    rows, keys = [], []
+    for key, entries in layout:
+        row = {}
+        for axis, t, sign in entries:
+            v = values[t]
+            if v:
+                row[axis] = v if sign > 0 else -v
+        if row:
+            rows.append(row)
+            keys.append(key)
+    return rows, keys
 
 
 class VectorField:
@@ -484,17 +611,6 @@ class CoordinateMap:
             self._rows = rows
             self._dead = frozenset(i for i, row in enumerate(rows) if not row)
         return self._rows
-
-    def pushforward_vector(self, point: Sequence[Fraction], vector: Sequence[Fraction]) -> List[Fraction]:
-        """Differential applied to a tangent vector at a rational point."""
-        point = exact_point(point)
-        out = []
-        for row in self._partial_rows():
-            acc = Fraction(0)
-            for j, p in row:
-                acc += p.evaluate(point) * Fraction(vector[j])
-            out.append(acc)
-        return out
 
 
 # -- the interior-product loop, over Q(x) and over Q -------------------------

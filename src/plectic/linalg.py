@@ -124,15 +124,16 @@ def kernel_basis(rows: Sequence[SparseRow], ncols: int) -> List[Vector]:
 
     Basis size always equals ncols - rank(M); basis vectors carry a 1 in
     their defining free coordinate.  Over Q the entries are exact rationals,
-    ints or Fractions as the elimination left them.
+    ints or Fractions as the elimination left them, and the 0 and 1 of the
+    free coordinates are ints.
     """
     reduced = rref(rows, ncols)
     basis = []
     for fc in range(ncols):
         if fc in reduced:
             continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+        v = [0] * ncols
+        v[fc] = 1
         for pc, row in reduced.items():
             if fc in row:
                 v[pc] = -row[fc]

@@ -65,10 +65,10 @@ def sample_points(
 def pole_rejector(form) -> Callable[[Sequence], bool]:
     """Rejection predicate: any coefficient denominator vanishes at the point.
 
-    A constant denominator is nonzero, so only the distinct non-constant ones
-    are evaluated.
+    A constant denominator is nonzero, so only the distinct non-constant
+    ones, which the form's ``PointLayout`` lists, are evaluated.
     """
-    dens = list(dict.fromkeys(c.den for c in form.terms.values() if not c.den.is_const()))
+    dens = form.point_layout().denominators
 
     def reject(point) -> bool:
         return any(den.evaluate(point) == 0 for den in dens)

@@ -10,6 +10,11 @@ kernel, or R = 1 - P onto the complement).
 Frame order convention: kernel (vertical) fields first, then the chosen
 complement (horizontal) fields.  Coframe covectors and all frame-monomial
 indices follow the same order.
+
+The pointwise checks (``contraction_matrix`` and ``coordinate_orthogonal``)
+read their rows from the form's ``PointLayout``, which each form builds at
+its first pointwise use and keeps: a point then costs the evaluation of the
+non-constant coefficients and one ``fill_rows``.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .exterior import (
     Index,
     VectorField,
     contract_constant,
+    fill_rows,
     substitute,
 )
 from .record import Record
@@ -71,13 +77,14 @@ def contraction_matrix(form: Form, point: Sequence) -> Tuple[List[linalg.SparseR
 
     Only nonzero rows are returned: sparse {coordinate position: value} rows,
     indexed by the strictly increasing (degree-1)-tuples of coordinate
-    positions that carry a nonzero entry (lexicographic order).  The values
-    are those of ``Form.eval_coefficients``, ints where they are integral,
-    so ``linalg.rref`` reduces them on ints.
+    positions that carry a nonzero entry (lexicographic order).  The rows are
+    those of the form's ``PointLayout.contraction_rows``, built once per
+    form, filled with the values of ``PointLayout.values`` (ints where they
+    are integral, so ``linalg.rref`` reduces them on ints); only the
+    non-constant coefficients are evaluated at each point.
     """
-    by_rest = _contraction_rows(form.eval_coefficients(point))
-    row_indices = sorted(by_rest)
-    return [by_rest[rest] for rest in row_indices], row_indices
+    layout = form.point_layout()
+    return fill_rows(layout.contraction_rows(), layout.values(point))
 
 
 def _contraction_rows(cterms: Dict[Index, Exact]) -> Dict[Index, linalg.SparseRow]:
@@ -345,24 +352,15 @@ def coordinate_orthogonal(
 ) -> List[List[Fraction]]:
     """Exact basis of the ell-orthogonal of the coordinate subspace on ``axes``.
 
-    For each ell-subset S of the axes, the terms of i_{e_S} form are read off
-    the evaluated terms, with no contraction, and ``_contraction_rows``
-    builds the rows V -> i_V i_{e_S} form from them.  A vector lies in the
-    subspace exactly when it vanishes off the axes, so callers test
+    For each ell-subset S of the axes, the rows V -> i_V i_{e_S} form are
+    read off the form's terms, with no contraction.  Their layout
+    (``PointLayout.orthogonal_rows``) is built once per form, axes and ell,
+    and each point fills it with the coefficients' values.  A vector lies in
+    the subspace exactly when it vanishes off the axes, so callers test
     containment on the returned vectors' entries.
     """
     if ell < 1:
         raise PlecticError("ell must be >= 1")
-    axes = set(axes)
-    contracted: Dict[Index, Dict[Index, Exact]] = {}
-    for idx, c in form.eval_coefficients(point).items():
-        inside = [pos for pos, axis in enumerate(idx) if axis in axes]
-        for s in itertools.combinations(inside, ell):
-            # moving the positions s to the front, in order, passes
-            # sum(s[t] - t) other entries
-            parity = sum(s) - ell * (ell - 1) // 2
-            w = tuple([idx[pos] for pos in s])
-            rest = tuple([axis for axis in idx if axis not in w])
-            contracted.setdefault(w, {})[rest] = -c if parity % 2 else c
-    rows = [row for cterms in contracted.values() for row in _contraction_rows(cterms).values()]
+    layout = form.point_layout()
+    rows, _ = fill_rows(layout.orthogonal_rows(axes, ell), layout.values(point))
     return linalg.kernel_basis(rows, form.chart.dim)

@@ -13,7 +13,7 @@ from plectic import (
     build_split_frame,
     build_thickening,
 )
-from plectic.coeff import Poly, term_order_key
+from plectic.coeff import Poly, exact_point, term_order_key
 from plectic.exterior import substitute
 
 
@@ -137,6 +137,15 @@ def pullback_composing_every_term(phi, form: Form) -> Form:
     empty differential row, which substitute then drops."""
     composed = [(idx, c.compose(phi.components)) for idx, c in form.terms.items()]
     return Form(phi.source, form.degree, substitute(composed, phi._partial_rows()))
+
+
+def pushforward_vector(phi, point, vector):
+    """The differential of phi applied to a tangent vector at a rational point."""
+    point = exact_point(point)
+    return [
+        sum((p.evaluate(point) * Fraction(vector[j]) for j, p in row), Fraction(0))
+        for row in phi._partial_rows()
+    ]
 
 
 # -- reference conversion for the sympy cross-checks ----------------------------

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import random
 from decimal import Decimal
@@ -7,13 +8,15 @@ from fractions import Fraction
 import pytest
 
 from plectic import linalg
-from plectic.coeff import ScalarExpr
-from plectic.exterior import Chart, Form, VectorField
+from plectic.coeff import ScalarExpr, exact_point
+from plectic.errors import PoleError
+from plectic.exterior import Chart, Form, PointLayout, VectorField
 from plectic.splitting import (
     FrameError,
     NotClosedError,
     PreMultisymplecticManifold,
     build_split_frame,
+    contraction_matrix,
     coordinate_orthogonal,
     decompose,
     kernel_at,
@@ -22,7 +25,7 @@ from plectic.splitting import (
 )
 from plectic.sampling import SampleConfig, pole_rejector, sample_points
 
-from conftest import random_form
+from conftest import random_form, random_poly_expr, random_scalar
 
 F = Fraction
 
@@ -483,3 +486,228 @@ def test_r4_inside_r5_is_2_coisotropic_at_origin():
     assert linalg.subspace_contained(ortho, [tangent[3]])
     assert linalg.subspace_contained([tangent[3]], ortho)
     assert linalg.subspace_contained(ortho, tangent)
+
+
+# -- the pointwise layout ------------------------------------------------------
+# contraction_matrix and coordinate_orthogonal fill row layouts that each form
+# builds once; the references below evaluate every coefficient at every point
+# and build the rows from the nonzero values.
+
+
+def _reference_values(form, point):
+    point = exact_point(point)
+    return {idx: v for idx, c in form.terms.items() if (v := c.evaluate(point))}
+
+
+def _reference_rows(cterms):
+    by_rest = {}
+    for idx, c in cterms.items():
+        for pos, axis in enumerate(idx):
+            rest = idx[:pos] + idx[pos + 1 :]
+            by_rest.setdefault(rest, {})[axis] = c if pos % 2 == 0 else -c
+    return by_rest
+
+
+def _reference_contraction_matrix(form, point):
+    by_rest = _reference_rows(_reference_values(form, point))
+    row_indices = sorted(by_rest)
+    return [by_rest[rest] for rest in row_indices], row_indices
+
+
+def _reference_coordinate_orthogonal(form, point, axes, ell):
+    axes = set(axes)
+    contracted = {}
+    for idx, c in _reference_values(form, point).items():
+        inside = [pos for pos, axis in enumerate(idx) if axis in axes]
+        for s in itertools.combinations(inside, ell):
+            parity = sum(s) - ell * (ell - 1) // 2
+            w = tuple([idx[pos] for pos in s])
+            rest = tuple([axis for axis in idx if axis not in w])
+            contracted.setdefault(w, {})[rest] = -c if parity % 2 else c
+    rows = [row for cterms in contracted.values() for row in _reference_rows(cterms).values()]
+    return linalg.kernel_basis(rows, form.chart.dim)
+
+
+def _or_pole(fn, *args):
+    try:
+        return fn(*args)
+    except PoleError:
+        return PoleError
+
+
+def _mixed_form(rng, chart, degree, rational):
+    """Up to six terms, about half of them constant (some of them Fractions)."""
+    entries = []
+    for _ in range(rng.randint(1, 6)):
+        idx = rng.sample(range(chart.dim), degree)
+        if rng.random() < 0.5:
+            coeff = ScalarExpr.const(chart.coords, F(rng.choice((1, -2, 3)), rng.choice((1, 1, 2))))
+        else:
+            coeff = (random_scalar if rational else random_poly_expr)(rng, chart.coords)
+            coeff = coeff * ScalarExpr.var(chart.coords, rng.choice(chart.coords))
+        entries.append((idx, coeff))
+    return Form.from_terms(chart, degree, entries)
+
+
+def test_layout_rows_match_evaluating_every_coefficient():
+    rng = random.Random(26)
+    chart = Chart("c5", tuple(f"y{i}" for i in range(5)))
+    subsets = [s for r in range(6) for s in itertools.combinations(range(5), r)]
+    vanished = poles = orthogonals = 0
+    for trial in range(60):
+        form = _mixed_form(rng, chart, rng.randint(1, 4), rational=trial % 2 == 1)
+        for _ in range(3):
+            # zero-heavy points, where non-constant coefficients vanish
+            point = [rng.choice((0, 0, 0, 1, -1, -2, F(1, 2))) for _ in range(5)]
+            want = _or_pole(_reference_contraction_matrix, form, point)
+            got = _or_pole(contraction_matrix, form, point)
+            assert repr(got) == repr(want), (trial, point)
+            if want is PoleError:
+                poles += 1
+                continue
+            assert form.eval_coefficients(point) == _reference_values(form, point)
+            vanished += len(_reference_values(form, point)) < len(form.terms)
+            for axes in subsets:
+                for ell in range(1, form.degree + 2):
+                    ortho = coordinate_orthogonal(form, point, axes, ell)
+                    expected = _reference_coordinate_orthogonal(form, point, axes, ell)
+                    assert ortho == expected, (trial, point, axes, ell)
+                    assert [[str(x) for x in v] for v in ortho] == [
+                        [str(x) for x in v] for v in expected
+                    ]
+                    orthogonals += 0 < len(ortho) < 5
+    assert vanished >= 40 and poles >= 3 and orthogonals >= 2000, (vanished, poles, orthogonals)
+
+
+def test_layout_raises_pole_error_at_a_pole():
+    chart = Chart("c3", ("x", "y", "z"))
+    form = Form.from_terms(chart, 2, [(("x", "y"), "2"), (("y", "z"), "y/(x - 1)")])
+    assert contraction_matrix(form, [0, 1, 0])[1] == [(0,), (1,), (2,)]
+    for point in ([1, 1, 0], [F(1), 0, 5]):
+        with pytest.raises(PoleError):
+            contraction_matrix(form, point)
+        with pytest.raises(PoleError):
+            coordinate_orthogonal(form, point, [0], 1)
+        with pytest.raises(PoleError):
+            form.eval_coefficients(point)
+        assert pole_rejector(form)(point)
+    with pytest.raises(ValueError):
+        contraction_matrix(Form.from_terms(chart, 1, [(("x",), "3")]), [0, 0])
+
+
+def _count_layouts(monkeypatch):
+    built = []
+    original = PointLayout.__init__
+
+    def counted(self, form):
+        built.append(form)
+        original(self, form)
+
+    monkeypatch.setattr(PointLayout, "__init__", counted)
+    return built
+
+
+def test_each_form_builds_its_layout_once(monkeypatch):
+    chart = Chart("c4", ("a", "b", "c", "d"))
+    form = Form.from_terms(
+        chart, 3, [(("a", "b", "c"), "2"), (("a", "b", "d"), "a*b"), (("b", "c", "d"), "-1/2")]
+    )
+    built = _count_layouts(monkeypatch)
+    calls = [0]
+    evaluate = ScalarExpr.evaluate
+
+    def counted(self, point):
+        calls[0] += 1
+        return evaluate(self, point)
+
+    monkeypatch.setattr(ScalarExpr, "evaluate", counted)
+    pole_rejector(form)
+    layout = form.point_layout()
+    assert built == [form] and calls[0] == 2  # the constants, once
+    contraction = layout.contraction_rows()
+    orthogonal = layout.orthogonal_rows([0, 1], 2)
+    for point in ([1, 2, 3, 4], [0, 1, 0, 1], [F(1, 2), 3, 0, -1]):
+        calls[0] = 0
+        got = contraction_matrix(form, point)
+        assert calls[0] == 1  # the one non-constant coefficient
+        assert got == _reference_contraction_matrix(form, point)
+        assert coordinate_orthogonal(form, point, range(2), 2) == (
+            _reference_coordinate_orthogonal(form, point, [0, 1], 2)
+        )
+        form.eval_coefficients(point)
+    assert built == [form]
+    assert form.point_layout() is layout
+    assert layout.contraction_rows() is contraction
+    assert layout.orthogonal_rows((1, 0), 2) is orthogonal
+    assert layout.orthogonal_rows([0, 1], 1) is not orthogonal
+
+
+def test_a_warm_form_makes_a_pole_rejector_without_scanning_its_terms(monkeypatch):
+    chart = Chart("c3", ("x", "y", "z"))
+    form = Form.from_terms(chart, 1, [(("x",), "1/(x - 1)"), (("y",), "3"), (("z",), "z")])
+    form.point_layout()
+    calls = [0]
+    is_const = ScalarExpr.is_const
+
+    def counted(self):
+        calls[0] += 1
+        return is_const(self)
+
+    monkeypatch.setattr(ScalarExpr, "is_const", counted)
+    reject = pole_rejector(form)
+    assert calls[0] == 0
+    assert reject((1, 0, 0)) and not reject((2, 0, 0))
+
+
+def test_building_a_thickening_builds_no_layout(monkeypatch, manifold4, frame4):
+    from plectic.thicken import build_thickening
+
+    built = _count_layouts(monkeypatch)
+    thickening = build_thickening(manifold4, frame4)
+    assert built == []
+    for form in (thickening.omega_tilde, thickening.theta0):
+        assert getattr(form, "_layout", None) is None
+
+
+def test_forms_with_the_same_indices_share_no_layout():
+    chart = Chart("c3", ("x", "y", "z"))
+    idx = [("x", "y"), ("x", "z"), ("y", "z")]
+    forms = [
+        Form.from_terms(chart, 2, zip(idx, ("2", "x", "-1"))),
+        Form.from_terms(chart, 2, zip(idx, ("5", "1/2", "y*z"))),
+        Form.from_terms(chart, 2, zip(idx, ("x*y", "7", "-3"))),
+    ]
+    point = [1, 2, 3]
+    for form in forms:
+        assert contraction_matrix(form, point) == _reference_contraction_matrix(form, point)
+        for axes in ([0], [1, 2], [0, 1, 2]):
+            assert coordinate_orthogonal(form, point, axes, 1) == (
+                _reference_coordinate_orthogonal(form, point, axes, 1)
+            )
+    layouts = [form.point_layout() for form in forms]
+    assert len({id(layout) for layout in layouts}) == 3
+    assert [layout.constants for layout in layouts] == [[2, 0, -1], [5, F(1, 2), 0], [0, 7, -3]]
+
+
+def test_sampled_reports_from_a_cold_and_a_warm_layout_are_identical(manifold4, frame4):
+    from plectic.thicken import build_thickening, verify_coisotropic, verify_nondegenerate
+
+    def reports(thickening):
+        return json.dumps([
+            verify_nondegenerate(thickening, SampleConfig(6, 4)).to_json_dict(),
+            verify_coisotropic(thickening, config=SampleConfig(4, 4)).to_json_dict(),
+            verify_constant_rank(manifold4, config=SampleConfig(5, 4)).to_json_dict(),
+        ], sort_keys=True)
+
+    thickening = build_thickening(manifold4, frame4)
+    assert getattr(thickening.omega_tilde, "_layout", None) is None
+    cold = reports(thickening)
+    assert thickening.omega_tilde.point_layout().contraction_rows()
+    assert reports(thickening) == cold
+    assert reports(build_thickening(manifold4, frame4)) == cold
+
+
+def test_kernel_vectors_hold_int_zeros_and_ones():
+    basis = linalg.kernel_basis([{0: 2, 1: 3}], 3)
+    assert basis == [[F(-3, 2), 1, 0], [0, 0, 1]]
+    assert [[type(x) for x in v] for v in basis] == [[Fraction, int, int], [int, int, int]]
