@@ -822,7 +822,8 @@ def _reduce(num: Poly, den: Poly):
 def raw_sum(variables: tuple, parts: Mapping) -> ScalarExpr:
     """The sum of raw parts {den or None for 1: numerator terms}, each
     reduced once and added in order of first appearance; an empty part is
-    skipped.  The accumulator of compose and ``exterior.substitute``."""
+    skipped.  The accumulator of compose, ``exterior.substitute`` and
+    ``fieldtheory.eom_symbolic_system``."""
     total = None
     for den, acc in parts.items():
         if acc:

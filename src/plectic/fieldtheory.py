@@ -11,11 +11,15 @@ Two views are provided.  ``eom_residual`` evaluates the residuals of a
 concrete section.  ``eom_symbolic_system`` keeps the section formal: each
 fiber component becomes an opaque field symbol and its first partials become
 independent jet symbols, so the residuals print as first-order PDE left-hand
-sides.  For thickened inputs the fiber coordinates added by the thickening
-are marked auxiliary; each residual is split into the part free of auxiliary
-symbols (the physical part) and the remainder, and the displayed physical
-system collects the physical parts that are honest first-order PDEs (affine
-in the jet symbols).  Higher jet-degree leftovers are reported as derived
+sides.  Along the formal graph d(fiber f) pulls back to sum_b f__b d(base b),
+so a contracted term c d(rest) pulls back to c times a signed sum of jet
+monomials, a minor of the jet matrix, on the base volume; each direction
+sums those products in one raw accumulator, reduced once.  For thickened
+inputs the fiber coordinates added by the thickening are marked auxiliary;
+each residual is split into the part free of auxiliary symbols (the
+physical part) and the remainder, and the displayed physical system
+collects the physical parts that are honest first-order PDEs (affine in the
+jet symbols).  Higher jet-degree leftovers are reported as derived
 combinations, and jet-free nonzero residuals -- which arise in the thickened
 system from the fiber direction dual to the base volume monomial, and admit
 no solution -- are reported as obstructions rather than silently dropped.
@@ -23,12 +27,12 @@ no solution -- are reported as obstructions rather than silently dropped.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import itertools
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
-from .coeff import Poly, ScalarExpr, partial_degree, term_order_key
+from .coeff import Poly, ScalarExpr, add_terms, partial_degree, raw_sum, term_order_key
 from .errors import DegreeError, PlecticError
-from .exterior import Chart, CoordinateMap, Form, Index, substitute
+from .exterior import Chart, CoordinateMap, Form, Index
 from .record import Record
 
 JET_SEP = "__"
@@ -182,33 +186,61 @@ def _jet_chart(fibered: FiberedChart) -> Chart:
     return Chart(fibered.total.name + "_jets", tuple(names))
 
 
-def _formal_graph_rows(
-    fibered: FiberedChart, jets: Chart, jet_axis: Mapping[str, int]
-) -> List[List[Tuple[int, ScalarExpr]]]:
+def _graph_axes(fibered: FiberedChart) -> List[tuple]:
     """Differentials along the formal graph: d(fiber f) -> sum_b f__b d(base b).
 
-    One row per total coordinate, as (base axis, jet-chart coefficient) pairs;
-    ``jet_axis`` maps each jet-chart name to its axis.
+    One pair per total coordinate: (its column, None) for a base coordinate,
+    and (None, the jet factor (axis of f__b, 1) of each column b) for a
+    fiber coordinate f.  ``_jet_chart`` puts the jets after the
+    coordinates, fiber by fiber and column by column.  Every monomial of
+    the system shares these factors.
     """
-    base_axes = {n: i for i, n in enumerate(fibered.base)}
-    one = ScalarExpr.one(jets.coords)
-    rows = []
+    column = {n: i for i, n in enumerate(fibered.base)}
+    first = len(fibered.total.coords)
+    out = []
     for name in fibered.total.coords:
-        if name in base_axes:
-            rows.append([(base_axes[name], one)])
+        if name in column:
+            out.append((column[name], None))
         else:
-            rows.append(
-                [
-                    (i, _jet_variable(jets, jet_axis[jet_symbol(name, b)]))
-                    for i, b in enumerate(fibered.base)
-                ]
-            )
-    return rows
+            out.append((None, [(first + b, 1) for b in range(len(column))]))
+            first += len(column)
+    return out
 
 
-def _jet_variable(jets: Chart, axis: int) -> ScalarExpr:
-    """The coordinate function of one jet-chart axis."""
-    return ScalarExpr(Poly(jets.coords, {((axis, 1),): Fraction(1)}))
+def _odd(seq) -> bool:
+    """Whether seq has an odd number of inversions."""
+    return sum(a > b for a, b in itertools.combinations(seq, 2)) % 2 == 1
+
+
+def _graph_expansion(
+    rest: Index, graph: List[tuple], permutations: dict
+) -> List[Tuple[bool, tuple]]:
+    """The pullback of d(rest) along the formal graph, as (negate, jet
+    monomial) pairs: its base-volume coefficient is the sum of the signed
+    monomials, a minor of the jet matrix.
+
+    A base factor takes its own column; the fiber factors take the free
+    columns in every order, lexicographically (``permutations`` holds, per
+    count k, each permutation of range(k) with its parity).  The sign is
+    that of the permutation from the factors to their columns: the parity
+    of the base columns with the free ones in order, times that of the
+    order.  A fiber factor f on column b multiplies by f__b; the fiber
+    factors come in fiber order, as the jet chart's jets do, so each
+    monomial is built sorted.
+    """
+    pairs = [graph[axis] for axis in rest]
+    taken = {col for col, _ in pairs}
+    free = [b for b in range(len(rest)) if b not in taken]
+    fill = iter(free)
+    odd = _odd([next(fill) if col is None else col for col, _ in pairs])
+    signed = permutations.get(len(free))
+    if signed is None:
+        signed = permutations[len(free)] = [
+            (_odd(p), p) for p in itertools.permutations(range(len(free)))
+        ]
+    # jets[i][j]: the jet factor of fiber factor i on the j-th free column
+    jets = [[row[b] for b in free] for col, row in pairs if col is None]
+    return [(odd != podd, tuple(map(list.__getitem__, jets, p))) for podd, p in signed]
 
 
 class JetEquation(Record):
@@ -316,13 +348,47 @@ class EOMSystem(Record):
         return f"{expr.render(self._display_names)} = 0"
 
 
+def _pulled_volume_coefficient(
+    contracted: Iterable[Tuple[Index, ScalarExpr]], graph: List[tuple], permutations: dict
+) -> ScalarExpr:
+    """The base-volume coefficient of the pullback of sum c d(rest) along the
+    formal graph: each term of c.num times each signed jet monomial of
+    rest's ``_graph_expansion``, over c.den.
+
+    The products go, term by term and monomial by monomial, into one raw
+    accumulator {den or None for 1: numerator terms}; a part that cancels
+    is deleted, so a later product reopens it last.  ``raw_sum`` reduces
+    each part once.  These are the sums, in their order, of
+    ``exterior.substitute`` on the same terms and the formal graph's rows.
+    Jet axes follow every coordinate axis, so appending a jet monomial to
+    a coefficient monomial keeps it sorted.
+    """
+    parts: dict = {}
+    variables = ()
+    for rest, c in contracted:
+        num = c.num.terms
+        variables = c.variables
+        den = None if c.den.is_one() else c.den
+        acc = parts.get(den) or {}
+        for negate, mono in _graph_expansion(rest, graph, permutations):
+            if not acc:
+                parts[den] = acc
+            add_terms(acc, {e + mono: k for e, k in num.items()}, negate)
+            if not acc:
+                del parts[den]
+    return raw_sum(variables, parts)
+
+
 def eom_symbolic_system(omega_hat: Form, fibered: FiberedChart) -> EOMSystem:
     """Formal residuals, one equation per vertical direction; zeros dropped.
 
     The contractions of every direction come from one pass over omega_hat
     (``_fiber_contractions``), with each coefficient renamed to the jet
-    chart once; ``substitute`` then pulls each direction back along the
-    formal graph.  Each equation's ``kind`` is set here, once.
+    chart once.  Only the base-volume component survives the pullback
+    along the formal graph, and a contracted term (rest, c) pulls back to
+    c times a signed sum of jet monomials, a minor of the jet matrix
+    (``_graph_expansion``).  Each direction sums its products in one raw
+    accumulator, reduced once.  Each equation's ``kind`` is set here, once.
     """
     _check_top_degree(omega_hat, fibered)
     jets = _jet_chart(fibered)
@@ -334,15 +400,15 @@ def eom_symbolic_system(omega_hat: Form, fibered: FiberedChart) -> EOMSystem:
     for a in fibered.auxiliary:
         for b in fibered.base:
             aux_axes.add(jet_axis[jet_symbol(a, b)])
-    volume_index = tuple(range(len(fibered.base)))
-    rows = _formal_graph_rows(fibered, jets, jet_axis)
+    graph = _graph_axes(fibered)
+    # the signed permutations of range(k), for each k met
+    permutations: dict = {}
     contractions = _fiber_contractions(
         ((idx, c.subs_rename(jets.coords)) for idx, c in omega_hat.terms.items()), fibered
     )
     equations = []
     for name, contracted in contractions.items():
-        pulled = substitute(contracted, rows)
-        residual = pulled.get(volume_index, ScalarExpr.zero(jets.coords))
+        residual = _pulled_volume_coefficient(contracted, graph, permutations)
         if residual.is_zero():
             continue
         physical, auxiliary = _split_physical(residual, jets, aux_axes)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from plectic import fieldtheory
+from plectic import exterior, fieldtheory
 from plectic.coeff import Poly, ScalarExpr, _div_exact, parse_expr, partial_degree
 from plectic.errors import DegreeError, PlecticError
 from plectic.exterior import Chart, Form, VectorField, substitute
@@ -309,8 +309,18 @@ DW_SPECS = (
     _golden_spec("dw_rational_n3"),
     _golden_spec("dw_n4"),
 )
+# the goldens whose formal systems are compared with the reference
+SYSTEM_SPECS = DW_SPECS + (
+    _golden_spec("dw_half_n3"),
+    _golden_spec("dw_quad_n3"),
+    _golden_spec("dw_rational_n4"),
+)
 RANDOM_CHART = Chart("r", ("x", "t", "u", "v", "w"))
 RANDOM_FIBERED = FiberedChart(RANDOM_CHART, BASE, ("w",))
+# a 3-dim base whose axes alternate with four fiber axes, so the 3-factor
+# rests of degree-4 forms hold base and fiber axes in every order
+INTERLEAVED_CHART = Chart("s", ("u", "x", "v", "y", "w", "z", "q"))
+INTERLEAVED_FIBERED = FiberedChart(INTERLEAVED_CHART, ("x", "y", "z"), ("w",))
 
 
 def _random_cases():
@@ -321,6 +331,15 @@ def _random_cases():
         omega = random_form(rng, RANDOM_CHART, 3, max_terms=8, rational=seed % 2 == 1)
         if not omega.is_zero():
             yield omega, RANDOM_FIBERED, rng
+
+
+def _interleaved_cases():
+    """Degree-4 forms with rational coefficients on the interleaved chart;
+    the zero forms are left out."""
+    for seed in range(16):
+        omega = random_form(random.Random(seed), INTERLEAVED_CHART, 4, max_terms=10, rational=True)
+        if not omega.is_zero():
+            yield omega, INTERLEAVED_FIBERED
 
 
 def _assert_system_matches_reference(omega_hat, fibered):
@@ -335,7 +354,7 @@ def _assert_system_matches_reference(omega_hat, fibered):
     assert got == want
 
 
-@pytest.mark.parametrize("path", DW_SPECS, ids=os.path.basename)
+@pytest.mark.parametrize("path", SYSTEM_SPECS, ids=os.path.basename)
 def test_symbolic_system_matches_a_contraction_per_direction_on_dw(path):
     _assert_system_matches_reference(*_thickened_fibered(path))
 
@@ -345,9 +364,50 @@ def test_symbolic_system_matches_a_contraction_per_direction_on_random_forms():
         _assert_system_matches_reference(omega, fibered)
 
 
+def test_symbolic_system_matches_a_contraction_per_direction_on_interleaved_axes():
+    cases = list(_interleaved_cases())
+    # the rests of the fiber contractions hold base and fiber axes in all
+    # 2^3 orders
+    is_base = [name in INTERLEAVED_FIBERED.base for name in INTERLEAVED_CHART.coords]
+    orders = {
+        tuple(is_base[axis] for axis in idx[:pos] + idx[pos + 1 :])
+        for omega, _ in cases
+        for idx in omega.terms
+        for pos in range(len(idx))
+        if not is_base[idx[pos]]
+    }
+    assert len(orders) == 8
+    for omega, fibered in cases:
+        _assert_system_matches_reference(omega, fibered)
+
+
+def test_symbolic_system_multiplies_no_polynomials_and_substitutes_nothing(monkeypatch):
+    # each direction is a signed sum of jet monomials times its coefficients'
+    # numerators: no product of polynomials and no change of basis is needed
+    omega, fibered = _thickened_fibered(_golden_spec("dw_n3"))
+    calls = {"mul": 0, "substitute": 0}
+    mul = Poly.__mul__
+
+    def counted_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    def counted_substitute(*args, **kwargs):
+        calls["substitute"] += 1
+        return substitute(*args, **kwargs)
+
+    monkeypatch.setattr(Poly, "__mul__", counted_mul)
+    monkeypatch.setattr(exterior, "substitute", counted_substitute)
+    monkeypatch.setattr(fieldtheory, "substitute", counted_substitute, raising=False)
+    system = eom_symbolic_system(omega, fibered)
+    assert len(system.equations) == 35
+    assert calls == {"mul": 0, "substitute": 0}
+
+
 def test_quadratic_frame_equations_divide_the_cube_of_its_denominator():
-    # the dw_quad_n3 coframe divides by 1 + x1^2; substitute reduces each
-    # index's sum once, so no equation keeps a power of it above the third
+    # the dw_quad_n3 coframe divides by 1 + x1^2; each direction sums its
+    # signed jet-monomial products in one accumulator and reduces it once, so
+    # no equation keeps a power of it above the third
     omega, fibered = _thickened_fibered(_golden_spec("dw_quad_n3"))
     system = eom_symbolic_system(omega, fibered)
     cube = parse_expr("(1 + x1^2)^3", system.jets.coords).num
