@@ -20,6 +20,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .coeff import Exact, Poly, ScalarExpr, add_terms, as_scalar, exact_point, raw_sum
 from .errors import ChartMismatchError, DegreeError, PlecticError, PoleError
+from .linalg import DimensionMismatchError
 from .record import Record
 
 Index = Tuple[int, ...]
@@ -381,14 +382,13 @@ class PointLayout:
     Built by ``Form.point_layout``: the values of the constant coefficients,
     evaluated once, the positions of the other coefficients, and their
     distinct non-constant denominators (the poles ``sampling.pole_rejector``
-    tests).  Row layouts are built at their first use and kept:
-    ``contraction_rows`` for X |-> i_X form, and ``orthogonal_rows`` for each
-    coordinate subspace and ell.  ``fill_rows`` turns a row layout and the
-    values at a point into sparse rows.
+    tests).  ``rows(axes, ell)`` gives the row layout of V -> i_V i_{e_S} form
+    over the ell-subsets S of the axes, built at its first use and kept;
+    ell = 0 is X -> i_X form.  ``fill_rows`` turns a row layout and the values
+    at a point into sparse rows.
     """
 
-    __slots__ = ("dim", "indices", "constants", "variable", "denominators", "_contraction",
-                 "_orthogonals")
+    __slots__ = ("dim", "indices", "constants", "variable", "denominators", "_rows")
 
     def __init__(self, form: Form):
         self.dim = form.chart.dim
@@ -405,8 +405,7 @@ class PointLayout:
         self.denominators = list(
             dict.fromkeys(c.den for _, c in self.variable if not c.den.is_const())
         )
-        self._contraction = None
-        self._orthogonals: Dict[Tuple[frozenset, int], List[RowLayout]] = {}
+        self._rows: Dict[object, List[RowLayout]] = {}
 
     def values(self, point: Sequence) -> List[Exact]:
         """Every coefficient's value at a rational point, by term position,
@@ -423,53 +422,61 @@ class PointLayout:
             values[t] = c.evaluate(point)
         return values
 
-    def contraction_rows(self) -> List[RowLayout]:
-        """The rows of X |-> i_X form, keyed by the remaining (degree-1)-index
-        in increasing order; entry (axis, t, sign) is sign * term t at column
-        axis, the sign that of moving the axis to the first slot."""
-        if self._contraction is None:
-            by_rest: Dict[Index, list] = {}
+    def rows(self, axes: Iterable[int], ell: int) -> List[RowLayout]:
+        """The rows V -> i_V i_{e_S} form over every ell-subset S of the axes
+        (at ell = 0, of X -> i_X form, whatever the axes), keyed by S and the
+        index left: each term whose index holds S goes to ``read_off_rows``
+        with S moved to the front, signed by the parity of that move.  An axis
+        off the chart raises DimensionMismatchError."""
+        key = (frozenset(axes), ell) if ell else 0
+        rows = self._rows.get(key)
+        if rows is not None:
+            return rows
+        if not ell:
+            rows = read_off_rows(zip(itertools.count(), self.indices, itertools.repeat(1)))
+        elif not key[0] <= frozenset(range(self.dim)):
+            raise DimensionMismatchError(f"axes {sorted(key[0])} are not all on a {self.dim}-dim chart")
+        else:
+            # the orders and signs of each pattern of positions on the axes, found
+            # once: moving positions s to the front passes sum(s[i] - i) others
+            terms, orders, axes = [], {}, key[0]
             for t, idx in enumerate(self.indices):
-                sign = 1
-                for pos, axis in enumerate(idx):
-                    by_rest.setdefault(idx[:pos] + idx[pos + 1 :], []).append((axis, t, sign))
-                    sign = -sign
-            self._contraction = [(rest, by_rest[rest]) for rest in sorted(by_rest)]
-        return self._contraction
-
-    def orthogonal_rows(self, axes: Iterable[int], ell: int) -> List[RowLayout]:
-        """The rows V -> i_V i_{e_S} form over every ell-subset S of the axes,
-        as ``splitting.coordinate_orthogonal`` uses them.
-
-        The terms of i_{e_S} form are read off the form's terms: a term whose
-        index holds S passes its coefficient, signed by the parity of moving
-        S to the front, to the index with S deleted.  Rows are grouped by S
-        in order of first occurrence, and by row key within each group.
-        """
-        axes = frozenset(axes)
-        rows = self._orthogonals.get((axes, ell))
-        if rows is None:
-            contracted: Dict[Index, Dict[Index, list]] = {}
-            for t, idx in enumerate(self.indices):
-                inside = [pos for pos, axis in enumerate(idx) if axis in axes]
-                for s in itertools.combinations(inside, ell):
-                    # moving the positions s to the front, in order, passes
-                    # sum(s[i] - i) other entries
-                    parity = sum(s) - ell * (ell - 1) // 2
-                    w = tuple([idx[pos] for pos in s])
-                    rest = tuple([axis for axis in idx if axis not in w])
-                    by_rest = contracted.setdefault(w, {})
-                    for pos, axis in enumerate(rest):
-                        sign = -1 if (parity + pos) % 2 else 1
-                        by_rest.setdefault(rest[:pos] + rest[pos + 1 :], []).append((axis, t, sign))
-            rows = [row for by_rest in contracted.values() for row in by_rest.items()]
-            self._orthogonals[axes, ell] = rows
+                inside = tuple([pos for pos, axis in enumerate(idx) if axis in axes])
+                if inside not in orders:
+                    orders[inside] = [
+                        (s + tuple([pos for pos in range(len(idx)) if pos not in s]),
+                         -1 if (sum(s) - ell * (ell - 1) // 2) % 2 else 1)
+                        for s in itertools.combinations(inside, ell)
+                    ]
+                for order, sign in orders[inside]:
+                    terms.append((t, tuple([idx[pos] for pos in order]), sign))
+            rows = read_off_rows(terms, ell)
+        self._rows[key] = rows
         return rows
 
 
+def read_off_rows(terms: Iterable[Tuple[int, Index, int]], start: int = 0) -> List[RowLayout]:
+    """The row layout of V -> i_V over the slots from ``start`` on of the
+    terms (term position t, index, sign), keyed by the remaining index in
+    increasing order: entry (axis, t, s) is s times term t's value at column
+    axis, s the term's sign times that of moving the axis to slot ``start``.
+    ``fill_rows`` fills it with values at a point (rows over Q) or with the
+    coefficients (rows over Q(x)) alike."""
+    by_rest: Dict[Index, list] = {}
+    for t, idx, sign in terms:
+        head, tail = idx[:start], idx[start:]
+        if len(tail) % 2 == 0:  # the combinations leave out the last slot first
+            sign = -sign
+        for axis, rest in zip(reversed(tail), itertools.combinations(tail, len(tail) - 1 if tail else 0)):
+            by_rest.setdefault(head + rest, []).append((axis, t, sign))
+            sign = -sign
+    return [(rest, by_rest[rest]) for rest in sorted(by_rest)]
+
+
 def fill_rows(layout: Sequence[RowLayout], values: Sequence[Exact]) -> Tuple[List[dict], List[Index]]:
-    """The sparse rows of a row layout at the values of a point, with their
-    keys; zero entries and empty rows are dropped."""
+    """The sparse rows of a row layout at the values of the terms (at a point,
+    or the coefficients themselves), with their keys; zero entries and empty
+    rows are dropped."""
     rows, keys = [], []
     for key, entries in layout:
         row = {}

@@ -24,24 +24,16 @@ class Record:
 
     _fields: tuple = ()
     _defaults: dict = {}
-    _tail: tuple = ()  # the defaults of the longest run of trailing fields that have one
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = cls.__dict__.get("__annotations__", {})
         cls._fields = cls._fields + tuple(n for n in own if n not in cls._fields)
         cls._defaults = {n: getattr(cls, n) for n in cls._fields if hasattr(cls, n)}
-        start = len(cls._fields)
-        while start and cls._fields[start - 1] in cls._defaults:
-            start -= 1
-        cls._tail = tuple(cls._defaults[n] for n in cls._fields[start:])
 
     def __init__(self, *args, **kwargs):
-        missing = len(self._fields) - len(args)
-        if kwargs or missing < 0 or missing > len(self._tail):
+        if kwargs or len(args) != len(self._fields):
             args = self._complete(args, kwargs)
-        elif missing:  # a positional prefix; the fields left out all have defaults
-            args += self._tail[-missing:]
         # attribute by attribute: reading ``__dict__`` would turn the instance's
         # compact attribute storage into a plain dict and slow every field read
         for f, value in zip(self._fields, args):
@@ -53,17 +45,16 @@ class Record:
         name, fields, defaults = type(self).__name__, self._fields, self._defaults
         if len(args) > len(fields):
             raise TypeError(f"{name}() takes {len(fields)} fields but {len(args)} were given")
-        values = dict(zip(fields, args))
         for key in kwargs:
             if key not in fields:
                 raise TypeError(f"{name}() got an unexpected field {key!r}")
-            if key in values:
+            if key in fields[: len(args)]:
                 raise TypeError(f"{name}() got multiple values for field {key!r}")
-        values.update(kwargs)
-        missing = [f for f in fields if f not in values and f not in defaults]
+        rest = fields[len(args) :]
+        missing = [f for f in rest if f not in kwargs and f not in defaults]
         if missing:
             raise TypeError(f"{name}() missing fields: {', '.join(missing)}")
-        return [values[f] if f in values else defaults[f] for f in fields]
+        return [*args, *[kwargs[f] if f in kwargs else defaults[f] for f in rest]]
 
     def __post_init__(self):
         pass

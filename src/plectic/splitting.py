@@ -11,10 +11,11 @@ Frame order convention: kernel (vertical) fields first, then the chosen
 complement (horizontal) fields.  Coframe covectors and all frame-monomial
 indices follow the same order.
 
-The pointwise checks (``contraction_matrix`` and ``coordinate_orthogonal``)
-read their rows from the form's ``PointLayout``, which each form builds at
-its first pointwise use and keeps: a point then costs the evaluation of the
-non-constant coefficients and one ``fill_rows``.
+Every pointwise check reads its rows V -> i_V i_{e_S} form off term indices
+with ``exterior.read_off_rows`` and fills them with ``fill_rows``:
+``contraction_matrix`` (ell = 0) and ``coordinate_orthogonal`` take them from
+the ``PointLayout`` each form builds at its first pointwise use and keeps, and
+``multisymplectic_orthogonal`` reads them off its contracted values.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .coeff import Exact, ScalarExpr
+from .coeff import ScalarExpr
 from .errors import ChartMismatchError, PlecticError, PoleError
 from .exterior import (
     Chart,
@@ -34,6 +35,7 @@ from .exterior import (
     VectorField,
     contract_constant,
     fill_rows,
+    read_off_rows,
     substitute,
 )
 from .record import Record
@@ -78,23 +80,13 @@ def contraction_matrix(form: Form, point: Sequence) -> Tuple[List[linalg.SparseR
     Only nonzero rows are returned: sparse {coordinate position: value} rows,
     indexed by the strictly increasing (degree-1)-tuples of coordinate
     positions that carry a nonzero entry (lexicographic order).  The rows are
-    those of the form's ``PointLayout.contraction_rows``, built once per
-    form, filled with the values of ``PointLayout.values`` (ints where they
-    are integral, so ``linalg.rref`` reduces them on ints); only the
-    non-constant coefficients are evaluated at each point.
+    the ell = 0 rows of the form's ``PointLayout``, built once per form,
+    filled with the values of ``PointLayout.values`` (ints where they are
+    integral, so ``linalg.rref`` reduces them on ints); only the non-constant
+    coefficients are evaluated at each point.
     """
     layout = form.point_layout()
-    return fill_rows(layout.contraction_rows(), layout.values(point))
-
-
-def _contraction_rows(cterms: Dict[Index, Exact]) -> Dict[Index, linalg.SparseRow]:
-    """Rows of X |-> i_X of a constant form's nonzero terms, keyed by the remaining index."""
-    by_rest: Dict[Index, linalg.SparseRow] = {}
-    for idx, c in cterms.items():
-        for pos, axis in enumerate(idx):
-            rest = idx[:pos] + idx[pos + 1 :]
-            by_rest.setdefault(rest, {})[axis] = c if pos % 2 == 0 else -c
-    return by_rest
+    return fill_rows(layout.rows((), 0), layout.values(point))
 
 
 def kernel_at(manifold: PreMultisymplecticManifold, point: Sequence[Fraction]) -> List[List[Fraction]]:
@@ -331,20 +323,27 @@ def multisymplectic_orthogonal(
     choices of W_j from n_basis}.  Tuples range over unordered combinations
     (the contraction alternates, so ordered tuples add nothing); if fewer
     than ell spanning vectors exist the result is the full tangent space.
-    Each tuple is contracted with ``contract_constant``.
+    Each tuple is contracted with ``contract_constant``, and the rows of all
+    tuples are read off the contracted values into one row layout.  A
+    spanning vector of the wrong length raises DimensionMismatchError.
     """
     if ell < 1:
         raise PlecticError("ell must be >= 1")
+    dim = form.chart.dim
+    if any(len(w) != dim for w in n_basis):
+        raise linalg.DimensionMismatchError(f"a spanning vector's length is not the chart's {dim}")
     consts = form.eval_coefficients(point)
-    rows = []
+    layout, values = [], []
     for ws in itertools.combinations(range(len(n_basis)), ell):
         # i_V i_{W...} form differs from i_{W...} i_V form by one sign per
         # tuple, so the rows for V span the same space either way
         c = consts
         for w in ws:
             c = contract_constant(n_basis[w], c)
-        rows.extend(_contraction_rows(c).values())
-    return linalg.kernel_basis(rows, form.chart.dim)
+        layout += read_off_rows(zip(itertools.count(len(values)), c, itertools.repeat(1)))
+        values += c.values()
+    rows, _ = fill_rows(layout, values)
+    return linalg.kernel_basis(rows, dim)
 
 
 def coordinate_orthogonal(
@@ -354,13 +353,14 @@ def coordinate_orthogonal(
 
     For each ell-subset S of the axes, the rows V -> i_V i_{e_S} form are
     read off the form's terms, with no contraction.  Their layout
-    (``PointLayout.orthogonal_rows``) is built once per form, axes and ell,
-    and each point fills it with the coefficients' values.  A vector lies in
+    (``PointLayout.rows(axes, ell)``) is built once per form, axes and ell,
+    and each point fills it with the coefficients' values; an axis off the
+    chart raises DimensionMismatchError when it is built.  A vector lies in
     the subspace exactly when it vanishes off the axes, so callers test
     containment on the returned vectors' entries.
     """
     if ell < 1:
         raise PlecticError("ell must be >= 1")
     layout = form.point_layout()
-    rows, _ = fill_rows(layout.orthogonal_rows(axes, ell), layout.values(point))
+    rows, _ = fill_rows(layout.rows(axes, ell), layout.values(point))
     return linalg.kernel_basis(rows, form.chart.dim)

@@ -9,8 +9,8 @@ import pytest
 
 from plectic import linalg
 from plectic.coeff import ScalarExpr, exact_point
-from plectic.errors import PoleError
-from plectic.exterior import Chart, Form, PointLayout, VectorField
+from plectic.errors import PlecticError, PoleError
+from plectic.exterior import Chart, Form, PointLayout, VectorField, fill_rows
 from plectic.splitting import (
     FrameError,
     NotClosedError,
@@ -624,8 +624,8 @@ def test_each_form_builds_its_layout_once(monkeypatch):
     pole_rejector(form)
     layout = form.point_layout()
     assert built == [form] and calls[0] == 2  # the constants, once
-    contraction = layout.contraction_rows()
-    orthogonal = layout.orthogonal_rows([0, 1], 2)
+    contraction = layout.rows((), 0)
+    orthogonal = layout.rows([0, 1], 2)
     for point in ([1, 2, 3, 4], [0, 1, 0, 1], [F(1, 2), 3, 0, -1]):
         calls[0] = 0
         got = contraction_matrix(form, point)
@@ -637,9 +637,9 @@ def test_each_form_builds_its_layout_once(monkeypatch):
         form.eval_coefficients(point)
     assert built == [form]
     assert form.point_layout() is layout
-    assert layout.contraction_rows() is contraction
-    assert layout.orthogonal_rows((1, 0), 2) is orthogonal
-    assert layout.orthogonal_rows([0, 1], 1) is not orthogonal
+    assert layout.rows((), 0) is contraction
+    assert layout.rows((1, 0), 2) is orthogonal
+    assert layout.rows([0, 1], 1) is not orthogonal
 
 
 def test_a_warm_form_makes_a_pole_rejector_without_scanning_its_terms(monkeypatch):
@@ -702,7 +702,7 @@ def test_sampled_reports_from_a_cold_and_a_warm_layout_are_identical(manifold4, 
     thickening = build_thickening(manifold4, frame4)
     assert getattr(thickening.omega_tilde, "_layout", None) is None
     cold = reports(thickening)
-    assert thickening.omega_tilde.point_layout().contraction_rows()
+    assert thickening.omega_tilde.point_layout().rows((), 0)
     assert reports(thickening) == cold
     assert reports(build_thickening(manifold4, frame4)) == cold
 
@@ -711,3 +711,135 @@ def test_kernel_vectors_hold_int_zeros_and_ones():
     basis = linalg.kernel_basis([{0: 2, 1: 3}], 3)
     assert basis == [[F(-3, 2), 1, 0], [0, 0, 1]]
     assert [[type(x) for x in v] for v in basis] == [[Fraction, int, int], [int, int, int]]
+
+
+# -- one read-off for every contraction matrix -------------------------------
+# contraction_matrix (ell = 0), coordinate_orthogonal and
+# multisymplectic_orthogonal all read their rows off term indices with
+# exterior.read_off_rows and fill them with fill_rows.
+
+
+def _evaluated_rows(rows, keys, point):
+    """Symbolic rows evaluated entry by entry, with zero entries and empty rows dropped."""
+    out_rows, out_keys = [], []
+    for row, key in zip(rows, keys):
+        row = {axis: v for axis, c in row.items() if (v := c.evaluate(point))}
+        if row:
+            out_rows.append(row)
+            out_keys.append(key)
+    return out_rows, out_keys
+
+
+def test_rows_filled_with_the_coefficients_evaluate_to_the_pointwise_rows(manifold4):
+    rng = random.Random(28)
+    chart = Chart("c5", tuple(f"y{i}" for i in range(5)))
+    subsets = [s for r in range(1, 6) for s in itertools.combinations(range(5), r)]
+    forms = [manifold4.omega] + [
+        _mixed_form(rng, chart, rng.randint(1, 4), rational=trial % 2 == 1) for trial in range(30)
+    ]
+    compared = 0
+    for form in forms:
+        layout = form.point_layout()
+        coefficients = list(form.terms.values())
+        dim = form.chart.dim
+        # rows over Q(x) of X -> i_X form are those of i_{e_a} form for each a
+        rows, keys = fill_rows(layout.rows((), 0), coefficients)
+        for axis, name in enumerate(form.chart.coords):
+            want = form.interior(VectorField.coordinate(form.chart, name)).terms
+            assert {key: row[axis] for row, key in zip(rows, keys) if axis in row} == want
+        reject = pole_rejector(form)
+        points = [p for p in (
+            [rng.choice((0, 0, 1, -1, 2, F(1, 2), F(-3, 2))) for _ in range(dim)] for _ in range(4)
+        ) if not reject(p)]
+        cases = [((), 0)] + [
+            (axes, ell) for axes in rng.sample([s for s in subsets if max(s) < dim], 4)
+            for ell in range(1, form.degree + 1)
+        ]
+        for axes, ell in cases:
+            symbolic = fill_rows(layout.rows(axes, ell), coefficients)
+            for point in points:
+                want = fill_rows(layout.rows(axes, ell), layout.values(point))
+                assert _evaluated_rows(*symbolic, exact_point(point)) == want, (form, axes, ell)
+                compared += bool(want[0])
+    assert compared >= 300, compared
+
+
+def test_the_kernel_rows_are_one_layout_whatever_the_axes():
+    chart = Chart("c4", ("a", "b", "c", "d"))
+    form = Form.from_terms(chart, 2, [(("a", "b"), "1"), (("c", "d"), "a"), (("b", "d"), "2")])
+    layout = form.point_layout()
+    kernel = layout.rows((), 0)
+    for axes in ([0], (1, 2), range(4), [3, 0], iter([2])):
+        assert layout.rows(axes, 0) is kernel
+    assert layout.rows([0, 1], 1) is layout.rows((1, 0), 1) is not kernel
+    assert contraction_matrix(form, [1, 2, 3, 4]) == fill_rows(kernel, layout.values([1, 2, 3, 4]))
+
+
+def test_multisymplectic_orthogonal_of_unit_vectors_is_the_coordinate_orthogonal():
+    rng = random.Random(1999)
+    chart = Chart("c5", tuple(f"y{i}" for i in range(5)))
+    subsets = [s for r in range(1, 6) for s in itertools.combinations(range(5), r)]
+    compared = proper = 0
+    for trial in range(40):
+        form = _mixed_form(rng, chart, rng.randint(1, 4), rational=trial % 2 == 1)
+        reject = pole_rejector(form)
+        for _ in range(2):
+            point = [rng.choice((0, 0, 1, -1, 2, F(1, 2))) for _ in range(5)]
+            if reject(point):
+                continue
+            for axes in rng.sample(subsets, 5):
+                units = [[int(i == a) for i in range(5)] for a in axes]
+                for ell in range(1, form.degree + 2):
+                    got = multisymplectic_orthogonal(form, point, units, ell)
+                    assert got == coordinate_orthogonal(form, point, axes, ell), (trial, axes, ell)
+                    compared += 1
+                    proper += 0 < len(got) < 5
+    assert compared >= 600 and proper >= 150, (compared, proper)
+
+
+def test_every_pointwise_check_reads_its_rows_with_the_one_read_off(monkeypatch):
+    from plectic import exterior, splitting
+
+    starts = []
+    read_off_rows = exterior.read_off_rows
+
+    def counted(terms, start=0):
+        starts.append(start)
+        return read_off_rows(terms, start)
+
+    # splitting imports the name, so both bindings are patched
+    monkeypatch.setattr(exterior, "read_off_rows", counted)
+    monkeypatch.setattr(splitting, "read_off_rows", counted)
+    point = [0, 0, 0, 1]
+    checks = [
+        lambda form: contraction_matrix(form, point),
+        lambda form: coordinate_orthogonal(form, point, [0, 1], 1),
+        lambda form: multisymplectic_orthogonal(form, point, [[1, 0, 0, 0], [0, 1, 0, 0]], 1),
+    ]
+    # one call for the kernel, one for all S groups (S in front, read off
+    # after it), and one per contracted tuple
+    for check, want in zip(checks, ([0], [1], [0, 0])):
+        starts.clear()
+        check(_r4_manifold().omega)  # a fresh form, so its layout is built now
+        assert starts == want
+    assert not hasattr(splitting, "_contraction_rows")
+    assert not hasattr(PointLayout, "contraction_rows")
+    assert not hasattr(PointLayout, "orthogonal_rows")
+
+
+def test_wrong_dimension_input_raises_dimension_mismatch():
+    assert issubclass(linalg.DimensionMismatchError, PlecticError)
+    omega = _r4_manifold().omega
+    point = [0, 0, 0, 1]
+    assert multisymplectic_orthogonal(omega, point, [[1, 0, 0, 0]], 1) == [[1, 0, 0, 0], [0, 0, 0, 1]]
+    for basis in ([[1, 0]], [[1, 0, 0, 0, 5, 6]], [[1, 0, 0, 0], [0, 1, 0]]):
+        for ell in (1, 2):
+            with pytest.raises(linalg.DimensionMismatchError):
+                multisymplectic_orthogonal(omega, point, basis, ell)
+    layout = omega.point_layout()
+    for axes in ([7], [0, 4], [-1], [1, 9]):
+        for _ in range(2):  # an invalid key is never cached
+            with pytest.raises(linalg.DimensionMismatchError, match="not all on a 4-dim chart"):
+                coordinate_orthogonal(omega, point, iter(axes), 1)
+    assert coordinate_orthogonal(omega, point, [0], 1) == [[1, 0, 0, 0], [0, 0, 0, 1]]
+    assert list(layout._rows) == [(frozenset([0]), 1)]
