@@ -126,14 +126,6 @@ def _mono_mul(a: tuple, b: tuple) -> tuple:
         return b
     if not b:
         return a
-    if len(b) == 1:  # one variable, as every jet factor of the formal graph: splice it in
-        i, k = b[0]
-        for pos, (j, kj) in enumerate(a):
-            if j >= i:
-                if j == i:
-                    return a[:pos] + ((i, kj + k),) + a[pos + 1 :]
-                return a[:pos] + b + a[pos:]
-        return a + b
     powers = dict(a)
     for i, k in b:
         powers[i] = powers.get(i, 0) + k
@@ -271,12 +263,10 @@ class Poly:
         """The product, with the terms in the order of the general loop below:
         self's terms outside, other's inside.
 
-        An operand of at most one term is a shortcut.  The factor 1 gives
-        the other operand itself (Polys are immutable), and another constant
-        only scales it.  A bare monomial (one term with coefficient exactly
-        1) multiplies into each term of the other operand, with no
-        coefficient product and no collision check: the product by a fixed
-        monomial is injective.
+        A zero or constant operand is a shortcut: zero gives zero, the
+        factor 1 gives the other operand itself (Polys are immutable), and
+        another constant only scales it.  Any other product takes the loop,
+        whose order a one-term operand leaves as the other operand's.
         """
         # the exact type test first: Fraction's ABC instance check is slow
         if type(other) is not Poly and isinstance(other, (int, Fraction)):
@@ -296,10 +286,6 @@ class Poly:
                 return b
             if not mono:
                 return a * k
-            if k == 1:
-                return Poly._trusted(
-                    self.variables, {_mono_mul(e, mono): c for e, c in a.terms.items()}
-                )
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

@@ -88,11 +88,10 @@ def substitute(
     Zero coefficients are skipped.
 
     The choices are walked depth-first, row by row: an entry whose j is
-    already chosen is skipped (its products all vanish), a term with an
-    empty row is skipped whole (``CoordinateMap.pullback`` drops such terms
-    before it composes them), and the product up to a row is shared by
-    every choice below it, carried raw as a numerator and a denominator
-    (None for 1), multiplied left to right as c * e1 * e2 * ...
+    already chosen is skipped (its products all vanish), and the product
+    up to a row is shared by every choice below it, carried raw as a
+    numerator and a denominator (None for 1), multiplied left to right as
+    c * e1 * e2 * ...  A term with an empty row yields no choice.
 
     Each output index sums its products' numerators with ``add_terms``, one
     dict per denominator; a dict that cancels is deleted, and an index with
@@ -138,11 +137,8 @@ def substitute(
                 row = prepared[i] = [
                     (j, e.num, None if e.den.is_one() else e.den) for j, e in rows[i]
                 ]
-            if not row:
-                break
             term_rows.append(row)
-        else:
-            walk(0, (), 1, c.num, None if c.den.is_one() else c.den)
+        walk(0, (), 1, c.num, None if c.den.is_one() else c.den)
     sums = ((nidx, raw_sum(variables, parts)) for nidx, parts in out.items())
     return {nidx: c for nidx, c in sums if c}
 
@@ -312,11 +308,14 @@ class Form:
         return {idx: v for idx, v in zip(layout.indices, layout.values(point)) if v}
 
     def evaluate(self, point: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]]) -> Fraction:
-        """Exact multilinear alternating evaluation on rational tangent vectors."""
+        """Exact multilinear alternating evaluation on rational tangent vectors;
+        a vector or point of the wrong dimension raises DimensionMismatchError."""
         if len(vectors) != self.degree:
             raise DegreeError(
                 f"degree-{self.degree} form applied to {len(vectors)} vectors"
             )
+        if any(len(v) != self.chart.dim for v in vectors):
+            raise DimensionMismatchError(f"vectors of dimension != {self.chart.dim}")
         consts = self.eval_coefficients(point)
         total = Fraction(0)
         for idx, c in consts.items():
@@ -412,11 +411,11 @@ class PointLayout:
         zeros kept; only the non-constant coefficients are evaluated.
 
         The point goes through exact_point; one of the wrong dimension raises
-        ValueError, as evaluation does.
+        DimensionMismatchError.
         """
         point = exact_point(point)
-        if self.indices and len(point) != self.dim:
-            raise ValueError("point dimension mismatch")
+        if len(point) != self.dim:
+            raise DimensionMismatchError(f"point of dimension {len(point)} on a {self.dim}-dim chart")
         values = self.constants.copy()
         for t, c in self.variable:
             values[t] = c.evaluate(point)

@@ -32,7 +32,7 @@ from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 from .coeff import Poly, ScalarExpr, add_terms, partial_degree, raw_sum, term_order_key
 from .errors import DegreeError, PlecticError
-from .exterior import Chart, CoordinateMap, Form, Index
+from .exterior import Chart, CoordinateMap, Form, Index, sort_index
 from .record import Record
 
 JET_SEP = "__"
@@ -207,11 +207,6 @@ def _graph_axes(fibered: FiberedChart) -> List[tuple]:
     return out
 
 
-def _odd(seq) -> bool:
-    """Whether seq has an odd number of inversions."""
-    return sum(a > b for a, b in itertools.combinations(seq, 2)) % 2 == 1
-
-
 def _graph_expansion(
     rest: Index, graph: List[tuple], permutations: dict
 ) -> List[Tuple[bool, tuple]]:
@@ -224,19 +219,20 @@ def _graph_expansion(
     count k, each permutation of range(k) with its parity).  The sign is
     that of the permutation from the factors to their columns: the parity
     of the base columns with the free ones in order, times that of the
-    order.  A fiber factor f on column b multiplies by f__b; the fiber
-    factors come in fiber order, as the jet chart's jets do, so each
-    monomial is built sorted.
+    order.  Both parities are the sign ``sort_index`` gives, as neither
+    sequence repeats a column.  A fiber factor f on column b multiplies by
+    f__b; the fiber factors come in fiber order, as the jet chart's jets
+    do, so each monomial is built sorted.
     """
     pairs = [graph[axis] for axis in rest]
     taken = {col for col, _ in pairs}
     free = [b for b in range(len(rest)) if b not in taken]
     fill = iter(free)
-    odd = _odd([next(fill) if col is None else col for col, _ in pairs])
+    odd = sort_index([next(fill) if col is None else col for col, _ in pairs])[0] < 0
     signed = permutations.get(len(free))
     if signed is None:
         signed = permutations[len(free)] = [
-            (_odd(p), p) for p in itertools.permutations(range(len(free)))
+            (sort_index(p)[0] < 0, p) for p in itertools.permutations(range(len(free)))
         ]
     # jets[i][j]: the jet factor of fiber factor i on the j-th free column
     jets = [[row[b] for b in free] for col, row in pairs if col is None]

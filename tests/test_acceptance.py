@@ -7,6 +7,7 @@ seeds stated in the bundled spec files.
 
 import itertools
 import math
+import os
 import random
 import time
 from fractions import Fraction
@@ -361,3 +362,16 @@ def test_criterion_6_fault_injection(scalar_field):
 
     elapsed = time.perf_counter() - start
     _report(6, f"fault injection negatives, {elapsed:.2f}s")
+
+
+def test_readme_library_example_runs(capsys):
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as f:
+        text = f.read()
+    section = text[text.index("## Library use") :]
+    start = section.index("```python\n") + len("```python\n")
+    code = section[start : section.index("```", start)]
+    exec(compile(code, readme, "exec"), {"__name__": "readme_example"})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "[[1, 0, 0, 0, 0], [0, 0, 0, 0, 1]]"
+    assert [line.split()[-1] for line in lines[1:]] == [PASS, EVIDENCE, PASS, EVIDENCE]

@@ -600,9 +600,9 @@ def test_product_by_one_is_the_other_operand(seed):
 
 
 # -- products by one term against the general loop -------------------------------
-# A bare monomial (one term with coefficient exactly 1) multiplies into each
-# term of the other operand, with no coefficient product or collision check.
-# Any other coefficient must take the general loop or the constant scaling.
+# A constant operand is a shortcut: the factor 1 returns the other operand,
+# and any other constant scales it.  Every other one-term operand takes the
+# general loop.  Either way the terms and their order are the loop's.
 
 
 def _random_poly(rng, max_terms):

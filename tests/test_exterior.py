@@ -18,6 +18,7 @@ from plectic.exterior import (
     sort_index,
     substitute,
 )
+from plectic.linalg import DimensionMismatchError
 
 from conftest import (
     pushforward_vector,
@@ -335,6 +336,19 @@ def test_evaluate_agrees_with_sympy():
         assert sympy.Rational(got.numerator, got.denominator) == expected, trial
         evaluated += 1
     assert evaluated >= 50
+
+
+def test_evaluate_rejects_vectors_and_points_of_the_wrong_dimension():
+    chart = Chart("r3", ("x", "y", "z"))
+    omega = Form.from_terms(chart, 2, [(("x", "y"), "1"), (("y", "z"), "x")])
+    origin = [0, 0, 0]
+    assert omega.evaluate(origin, [[1, 0, 0], [0, 1, 0]]) == 1
+    for vectors in ([[1, 0, 0, 7], [0, 1, 0, 9]], [[1, 0], [0, 1]], [[1, 0, 0], [0, 1]]):
+        with pytest.raises(DimensionMismatchError):
+            omega.evaluate(origin, vectors)
+    for point in ([0, 0], [0, 0, 0, 0]):
+        with pytest.raises(DimensionMismatchError):
+            omega.evaluate(point, [[1, 0, 0], [0, 1, 0]])
 
 
 # -- support-restricted differentiation against all-axes loops --------------

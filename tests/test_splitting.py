@@ -591,7 +591,7 @@ def test_layout_raises_pole_error_at_a_pole():
         with pytest.raises(PoleError):
             form.eval_coefficients(point)
         assert pole_rejector(form)(point)
-    with pytest.raises(ValueError):
+    with pytest.raises(linalg.DimensionMismatchError):
         contraction_matrix(Form.from_terms(chart, 1, [(("x",), "3")]), [0, 0])
 
 
@@ -843,3 +843,12 @@ def test_wrong_dimension_input_raises_dimension_mismatch():
                 coordinate_orthogonal(omega, point, iter(axes), 1)
     assert coordinate_orthogonal(omega, point, [0], 1) == [[1, 0, 0, 0], [0, 0, 0, 1]]
     assert list(layout._rows) == [(frozenset([0]), 1)]
+    for bad in ([0, 0, 0], [0, 0, 0, 1, 0], []):
+        for check in (
+            lambda: contraction_matrix(omega, bad),
+            lambda: coordinate_orthogonal(omega, bad, [0], 1),
+            lambda: omega.eval_coefficients(bad),
+            lambda: Form.zero(omega.chart, 2).eval_coefficients(bad),
+        ):
+            with pytest.raises(linalg.DimensionMismatchError, match="point of dimension"):
+                check()
