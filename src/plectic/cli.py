@@ -124,9 +124,7 @@ def _manifold(spec: ManifoldSpec):
     return manifold, residual_report("closedness", Form.zero(spec.chart, spec.degree + 1), start)
 
 
-def cmd_check(args) -> int:
-    spec = load_spec(args.spec)
-    out = _Output(args.json)
+def cmd_check(args, spec: ManifoldSpec, out: _Output) -> int:
     config = _sample_config(spec, args)
     manifold, closedness = _manifold(spec)
     reports = [closedness]
@@ -159,13 +157,11 @@ def cmd_check(args) -> int:
     return EXIT_OK if all(r.ok for r in reports) else EXIT_FAIL
 
 
-def cmd_thicken(args) -> int:
-    spec = load_spec(args.spec)
+def cmd_thicken(args, spec: ManifoldSpec, out: _Output) -> int:
     if not spec.has_frame():
         raise SpecError("frame", "thicken requires a frame block (kernel + complement)")
     if args.emit:
         check_writable(args.emit)
-    out = _Output(args.json)
     config = _sample_config(spec, args)
     manifold, closedness = _manifold(spec)
     if manifold is None:
@@ -217,9 +213,7 @@ def _parse_constraints(text: str, spec: ManifoldSpec) -> Dict[int, Fraction]:
     return out
 
 
-def cmd_orthogonal(args) -> int:
-    spec = load_spec(args.spec)
-    out = _Output(args.json)
+def cmd_orthogonal(args, spec: ManifoldSpec, out: _Output) -> int:
     config = _sample_config(spec, args)
     constraints = _parse_constraints(args.submanifold, spec)
     ell = args.ell if args.ell is not None else spec.degree - 1
@@ -269,9 +263,7 @@ def cmd_orthogonal(args) -> int:
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
-def cmd_eom(args) -> int:
-    spec = load_spec(args.spec)
-    out = _Output(args.json)
+def cmd_eom(args, spec: ManifoldSpec, out: _Output) -> int:
     fibered = spec.fibered_chart()
     if bool(args.symbolic) == bool(args.section):
         raise SpecError("eom", "exactly one of --symbolic or --section is required")
@@ -382,7 +374,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_spec(args.spec), _Output(args.json))
     except PlecticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -28,7 +28,7 @@ import re
 from fractions import Fraction
 from typing import List, Mapping, Sequence, Tuple, Union
 
-from .errors import PlecticError, PoleError
+from .errors import DimensionMismatchError, PlecticError, PoleError
 
 ScalarLike = Union["ScalarExpr", "Poly", Fraction, int]
 # an exact value at a point: an int where it is integral, a Fraction elsewhere
@@ -336,7 +336,7 @@ class Poly:
         here; pass them through exact_point.
         """
         if len(point) != len(self.variables):
-            raise ValueError("point dimension mismatch")
+            raise DimensionMismatchError(f"point of dimension {len(point)} for {len(self.variables)} variables")
         total = 0
         for e, c in self.terms.items():
             if c.denominator == 1:
@@ -439,11 +439,20 @@ def _vcoeffs(p: Poly, idx: int) -> dict:
 
 
 def _prem(a: Poly, b: Poly, idx: int) -> Poly:
-    """Pseudo-remainder of a by b with respect to variable idx."""
+    """Pseudo-remainder of a by b with respect to variable idx.
+
+    Each step lowers the degree in idx, so deg(a) - deg(b) + 1 steps bring
+    it below deg(b); a remainder that is still not below it (only a Poly
+    with a non-canonical monomial does that) raises PlecticError.
+    """
     db = b.degree_in(idx)
     lb = _vcoeffs(b, idx)[db]
     r = a
+    steps = a.degree_in(idx) - db + 1
     while not r.is_zero() and r.degree_in(idx) >= db:
+        if not steps:
+            raise PlecticError(f"the pseudo-remainder's degree in variable {idx} does not drop")
+        steps -= 1
         dr = r.degree_in(idx)
         lr = _vcoeffs(r, idx)[dr]
         if dr > db:

@@ -15,3 +15,7 @@ class ChartMismatchError(PlecticError):
 
 class DegreeError(PlecticError):
     """Form degree / argument count incompatible with the operation."""
+
+
+class DimensionMismatchError(PlecticError, ValueError):
+    """A point, vector or matrix does not have the dimension it is used at."""

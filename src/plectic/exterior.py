@@ -19,8 +19,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .coeff import Exact, Poly, ScalarExpr, add_terms, as_scalar, exact_point, raw_sum
-from .errors import ChartMismatchError, DegreeError, PlecticError, PoleError
-from .linalg import DimensionMismatchError
+from .errors import ChartMismatchError, DegreeError, DimensionMismatchError, PlecticError, PoleError
 from .record import Record
 
 Index = Tuple[int, ...]

@@ -174,37 +174,44 @@ def jet_symbol(fiber_name: str, base_name: str) -> str:
     return f"{fiber_name}{JET_SEP}{base_name}"
 
 
-def _jet_chart(fibered: FiberedChart) -> Chart:
-    names = list(fibered.base) + list(fibered.fiber)
-    taken = set(names)
-    for f in fibered.fiber:
-        for b in fibered.base:
-            sym = jet_symbol(f, b)
-            if sym in taken:
-                raise PlecticError(f"jet symbol {sym!r} collides with a coordinate")
-            names.append(sym)
-    return Chart(fibered.total.name + "_jets", tuple(names))
+def _jet_layout(fibered: FiberedChart) -> Tuple[Chart, List[tuple], FrozenSet[int], FrozenSet[int]]:
+    """The jet chart, the formal graph's differentials, the jet axes and the
+    auxiliary axes, all by position.
 
-
-def _graph_axes(fibered: FiberedChart) -> List[tuple]:
-    """Differentials along the formal graph: d(fiber f) -> sum_b f__b d(base b).
-
-    One pair per total coordinate: (its column, None) for a base coordinate,
-    and (None, the jet factor (axis of f__b, 1) of each column b) for a
-    fiber coordinate f.  ``_jet_chart`` puts the jets after the
-    coordinates, fiber by fiber and column by column.  Every monomial of
-    the system shares these factors.
+    The jet chart lists the base, the fibers, then the jets f__b fiber by
+    fiber and column by column: with dim coordinates and n base columns,
+    fiber i sits at n + i and its jets start at dim + i*n.  Along the formal
+    graph d(fiber f) -> sum_b f__b d(base b), given as one pair per total
+    coordinate: (its column, None) for a base coordinate, and (None, the jet
+    factor (axis of f__b, 1) of each column b) for a fiber coordinate f.
+    Every monomial of the system shares these factors.  The auxiliary axes
+    are those of each auxiliary fiber and of its jets.
     """
-    column = {n: i for i, n in enumerate(fibered.base)}
-    first = len(fibered.total.coords)
-    out = []
+    base, n, dim = fibered.base, len(fibered.base), fibered.total.dim
+    column = {b: j for j, b in enumerate(base)}
+    taken = set(fibered.total.coords)
+    names, jet_names = list(base), []
+    graph: List[tuple] = []
+    aux_axes = set()
     for name in fibered.total.coords:
         if name in column:
-            out.append((column[name], None))
-        else:
-            out.append((None, [(first + b, 1) for b in range(len(column))]))
-            first += len(column)
-    return out
+            graph.append((column[name], None))
+            continue
+        first = dim + len(jet_names)
+        graph.append((None, [(first + j, 1) for j in range(n)]))
+        if name in fibered.auxiliary:
+            aux_axes.add(len(names))
+            aux_axes.update(range(first, first + n))
+        names.append(name)
+        for b in base:
+            sym = jet_symbol(name, b)
+            if sym in taken:
+                other = "a coordinate" if sym in fibered.total.coords else "another jet symbol"
+                raise PlecticError(f"jet symbol {sym!r} collides with {other}")
+            taken.add(sym)
+            jet_names.append(sym)
+    jets = Chart(fibered.total.name + "_jets", tuple(names + jet_names))
+    return jets, graph, frozenset(range(dim, jets.dim)), frozenset(aux_axes)
 
 
 def _graph_expansion(
@@ -221,8 +228,8 @@ def _graph_expansion(
     of the base columns with the free ones in order, times that of the
     order.  Both parities are the sign ``sort_index`` gives, as neither
     sequence repeats a column.  A fiber factor f on column b multiplies by
-    f__b; the fiber factors come in fiber order, as the jet chart's jets
-    do, so each monomial is built sorted.
+    f__b; the fiber factors come in fiber order, as ``_jet_layout`` lays
+    out the jets, so each monomial is built sorted.
     """
     pairs = [graph[axis] for axis in rest]
     taken = {col for col, _ in pairs}
@@ -257,17 +264,17 @@ class JetEquation(Record):
     kind: str
 
 
-def _split_physical(expr: ScalarExpr, jets: Chart, aux_axes: set) -> Tuple[ScalarExpr, ScalarExpr]:
+def _split_physical(expr: ScalarExpr, aux_axes: AbstractSet[int]) -> Tuple[ScalarExpr, ScalarExpr]:
     """Split a polynomial expression by auxiliary-symbol content."""
     if any(i in aux_axes for e in expr.den.terms for i, _ in e):
         # auxiliary symbols in a denominator: treat everything as auxiliary
-        return ScalarExpr.zero(jets.coords), expr
+        return ScalarExpr.zero(expr.variables), expr
     phys_terms, aux_terms = {}, {}
     for e, c in expr.num.terms.items():
         target = aux_terms if any(i in aux_axes for i, _ in e) else phys_terms
         target[e] = c
-    phys = ScalarExpr(Poly(jets.coords, phys_terms), expr.den)
-    aux = ScalarExpr(Poly(jets.coords, aux_terms), expr.den)
+    phys = ScalarExpr(Poly(expr.variables, phys_terms), expr.den)
+    aux = ScalarExpr(Poly(expr.variables, aux_terms), expr.den)
     return phys, aux
 
 
@@ -325,15 +332,11 @@ class EOMSystem(Record):
         return [(eq.direction, eq.physical) for eq in self.equations if eq.kind == "obstruction"]
 
     def __post_init__(self):
-        # the printed name of each jet-chart variable: f__b -> d(f)/d(b)
-        pretty = {
-            jet_symbol(f, b): f"d({f})/d({b})"
-            for f in self.fibered.fiber
-            for b in self.fibered.base
-        }
-        object.__setattr__(
-            self, "_display_names", tuple(pretty.get(n, n) for n in self.jets.coords)
-        )
+        # the printed name of each jet-chart variable, by position: the
+        # coordinates as they are, then f__b -> d(f)/d(b) in the jets' order
+        fibered = self.fibered
+        pretty = tuple(f"d({f})/d({b})" for f in fibered.fiber for b in fibered.base)
+        object.__setattr__(self, "_display_names", self.jets.coords[: fibered.total.dim] + pretty)
 
     def display(self, expr: ScalarExpr) -> str:
         """Render jet symbols as partial derivatives: u__x -> d(u)/d(x).
@@ -356,8 +359,8 @@ def _pulled_volume_coefficient(
     is deleted, so a later product reopens it last.  ``raw_sum`` reduces
     each part once.  These are the sums, in their order, of
     ``exterior.substitute`` on the same terms and the formal graph's rows.
-    Jet axes follow every coordinate axis, so appending a jet monomial to
-    a coefficient monomial keeps it sorted.
+    ``_jet_layout`` puts the jet axes after every coordinate axis, so
+    appending a jet monomial to a coefficient monomial keeps it sorted.
     """
     parts: dict = {}
     variables = ()
@@ -387,16 +390,7 @@ def eom_symbolic_system(omega_hat: Form, fibered: FiberedChart) -> EOMSystem:
     accumulator, reduced once.  Each equation's ``kind`` is set here, once.
     """
     _check_top_degree(omega_hat, fibered)
-    jets = _jet_chart(fibered)
-    jet_axis = {name: axis for axis, name in enumerate(jets.coords)}
-    jet_axes = frozenset(
-        jet_axis[jet_symbol(f, b)] for f in fibered.fiber for b in fibered.base
-    )
-    aux_axes = {jet_axis[a] for a in fibered.auxiliary}
-    for a in fibered.auxiliary:
-        for b in fibered.base:
-            aux_axes.add(jet_axis[jet_symbol(a, b)])
-    graph = _graph_axes(fibered)
+    jets, graph, jet_axes, aux_axes = _jet_layout(fibered)
     # the signed permutations of range(k), for each k met
     permutations: dict = {}
     contractions = _fiber_contractions(
@@ -407,7 +401,7 @@ def eom_symbolic_system(omega_hat: Form, fibered: FiberedChart) -> EOMSystem:
         residual = _pulled_volume_coefficient(contracted, graph, permutations)
         if residual.is_zero():
             continue
-        physical, auxiliary = _split_physical(residual, jets, aux_axes)
+        physical, auxiliary = _split_physical(residual, aux_axes)
         degree = max((partial_degree(e, jet_axes) for e in physical.num.terms), default=None)
         kind = "empty" if degree is None else ("obstruction", "pde", "derived")[min(degree, 2)]
         equations.append(JetEquation(name, physical, auxiliary, kind))

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
-from .errors import PlecticError
+from .errors import DimensionMismatchError, PlecticError
 
 Vector = List[Fraction]
 SparseRow = Dict[int, object]
@@ -35,10 +35,6 @@ SparseRow = Dict[int, object]
 
 class SingularMatrixError(PlecticError):
     """Symbolic matrix has no inverse (no nonzero pivot found)."""
-
-
-class DimensionMismatchError(PlecticError):
-    pass
 
 
 def sparse(vector: Sequence) -> SparseRow:

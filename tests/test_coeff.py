@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -285,6 +286,27 @@ def test_gcd_reduction_keeps_values_exact():
         a = x**2 * n(-3, 3) + t * n(-3, 3) + n(1, 3)
         b = x + n(1, 4)
         assert (a * b) / b == a
+
+
+def test_pseudo_remainder_whose_degree_does_not_drop_fails_in_time():
+    # x*x*y held as one non-canonical monomial: its degree in x stays 1 under
+    # every step, so an unbounded loop never ends.  Run in a daemon thread so
+    # that a regression fails here instead of hanging the suite.
+    a = Poly(("x", "y"), {((0, 1), (0, 1), (1, 1)): 1, ((1, 1),): 1})
+    b = Poly(("x", "y"), {((0, 1),): 1, (): 1})
+    raised = []
+
+    def run():
+        try:
+            coeff._prem(a, b, 0)
+        except PlecticError as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive(), "_prem still runs after 10 s"
+    assert len(raised) == 1 and "does not drop" in str(raised[0])
 
 
 # -- polynomial fast path against the code it short-cuts ---------------------

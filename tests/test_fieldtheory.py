@@ -228,6 +228,14 @@ def test_jet_symbol_colliding_with_a_coordinate_is_refused():
         eom_symbolic_system(Form.zero(chart, 2), fibered)
 
 
+def test_jet_symbol_colliding_with_another_jet_is_refused():
+    # u on column x__y and u__x on column y both name the jet u__x__y
+    chart = Chart("jc", ("y", "x__y", "u", "u__x"))
+    fibered = FiberedChart(chart, ("y", "x__y"))
+    with pytest.raises(PlecticError, match="'u__x__y' collides with another jet symbol"):
+        eom_symbolic_system(Form.zero(chart, 3), fibered)
+
+
 # -- one pass over omega_hat against a contraction per direction -----------------
 # The reference contracts omega_hat with the coordinate field of each fiber
 # direction, renames each contracted coefficient to the jet chart and pulls it

@@ -852,3 +852,12 @@ def test_wrong_dimension_input_raises_dimension_mismatch():
         ):
             with pytest.raises(linalg.DimensionMismatchError, match="point of dimension"):
                 check()
+    r3 = Chart("r3", ("x", "y", "z"))
+    reject = pole_rejector(Form.from_terms(r3, 1, [(("z",), "1/(x+y)")]))
+    for check in (
+        lambda: VectorField.from_mapping(r3, {"x": "y"}).evaluate([0, 0]),
+        lambda: reject((1, 2)),
+        lambda: reject((1, 2, 3, 4)),
+    ):
+        with pytest.raises(linalg.DimensionMismatchError, match="point of dimension"):
+            check()
