@@ -49,6 +49,13 @@ golden case whose coframe has a denominator that is not a monomial,
 denominators, and pin that the change left them unchanged.  Its
 ``eom --symbolic`` outputs were written after that change, which reduced
 four auxiliary equations to the denominator (1 + x1^2)^3.
+``tests/golden/dw_rational_n3_u_first.json`` is ``dw_rational_n3`` with
+``u`` moved to the front of its coordinates: the one golden chart whose
+fibration base does not come first, so ``eom --symbolic`` on it moves each
+coefficient to the jet chart in a new variable order, and reduces it anew.
+Its ``eom --symbolic`` outputs, and those on its thickened spec, were
+generated and committed before ``ScalarExpr.reindex`` replaced
+``subs_rename``, and pin that the change left them unchanged.
 After an intended output change, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -96,6 +103,7 @@ GOLDEN_SPECS = (
     "dw_rational_n5",
     "dw_half_n3",
     "dw_quad_n3",
+    "dw_rational_n3_u_first",
     "rational_frame",
 )
 SECTIONS = (("section_zero", 0), ("section_nonzero", 1))  # (section file, exit code)
@@ -142,6 +150,8 @@ def _cases():
     yield "eom", "dw_half_n3_thickened", ["--symbolic"], None, 0
     yield "eom", "dw_rational_n5_thickened", ["--symbolic"], None, 0
     yield "eom", "dw_quad_n3_thickened", ["--symbolic"], None, 0
+    yield "eom", "dw_rational_n3_u_first", ["--symbolic"], None, 0
+    yield "eom", "dw_rational_n3_u_first_thickened", ["--symbolic"], None, 0
     for section, code in SECTIONS:
         section_path = os.path.join(GOLDEN_DIR, section + ".json")
         yield "eom", "scalar_field_2d", ["--section", section_path], None, code
