@@ -208,8 +208,9 @@ class Poly:
         return cls._trusted(tuple(variables), {(): value} if value else {})
 
     @classmethod
-    def var(cls, variables: Sequence[str], name: str) -> "Poly":
-        return cls(variables, {((tuple(variables).index(name), 1),): Fraction(1)})
+    def var(cls, variables: Sequence[str], axis: int) -> "Poly":
+        """The variable at position axis."""
+        return cls._trusted(tuple(variables), {((axis, 1),): _ONE})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -595,7 +596,7 @@ class ScalarExpr:
 
     @classmethod
     def var(cls, variables: Sequence[str], name: str) -> "ScalarExpr":
-        return cls(Poly.var(variables, name))
+        return cls(Poly.var(variables, tuple(variables).index(name)))
 
     @property
     def variables(self) -> tuple:
@@ -757,22 +758,24 @@ class ScalarExpr:
             raise PoleError("substitution lands in the zero set of the denominator")
         return num / den
 
-    def subs_rename(self, variables: Sequence[str]) -> "ScalarExpr":
-        """Re-express over a variable superset.
+    def reindex(self, variables: Sequence[str], positions: Sequence[int]) -> "ScalarExpr":
+        """The expression over variables, with variable i moved to positions[i].
 
-        Only the variables that occur need a place in the new variables.
+        Only the variables that occur need a position.  A move that keeps
+        their order keeps the graded-lex order of the terms, and with it the
+        reduced form: num and den are re-tagged.  Any other move reduces anew.
         """
-        variables = tuple(variables)
-        names = self.variables
-        pos = {i: variables.index(names[i]) for i in self.support()}
+        variables, moved = tuple(variables), [positions[i] for i in self.support()]
 
         def remap(p: Poly) -> Poly:
-            return Poly(
-                variables,
-                {tuple(sorted((pos[i], k) for i, k in e)): c for e, c in p.terms.items()},
-            )
+            terms = {tuple(sorted((positions[i], k) for i, k in e)): c for e, c in p.terms.items()}
+            return Poly._trusted(variables, terms)
 
-        return ScalarExpr(remap(self.num), remap(self.den))
+        if moved != sorted(moved):
+            return ScalarExpr(remap(self.num), remap(self.den))
+        out = object.__new__(ScalarExpr)
+        out.num, out.den = remap(self.num), remap(self.den)
+        return out
 
     # -- display ---------------------------------------------------------
 

@@ -84,16 +84,24 @@ class Section(Record):
                 if names
             ]
             raise PlecticError(f"section components mismatch: {', '.join(parts)}")
+        for name, c in self.components.items():
+            stray = [c.variables[i] for i in c.support() if c.variables[i] not in self.fibered.base]
+            if stray:
+                raise PlecticError(
+                    f"section component {name!r} depends on {stray[0]!r}, not a base coordinate"
+                )
 
     def graph_map(self) -> CoordinateMap:
-        base_chart = self.fibered.base_chart()
+        base = self.fibered.base
+        column = {b: j for j, b in enumerate(base)}
         comps = []
         for name in self.fibered.total.coords:
-            if name in self.fibered.base:
-                comps.append(ScalarExpr.var(base_chart.coords, name))
+            if name in column:
+                comps.append(ScalarExpr(Poly.var(base, column[name])))
             else:
-                comps.append(self.components[name].subs_rename(base_chart.coords))
-        return CoordinateMap(base_chart, self.fibered.total, comps)
+                c = self.components[name]
+                comps.append(c.reindex(base, [column.get(v) for v in c.variables]))
+        return CoordinateMap(self.fibered.base_chart(), self.fibered.total, comps)
 
 
 class EOMResidual(Record):
@@ -174,9 +182,12 @@ def jet_symbol(fiber_name: str, base_name: str) -> str:
     return f"{fiber_name}{JET_SEP}{base_name}"
 
 
-def _jet_layout(fibered: FiberedChart) -> Tuple[Chart, List[tuple], FrozenSet[int], FrozenSet[int]]:
-    """The jet chart, the formal graph's differentials, the jet axes and the
-    auxiliary axes, all by position.
+def _jet_layout(
+    fibered: FiberedChart,
+) -> Tuple[Chart, List[int], List[tuple], FrozenSet[int], FrozenSet[int]]:
+    """The jet chart, each total coordinate's position on it, the formal
+    graph's differentials, the jet axes and the auxiliary axes, all by
+    position.
 
     The jet chart lists the base, the fibers, then the jets f__b fiber by
     fiber and column by column: with dim coordinates and n base columns,
@@ -191,13 +202,16 @@ def _jet_layout(fibered: FiberedChart) -> Tuple[Chart, List[tuple], FrozenSet[in
     column = {b: j for j, b in enumerate(base)}
     taken = set(fibered.total.coords)
     names, jet_names = list(base), []
+    positions: List[int] = []
     graph: List[tuple] = []
     aux_axes = set()
     for name in fibered.total.coords:
         if name in column:
+            positions.append(column[name])
             graph.append((column[name], None))
             continue
         first = dim + len(jet_names)
+        positions.append(len(names))
         graph.append((None, [(first + j, 1) for j in range(n)]))
         if name in fibered.auxiliary:
             aux_axes.add(len(names))
@@ -211,7 +225,7 @@ def _jet_layout(fibered: FiberedChart) -> Tuple[Chart, List[tuple], FrozenSet[in
             taken.add(sym)
             jet_names.append(sym)
     jets = Chart(fibered.total.name + "_jets", tuple(names + jet_names))
-    return jets, graph, frozenset(range(dim, jets.dim)), frozenset(aux_axes)
+    return jets, positions, graph, frozenset(range(dim, jets.dim)), frozenset(aux_axes)
 
 
 def _graph_expansion(
@@ -382,20 +396,20 @@ def eom_symbolic_system(omega_hat: Form, fibered: FiberedChart) -> EOMSystem:
     """Formal residuals, one equation per vertical direction; zeros dropped.
 
     The contractions of every direction come from one pass over omega_hat
-    (``_fiber_contractions``), with each coefficient renamed to the jet
-    chart once.  Only the base-volume component survives the pullback
-    along the formal graph, and a contracted term (rest, c) pulls back to
-    c times a signed sum of jet monomials, a minor of the jet matrix
-    (``_graph_expansion``).  Each direction sums its products in one raw
+    (``_fiber_contractions``), with each coefficient moved to the jet chart
+    once, by position (``ScalarExpr.reindex``), and reduced again only when
+    the base does not come first.  Only the base-volume component survives
+    the pullback along the formal graph, and a contracted term (rest, c)
+    pulls back to c times a signed sum of jet monomials, a minor of the jet
+    matrix (``_graph_expansion``).  Each direction sums its products in one raw
     accumulator, reduced once.  Each equation's ``kind`` is set here, once.
     """
     _check_top_degree(omega_hat, fibered)
-    jets, graph, jet_axes, aux_axes = _jet_layout(fibered)
+    jets, positions, graph, jet_axes, aux_axes = _jet_layout(fibered)
     # the signed permutations of range(k), for each k met
     permutations: dict = {}
-    contractions = _fiber_contractions(
-        ((idx, c.subs_rename(jets.coords)) for idx, c in omega_hat.terms.items()), fibered
-    )
+    moved = ((idx, c.reindex(jets.coords, positions)) for idx, c in omega_hat.terms.items())
+    contractions = _fiber_contractions(moved, fibered)
     equations = []
     for name, contracted in contractions.items():
         residual = _pulled_volume_coefficient(contracted, graph, permutations)

@@ -12,9 +12,12 @@ projection's pushforward) and the thickened form
 
 which is closed by construction, everywhere non-degenerate, restricts to the
 original form on the zero section, and exhibits the zero section as a
-(k-1)-coisotropic submanifold.  The verifiers below certify each claim:
-closedness and the zero-section pullback symbolically, non-degeneracy and
-coisotropy exactly at seeded rational sample points.
+(k-1)-coisotropic submanifold.  The base coordinates come first on the
+thickened chart, so tau^* only re-tags a coefficient: the build lifts omega
+and the coframe with ``ScalarExpr.reindex`` and composes no pullback.  The
+verifiers below certify each claim: closedness and the zero-section
+pullback symbolically, non-degeneracy and coisotropy exactly at seeded
+rational sample points.
 
 Fiber coordinates are named ``p_<label1>_<label2>_...`` from the coframe
 labels (verticals first), ordered by ascending number of horizontal labels
@@ -29,7 +32,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .coeff import ScalarExpr
+from .coeff import Poly, ScalarExpr
 from .errors import PlecticError
 from .exterior import Chart, CoordinateMap, Form, Index, substitute
 from .record import Record
@@ -120,33 +123,27 @@ class Thickening(Record):
 
 
 def tautological_form(
-    big_chart: Chart,
-    tau: CoordinateMap,
-    frame: SplitFrame,
-    fiber_index: Sequence[Index],
-    fiber_names: Sequence[str],
-    degree: int,
+    big_chart: Chart, frame: SplitFrame, fiber_index: Sequence[Index], degree: int
 ) -> Form:
     """theta_0 = sum_I p_I * (coframe monomial I pulled back along tau).
 
     One change of basis: each fiber monomial eta^I, weighted by its fiber
     coordinate p_I, expands through the pulled-back coframe rows
     eta^j = sum_i c_ji dq^i, as in ``splitting.from_frame_expansion``.
+    The base coordinates come first on big_chart, so tau^* re-tags each
+    coframe coefficient (``ScalarExpr.reindex``), and the fiber coordinate
+    of the i-th index of fiber_index is the variable at position d + i.
     """
-    terms = [
-        (idx, ScalarExpr.var(big_chart.coords, name))
-        for idx, name in zip(fiber_index, fiber_names)
-    ]
+    coords, d = big_chart.coords, len(frame.coframe)
+    terms = [(idx, ScalarExpr(Poly.var(coords, d + i))) for i, idx in enumerate(fiber_index)]
     rows = [
-        [(i, c) for (i,), c in tau.pullback(covector).terms.items()]
+        [(i, c.reindex(coords, range(d))) for (i,), c in covector.terms.items()]
         for covector in frame.coframe
     ]
     return Form(big_chart, degree, substitute(terms, rows))
 
 
-def build_thickening(
-    manifold: PreMultisymplecticManifold, frame: SplitFrame
-) -> Thickening:
+def build_thickening(manifold: PreMultisymplecticManifold, frame: SplitFrame) -> Thickening:
     """Assemble the thickened chart, theta_0, and omega_tilde."""
     k = manifold.degree
     if k < 3:
@@ -156,31 +153,23 @@ def build_thickening(
         )
     if frame.chart != manifold.chart:
         raise PlecticError("frame was built over a different chart")
-    entries = enumerate_fiber_coordinates(
-        manifold.chart.dim, frame.l, k, frame.labels
-    )
+    base = manifold.chart.coords
+    entries = enumerate_fiber_coordinates(len(base), frame.l, k, frame.labels)
     fiber_index = tuple(idx for idx, _ in entries)
     fiber_names = tuple(name for _, name in entries)
     for name in fiber_names:
-        if name in manifold.chart.coords:
+        if name in base:
             raise PlecticError(f"fiber coordinate {name!r} collides with a base coordinate")
-    big_chart = Chart(
-        manifold.chart.name + "_thickened",
-        manifold.chart.coords + fiber_names,
-    )
-    tau = CoordinateMap(
-        big_chart,
-        manifold.chart,
-        [ScalarExpr.var(big_chart.coords, n) for n in manifold.chart.coords],
-    )
+    big_chart = Chart(manifold.chart.name + "_thickened", base + fiber_names)
+    big, d = big_chart.coords, len(base)
+    tau = CoordinateMap(big_chart, manifold.chart, [ScalarExpr(Poly.var(big, i)) for i in range(d)])
+    zeros = [ScalarExpr.zero(base)] * len(fiber_names)
     zero_section = CoordinateMap(
-        manifold.chart,
-        big_chart,
-        [ScalarExpr.var(manifold.chart.coords, n) for n in manifold.chart.coords]
-        + [ScalarExpr.zero(manifold.chart.coords) for _ in fiber_names],
+        manifold.chart, big_chart, [ScalarExpr(Poly.var(base, i)) for i in range(d)] + zeros
     )
-    theta0 = tautological_form(big_chart, tau, frame, fiber_index, fiber_names, k - 1)
-    omega_tilde = tau.pullback(manifold.omega) + theta0.d()
+    theta0 = tautological_form(big_chart, frame, fiber_index, k - 1)
+    lifted = {idx: c.reindex(big, range(d)) for idx, c in manifold.omega.terms.items()}
+    omega_tilde = Form(big_chart, k, lifted) + theta0.d()
     return Thickening(
         manifold,
         frame,
@@ -201,10 +190,10 @@ def present_in_frame_basis(thickening: Thickening, form: Form) -> Dict[Index, Sc
     d.. to the fiber coordinate differentials, matching how the construction
     is usually displayed.
     """
-    big = thickening.big_chart
-    # dq^i = sum_j E[i][j] eta^j on the base block; fiber differentials stay
+    big, d = thickening.big_chart, thickening.base_dim
+    # dq^i = sum_j E[i][j] eta^j on the base block, re-tagged; fiber differentials stay
     rows = [
-        [(j, e.subs_rename(big.coords)) for j, e in row.items()]
+        [(j, e.reindex(big.coords, range(d))) for j, e in row.items()]
         for row in thickening.frame.rows()
     ]
     rows += [[(i, ScalarExpr.one(big.coords))] for i in range(len(rows), big.dim)]

@@ -139,6 +139,20 @@ def pullback_composing_every_term(phi, form: Form) -> Form:
     return Form(phi.source, form.degree, substitute(composed, phi._partial_rows()))
 
 
+def rename(expr: ScalarExpr, variables) -> ScalarExpr:
+    """expr over variables, each variable that occurs moved to the place of
+    its name there, its monomials sorted and the quotient reduced anew."""
+    variables = tuple(variables)
+    pos = {i: variables.index(expr.variables[i]) for i in expr.support()}
+
+    def remap(p: Poly) -> Poly:
+        return Poly(
+            variables, {tuple(sorted((pos[i], k) for i, k in e)): c for e, c in p.terms.items()}
+        )
+
+    return ScalarExpr(remap(expr.num), remap(expr.den))
+
+
 def pushforward_vector(phi, point, vector):
     """The differential of phi applied to a tangent vector at a rational point."""
     point = exact_point(point)

@@ -26,7 +26,7 @@ from plectic.errors import PlecticError, PoleError
 from plectic.exterior import Chart, CoordinateMap
 from plectic.fieldtheory import FiberedChart, Section
 
-from conftest import random_poly_expr, random_scalar, sympy_expr, term_orders, with_terms_in
+from conftest import random_poly_expr, random_scalar, rename, sympy_expr, term_orders, with_terms_in
 
 VARS = ("x", "t")
 VARS5 = ("x", "t", "u", "rho_x", "rho_t")
@@ -47,7 +47,7 @@ def test_parse_coordinate_function():
 
 def test_parse_quotient_equals_reduced_form():
     # oracle: cross-multiplication, expanded with direct Poly arithmetic
-    x = Poly.var(VARS, "x")
+    x = Poly.var(VARS, 0)
     one = Poly.const(VARS, 1)
     lhs_num = x * x - one          # x^2 - 1
     rhs = (x + one) * (x - one)    # (x+1)(x-1)
@@ -454,12 +454,51 @@ def test_support_covers_numerator_and_denominator():
     assert ScalarExpr.const(("x", "t"), 5).support() == ()
 
 
-def test_subs_rename_needs_a_place_only_for_used_variables():
+def _term_lists(expr):
+    return [list(p.terms.items()) for p in (expr.num, expr.den)]
+
+
+def test_reindex_keeps_an_order_keeping_move_reduced(monkeypatch):
+    # each variable goes to a later place, in the same order: the reduced
+    # quotient is re-tagged, equal in structure to renaming it by name
+    variables, wider = ("a", "b", "c"), ("z", "a", "y", "b", "c")
+    rng = random.Random(2024)
+    exprs = [ScalarExpr(*_seeded_quotient(rng, variables)) for _ in range(20)]
+    reduces = [0]
+    real_reduce = coeff._reduce
+
+    def counted(num, den):
+        reduces[0] += 1
+        return real_reduce(num, den)
+
+    monkeypatch.setattr(coeff, "_reduce", counted)
+    place = (1, 3, 4)
+    moved = [e.reindex(wider, place) for e in exprs]
+    assert reduces[0] == 0
+    monkeypatch.undo()
+    for e, got in zip(exprs, moved):
+        want = rename(e, wider)
+        assert got.variables == wider and got == want and str(got) == str(want)
+        # each term keeps its place; reducing anew may reorder them, as
+        # the eighth of these quotients shows
+        assert _term_lists(got) == [
+            [(tuple((place[i], k) for i, k in m), c) for m, c in terms] for terms in _term_lists(e)
+        ]
+
+
+def test_reindex_needs_a_position_only_for_used_variables():
     e = parse_expr("x/(x + 1)", ("x", "t"))
-    moved = e.subs_rename(("u", "x"))
+    moved = e.reindex(("u", "x"), (1, None))
     assert moved == parse_expr("x/(x + 1)", ("u", "x"))
-    with pytest.raises(ValueError):
-        e.subs_rename(("u", "t"))
+    assert str(moved) == "(x)/(x + 1)"
+
+
+def test_reindex_reduces_a_swap_anew():
+    e = parse_expr("x/(x - t)", VARS)
+    swapped = e.reindex(("t", "x"), (1, 0))
+    want = parse_expr("x/(x - t)", ("t", "x"))
+    assert str(swapped) == str(want)
+    assert _term_lists(swapped) == _term_lists(want)
 
 
 def test_evaluate_mixes_fractions_and_ints():

@@ -23,6 +23,7 @@ from conftest import (
     pullback_composing_every_term,
     random_form,
     random_poly_expr,
+    rename,
     scalar_field_form,
 )
 
@@ -88,6 +89,22 @@ def test_nonsolution_residuals_frozen(chart4, fibered4):
 def test_residual_degree_gate(chart4, fibered4):
     with pytest.raises(DegreeError):
         eom_residual(Form.zero(chart4, 2), fibered4, _section(fibered4, "0", "0", "0"))
+
+
+def test_section_component_must_depend_on_base_coordinates_only():
+    coords = ("x", "t", "u", "rho_x", "rho_t")
+    fibered = FiberedChart(Chart("m", coords), BASE)
+    comps = {name: parse_expr("0", coords) for name in fibered.fiber}
+    comps["u"] = parse_expr("u + x", coords)
+    with pytest.raises(PlecticError, match="section component 'u' depends on 'u'"):
+        Section(fibered, comps)
+    # a component over the whole chart or over a reordered base is mapped by
+    # the name of each variable it uses
+    comps["u"] = parse_expr("x + 2*t", ("t", "x"))
+    comps["rho_x"] = parse_expr("t^2/x", coords)
+    graph = Section(fibered, comps).graph_map()
+    assert graph.components[2] == parse_expr("x + 2*t", BASE)
+    assert str(graph.components[3]) == str(parse_expr("t^2/x", BASE))
 
 
 def test_residual_linear_in_the_form(chart4, fibered4):
@@ -280,7 +297,7 @@ def _reference_system(omega_hat, fibered):
     jet_axes = set(range(len(fibered.total.coords), len(jets)))
     equations = []
     for name, contracted in _contract_each_direction(omega_hat, fibered).items():
-        renamed = ((idx, c.subs_rename(jets)) for idx, c in contracted.terms.items())
+        renamed = ((idx, rename(c, jets)) for idx, c in contracted.terms.items())
         residual = substitute(renamed, rows).get(tuple(range(len(base))))
         if residual is None or residual.is_zero():
             continue

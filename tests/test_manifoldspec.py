@@ -13,7 +13,7 @@ from plectic.manifoldspec import (
 from plectic.splitting import build_split_frame
 from plectic.thicken import build_thickening
 
-from conftest import fixture_path
+from conftest import fixture_path, rename
 
 
 def _minimal(**overrides):
@@ -161,7 +161,7 @@ def test_emitted_thickened_spec_round_trips(tmp_path):
     assert len(rebuilt_terms) == len(thickening.omega_tilde.terms)
     for idx, coeff in thickening.omega_tilde.terms.items():
         assert idx in rebuilt_terms
-        assert rebuilt_terms[idx] == coeff.subs_rename(reloaded.chart.coords)
+        assert rebuilt_terms[idx] == rename(coeff, reloaded.chart.coords)
     # closedness survives, kernel is trivial
     reloaded.manifold()
     assert reloaded.fibration_base == ("x", "t")

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from plectic import cli, linalg, splitting
-from plectic.exterior import Chart, Form, VectorField
+from plectic.exterior import Chart, CoordinateMap, Form, VectorField, substitute
 from plectic import coeff
 from plectic.coeff import ScalarExpr
 from plectic.fieldtheory import FiberedChart, eom_symbolic_system
@@ -120,6 +120,23 @@ def test_rejects_degree_two():
 def test_omega_tilde_is_pullback_plus_exact(thickening4):
     pulled = thickening4.tau.pullback(thickening4.base.omega)
     assert thickening4.omega_tilde == pulled + thickening4.theta0.d()
+    # the build lifts by re-tagging: the same forms as the tau pullbacks,
+    # down to the order of the terms and of every numerator and denominator
+    # term
+    rational = [_spec_thickening(_golden(n)) for n in ("dw_rational_n3", "dw_quad_n3")]
+    for thickening in _thickening_cases(thickening4) + rational:
+        tau, big = thickening.tau, thickening.big_chart
+        want = tau.pullback(thickening.base.omega) + thickening.theta0.d()
+        assert _term_lists(thickening.omega_tilde) == _term_lists(want)
+        rows = [
+            [(j, e.compose(tau.components)) for j, e in row.items()]
+            for row in thickening.frame.rows()
+        ]
+        rows += [[(i, ScalarExpr.one(big.coords))] for i in range(len(rows), big.dim)]
+        for form in (thickening.theta0, thickening.omega_tilde):
+            got = Form(big, form.degree, present_in_frame_basis(thickening, form))
+            want = Form(big, form.degree, substitute(form.terms.items(), rows))
+            assert _term_lists(got) == _term_lists(want)
     # the projection pullback re-expresses omega on the big chart with no
     # fiber differentials and no fiber dependence in the coefficients
     base_dim = thickening4.base_dim
@@ -203,22 +220,33 @@ def _theta0_by_wedges(thickening):
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
-def _spec_thickening(path):
+def _golden(name):
+    return os.path.join(GOLDEN, name + ".json")
+
+
+def _build_inputs(path):
     spec = load_spec(path)
     manifold = spec.manifold()
-    return build_thickening(manifold, build_split_frame(manifold, spec.vertical, spec.horizontal))
+    return manifold, build_split_frame(manifold, spec.vertical, spec.horizontal)
 
 
-def test_theta0_is_the_sum_of_wedged_coframe_monomials(thickening4):
-    # one change of basis gives the same form as the wedge-and-add loop, down
-    # to the order of the terms and of every numerator and denominator term
-    cases = [
+def _spec_thickening(path):
+    return build_thickening(*_build_inputs(path))
+
+
+def _thickening_cases(thickening4):
+    return [
         thickening4,
         _spec_thickening(fixture_path("scalar_field_2d.json")),
         _spec_thickening(fixture_path("r4_premultisymplectic.json")),
         _dw3_thickening(),
     ]
-    for thickening in cases:
+
+
+def test_theta0_is_the_sum_of_wedged_coframe_monomials(thickening4):
+    # one change of basis gives the same form as the wedge-and-add loop, down
+    # to the order of the terms and of every numerator and denominator term
+    for thickening in _thickening_cases(thickening4):
         expected = _theta0_by_wedges(thickening)
         assert str(thickening.theta0) == str(expected)
         assert [
@@ -582,6 +610,16 @@ def _counting(monkeypatch, owner, attr):
 
     monkeypatch.setattr(owner, attr, counted)
     return calls
+
+
+def test_the_build_composes_no_pullback(monkeypatch):
+    paths = [_golden("dw_rational_n3"), _golden("dw_quad_n3"), fixture_path("scalar_field_2d.json")]
+    inputs = [_build_inputs(path) for path in paths]
+    pullbacks = _counting(monkeypatch, CoordinateMap, "pullback")
+    composes = _counting(monkeypatch, ScalarExpr, "compose")
+    for manifold, frame in inputs:
+        build_thickening(manifold, frame)
+    assert pullbacks[0] == composes[0] == 0
 
 
 def test_d_differentiates_only_along_each_coefficients_support(monkeypatch):
