@@ -761,21 +761,15 @@ class ScalarExpr:
     def reindex(self, variables: Sequence[str], positions: Sequence[int]) -> "ScalarExpr":
         """The expression over variables, with variable i moved to positions[i].
 
-        Only the variables that occur need a position.  A move that keeps
-        their order keeps the graded-lex order of the terms, and with it the
-        reduced form: num and den are re-tagged.  Any other move reduces anew.
+        Every variable that occurs needs an int position; the others may
+        have none.  The moved num and den are reduced anew.
         """
-        variables, moved = tuple(variables), [positions[i] for i in self.support()]
 
         def remap(p: Poly) -> Poly:
             terms = {tuple(sorted((positions[i], k) for i, k in e)): c for e, c in p.terms.items()}
-            return Poly._trusted(variables, terms)
+            return Poly._trusted(tuple(variables), terms)
 
-        if moved != sorted(moved):
-            return ScalarExpr(remap(self.num), remap(self.den))
-        out = object.__new__(ScalarExpr)
-        out.num, out.den = remap(self.num), remap(self.den)
-        return out
+        return ScalarExpr(remap(self.num), remap(self.den))
 
     # -- display ---------------------------------------------------------
 

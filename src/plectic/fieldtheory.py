@@ -397,11 +397,10 @@ def eom_symbolic_system(omega_hat: Form, fibered: FiberedChart) -> EOMSystem:
 
     The contractions of every direction come from one pass over omega_hat
     (``_fiber_contractions``), with each coefficient moved to the jet chart
-    once, by position (``ScalarExpr.reindex``), and reduced again only when
-    the base does not come first.  Only the base-volume component survives
-    the pullback along the formal graph, and a contracted term (rest, c)
-    pulls back to c times a signed sum of jet monomials, a minor of the jet
-    matrix (``_graph_expansion``).  Each direction sums its products in one raw
+    once, by position (``ScalarExpr.reindex``).  Only the base-volume
+    component survives the pullback along the formal graph, and a contracted
+    term (rest, c) pulls back to c times a signed sum of jet monomials, a
+    minor of the jet matrix (``_graph_expansion``).  Each direction sums its products in one raw
     accumulator, reduced once.  Each equation's ``kind`` is set here, once.
     """
     _check_top_degree(omega_hat, fibered)

@@ -13,11 +13,11 @@ projection's pushforward) and the thickened form
 which is closed by construction, everywhere non-degenerate, restricts to the
 original form on the zero section, and exhibits the zero section as a
 (k-1)-coisotropic submanifold.  The base coordinates come first on the
-thickened chart, so tau^* only re-tags a coefficient: the build lifts omega
-and the coframe with ``ScalarExpr.reindex`` and composes no pullback.  The
-verifiers below certify each claim: closedness and the zero-section
-pullback symbolically, non-degeneracy and coisotropy exactly at seeded
-rational sample points.
+thickened chart, so tau^* only moves a coefficient's variables to their
+places there: the build lifts omega and the coframe with
+``ScalarExpr.reindex`` and composes no pullback.  The verifiers below
+certify each claim: closedness and the zero-section pullback symbolically,
+non-degeneracy and coisotropy exactly at seeded rational sample points.
 
 Fiber coordinates are named ``p_<label1>_<label2>_...`` from the coframe
 labels (verticals first), ordered by ascending number of horizontal labels
@@ -130,9 +130,10 @@ def tautological_form(
     One change of basis: each fiber monomial eta^I, weighted by its fiber
     coordinate p_I, expands through the pulled-back coframe rows
     eta^j = sum_i c_ji dq^i, as in ``splitting.from_frame_expansion``.
-    The base coordinates come first on big_chart, so tau^* re-tags each
-    coframe coefficient (``ScalarExpr.reindex``), and the fiber coordinate
-    of the i-th index of fiber_index is the variable at position d + i.
+    The base coordinates come first on big_chart, so tau^* moves each
+    coframe coefficient by position (``ScalarExpr.reindex``), and the fiber
+    coordinate of the i-th index of fiber_index is the variable at position
+    d + i.
     """
     coords, d = big_chart.coords, len(frame.coframe)
     terms = [(idx, ScalarExpr(Poly.var(coords, d + i))) for i, idx in enumerate(fiber_index)]
@@ -191,7 +192,7 @@ def present_in_frame_basis(thickening: Thickening, form: Form) -> Dict[Index, Sc
     is usually displayed.
     """
     big, d = thickening.big_chart, thickening.base_dim
-    # dq^i = sum_j E[i][j] eta^j on the base block, re-tagged; fiber differentials stay
+    # dq^i = sum_j E[i][j] eta^j on the base block, lifted; fiber differentials stay
     rows = [
         [(j, e.reindex(big.coords, range(d))) for j, e in row.items()]
         for row in thickening.frame.rows()

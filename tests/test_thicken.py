@@ -120,7 +120,7 @@ def test_rejects_degree_two():
 def test_omega_tilde_is_pullback_plus_exact(thickening4):
     pulled = thickening4.tau.pullback(thickening4.base.omega)
     assert thickening4.omega_tilde == pulled + thickening4.theta0.d()
-    # the build lifts by re-tagging: the same forms as the tau pullbacks,
+    # the build lifts by position: the same forms as the tau pullbacks,
     # down to the order of the terms and of every numerator and denominator
     # term
     rational = [_spec_thickening(_golden(n)) for n in ("dw_rational_n3", "dw_quad_n3")]
