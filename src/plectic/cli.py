@@ -12,13 +12,13 @@ the spec file's samples block.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional
+from types import SimpleNamespace
+from typing import Dict, List, Optional, Tuple
 
 from .errors import PlecticError
 from .exterior import Form
@@ -190,9 +190,9 @@ def cmd_thicken(args, spec: ManifoldSpec, out: _Output) -> int:
     return EXIT_OK if all(r.ok for r in reports) else EXIT_FAIL
 
 
-def _parse_constraints(text: str, spec: ManifoldSpec) -> Dict[int, Fraction]:
+def _parse_constraints(text: Optional[str], spec: ManifoldSpec) -> Dict[int, Fraction]:
     out: Dict[int, Fraction] = {}
-    for piece in text.split(","):
+    for piece in (text or "").split(","):
         piece = piece.strip()
         if not piece:
             continue
@@ -322,59 +322,89 @@ def cmd_eom(args, spec: ManifoldSpec, out: _Output) -> int:
     return EXIT_OK if zero else EXIT_FAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="plectic",
-        description="Exact verification engine for closed-form kernels, "
-        "coisotropic thickenings, and field equations.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# command -> (runner, summary, {flag: kind}).  A kind is bool for a switch,
+# int, a tuple of choices whose first is the default, or else a string: the
+# metavar of a free-text value.  The table drives the parser and the help text.
+_COMMON = {"--json": bool, "--samples": int, "--seed": int}
+COMMANDS = {
+    "check": (cmd_check, "closedness + kernel rank at samples", _COMMON),
+    "thicken": (cmd_thicken, "build the thickening and verify its properties",
+                {**_COMMON, "--emit": "PATH", "--monomial-basis": ("frame", "dx")}),
+    "orthogonal": (cmd_orthogonal, "ell-orthogonal of the coordinate --submanifold",
+                   {**_COMMON, "--submanifold": "x5=0,x6=0", "--ell": int}),
+    "eom": (cmd_eom, "field equations (--symbolic) or a --section's residuals",
+            {**_COMMON, "--symbolic": bool, "--section": "PATH"}),
+}
 
-    def common(p):
-        p.add_argument("spec", help="path to a manifold spec (JSON)")
-        p.add_argument("--json", action="store_true", help="machine-readable JSONL output")
-        p.add_argument("--samples", type=int, default=None, help="number of sample points")
-        p.add_argument("--seed", type=int, default=None, help="sampling seed")
 
-    p_check = sub.add_parser("check", help="closedness + kernel rank at samples")
-    common(p_check)
-    p_check.set_defaults(func=cmd_check)
+def usage() -> str:
+    lines = ["usage: plectic COMMAND SPEC [FLAGS]", "",
+             "Exact verification engine for closed-form kernels, "
+             "coisotropic thickenings, and field equations.", ""]
+    for command, (_, summary, kinds) in COMMANDS.items():
+        shown = [f"[{f}]" if k is bool else
+                 f"[{f} {'N' if k is int else '|'.join(k) if isinstance(k, tuple) else k}]"
+                 for f, k in kinds.items()]
+        lines += [f"  plectic {command} SPEC {' '.join(shown)}", f"      {summary}"]
+    return "\n".join(lines + ["", "  -h, --help  print this text"])
 
-    p_thicken = sub.add_parser("thicken", help="build the thickening and verify its properties")
-    common(p_thicken)
-    p_thicken.add_argument("--emit", default=None, help="write the thickened manifold spec here")
-    p_thicken.add_argument(
-        "--monomial-basis",
-        choices=("dx", "frame"),
-        default="frame",
-        help="presentation basis for reported forms",
-    )
-    p_thicken.set_defaults(func=cmd_thicken)
 
-    p_orth = sub.add_parser("orthogonal", help="ell-orthogonal of a coordinate submanifold")
-    common(p_orth)
-    p_orth.add_argument(
-        "--submanifold",
-        required=True,
-        help="comma-separated coordinate constraints, e.g. 'x5=0,x6=0'",
-    )
-    p_orth.add_argument("--ell", type=int, default=None, help="orthogonality order (default k-1)")
-    p_orth.set_defaults(func=cmd_orthogonal)
-
-    p_eom = sub.add_parser("eom", help="equation-of-motion residuals for sections")
-    common(p_eom)
-    p_eom.add_argument("--symbolic", action="store_true", help="print the formal PDE system")
-    p_eom.add_argument("--section", default=None, help="JSON file mapping fiber coords to expressions")
-    p_eom.set_defaults(func=cmd_eom)
-
-    return parser
+def parse_argv(argv: List[str]) -> Tuple[Optional[str], Optional[str], Dict[str, object]]:
+    """``(command, spec, flags)``, flags in snake case with defaults filled in;
+    command None asks for help.  Names match exactly, ``--flag value`` and
+    ``--flag=value`` both work, the last repeat wins, no value starts ``--``."""
+    command = argv[0] if argv else ""
+    if command in ("-h", "--help"):
+        return None, None, {}
+    if command not in COMMANDS:
+        raise PlecticError(f"expected a command ({', '.join(COMMANDS)}), got {command!r}")
+    kinds = COMMANDS[command][2]
+    flags = {f[2:].replace("-", "_"): False if k is bool else k[0] if isinstance(k, tuple) else None
+             for f, k in kinds.items()}
+    spec = None
+    args = iter(argv[1:])
+    for arg in args:
+        if arg in ("-h", "--help"):
+            return None, None, {}
+        if not arg.startswith("--"):
+            if spec is not None:
+                raise PlecticError(f"unexpected argument {arg!r}")
+            spec = arg
+            continue
+        flag, eq, value = arg.partition("=")
+        kind = kinds.get(flag)
+        if kind is None:
+            raise PlecticError(f"{command} has no flag {flag}")
+        if kind is bool:
+            if eq:
+                raise PlecticError(f"{flag} takes no value")
+            value = True
+        else:
+            if not eq:
+                value = next(args, None)
+            if value is None or value.startswith("--"):
+                raise PlecticError(f"{flag} expects a value")
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise PlecticError(f"{flag}: not an integer: {value!r}")
+            elif isinstance(kind, tuple) and value not in kind:
+                raise PlecticError(f"{flag}: {value!r} is not one of {', '.join(kind)}")
+        flags[flag[2:].replace("-", "_")] = value
+    if spec is None:
+        raise PlecticError("missing SPEC, the path to a manifold spec (JSON)")
+    return command, spec, flags
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args, load_spec(args.spec), _Output(args.json))
+        command, spec, flags = parse_argv(sys.argv[1:] if argv is None else argv)
+        if command is None:
+            sys.stdout.write(usage() + "\n")  # one write, as a reader may close early
+            return EXIT_OK
+        args = SimpleNamespace(**flags)
+        return COMMANDS[command][0](args, load_spec(spec), _Output(args.json))
     except PlecticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -101,7 +101,7 @@ def substitute(
     order unless products over unequal denominators cancel.
     """
     out: Dict[Index, dict] = {}
-    # rows[i] as (j, e.num, e.den or None for 1)
+    # rows[i] as (j, e.num, e.den), each None for 1
     prepared: List[object] = [None] * len(rows)
     variables = ()
 
@@ -123,7 +123,7 @@ def substitute(
             nchosen = chosen[:pos] + (j,) + chosen[pos:]
             nsign = -sign if (len(chosen) - pos) % 2 else sign
             nden = den if eden is None else eden if den is None else den * eden
-            walk(level + 1, nchosen, nsign, num * enum, nden)
+            walk(level + 1, nchosen, nsign, num if enum is None else num * enum, nden)
 
     for idx, c in terms:
         if c.is_zero():
@@ -134,7 +134,8 @@ def substitute(
             row = prepared[i]
             if row is None:
                 row = prepared[i] = [
-                    (j, e.num, None if e.den.is_one() else e.den) for j, e in rows[i]
+                    (j, None if e.num.is_one() else e.num, None if e.den.is_one() else e.den)
+                    for j, e in rows[i]
                 ]
             term_rows.append(row)
         walk(0, (), 1, c.num, None if c.den.is_one() else c.den)

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import plectic
+from plectic import cli
 from plectic.cli import main
 
 from conftest import fixture_path
@@ -583,3 +584,103 @@ def test_json_is_byte_stable_across_hash_seeds(tmp_path):
         run_outputs.append(emitted.read_text())
         outputs.append(run_outputs)
     assert all(run_outputs == outputs[0] for run_outputs in outputs[1:])
+
+
+def _reference_parser():
+    """The argparse parser that cli.py had, as a reference for its argv table."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="plectic")
+    sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name in ("check", "thicken", "orthogonal", "eom"):
+        commands[name] = p = sub.add_parser(name)
+        p.add_argument("spec")
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--samples", type=int, default=None)
+        p.add_argument("--seed", type=int, default=None)
+    commands["thicken"].add_argument("--emit", default=None)
+    commands["thicken"].add_argument("--monomial-basis", choices=("dx", "frame"), default="frame")
+    commands["orthogonal"].add_argument("--submanifold", required=True)
+    commands["orthogonal"].add_argument("--ell", type=int, default=None)
+    commands["eom"].add_argument("--symbolic", action="store_true")
+    commands["eom"].add_argument("--section", default=None)
+    return parser
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "check s.json",
+        "check --json s.json --samples 3 --seed 7",
+        "check s.json --seed=7 --samples=3 --json",
+        "check --seed 1 s.json --seed 2 --json --json --samples=4 --samples 5",
+        "check s.json --samples -3 --seed +4",
+        "thicken s.json --samples 2",
+        "thicken s.json --emit out.json --monomial-basis dx",
+        "thicken --monomial-basis=dx s.json --emit=out.json --monomial-basis frame --samples 2",
+        "orthogonal s.json --submanifold x5=0,x6=0 --ell 2",
+        "orthogonal --ell=3 --submanifold=x5=0 s.json --ell 2 --json --seed=0",
+        "eom s.json --symbolic",
+        "eom --json s.json --section sec.json --seed 3 --samples 1",
+        "eom --section=a.json s.json --section b.json --symbolic",
+    ],
+)
+def test_parser_agrees_with_argparse_reference(argv):
+    argv = argv.split()
+    expected = vars(_reference_parser().parse_args(argv))
+    assert cli.parse_argv(argv) == (expected.pop("command"), expected.pop("spec"), expected)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], "expected a command"),
+        (["verify", "{spec}"], "expected a command"),
+        (["check", "{spec}", "--sample", "3"], "check has no flag --sample"),
+        (["check", "{spec}", "--emit", "out.json"], "check has no flag --emit"),
+        (["check", "{spec}", "--samples"], "--samples expects a value"),
+        (["thicken", "{spec}", "--emit", "--json"], "--emit expects a value"),
+        (["thicken", "{spec}", "--emit=--json"], "--emit expects a value"),
+        (["check", "{spec}", "--json=yes"], "--json takes no value"),
+        (["check", "{spec}", "--samples", "x"], "--samples: not an integer"),
+        (["check", "{spec}", "--seed", "1.5"], "--seed: not an integer"),
+        (["orthogonal", "{spec}", "--submanifold", "x=0", "--ell", "two"], "--ell: not an integer"),
+        (["thicken", "{spec}", "--monomial-basis", "tangent"], "--monomial-basis: 'tangent'"),
+        (["check", "{spec}", "extra.json"], "unexpected argument 'extra.json'"),
+        (["check", "--json"], "missing SPEC"),
+        (["orthogonal", "{spec}", "--ell", "1"], "--submanifold: no constraints given"),
+    ],
+    ids=[
+        "no-command", "unknown-command", "abbreviated-flag", "flag-of-another-command",
+        "missing-value", "value-starting-dashes", "equals-value-starting-dashes",
+        "value-for-a-switch", "non-integer-samples", "non-integer-seed", "non-integer-ell",
+        "bad-monomial-basis", "extra-positional", "missing-spec", "missing-submanifold",
+    ],
+)
+def test_bad_command_line_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)  # an argv taken wrongly may write a file here
+    spec = fixture_path("scalar_field_2d.json")
+    code, out, err = run(capsys, *(arg.format(spec=spec) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv", [["-h"], ["--help"], ["check", "-h"], ["eom", "s.json", "--symbolic", "--help"]]
+)
+def test_help_prints_every_command_and_flag(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: plectic")
+    for command, (_, summary, kinds) in cli.COMMANDS.items():
+        assert f"plectic {command} SPEC" in out and summary in out
+        assert all(flag in out for flag in kinds)
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    # the console script calls main() with no arguments
+    argv = ["plectic", "check", fixture_path("scalar_field_2d.json"), "--samples", "3"]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert main() == 0
+    assert "constant-rank: EVIDENCE" in capsys.readouterr().out

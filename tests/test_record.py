@@ -115,20 +115,28 @@ def test_repr_names_each_field():
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # both cost a one-shot command more start-up time than a check takes
+    # each costs a one-shot command more start-up time than a check takes;
+    # argparse also imports gettext and locale
+    slow = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
     src = os.path.dirname(os.path.dirname(plectic.__file__))
+    spec = os.path.join(os.path.dirname(plectic.__file__), "fixtures", "scalar_field_2d.json")
+    runs = [["--help"], ["check", "--sample", "2"], ["check", spec, "--samples", "2"]]
     script = (
         "import sys; bare = set(sys.modules); import plectic.cli; "
-        "print(' '.join(sorted(set(sys.modules) - bare)))"
+        "imported = ' '.join(sorted(set(sys.modules) - bare)); "
+        f"[plectic.cli.main(argv) for argv in {runs!r}]; "
+        "print(imported); print(' '.join(sorted(set(sys.modules) - bare)))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    added = set(proc.stdout.split())
+    added, ran = (set(line.split()) for line in proc.stdout.splitlines()[-2:])
     assert "plectic.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & slow
+    # nor does any command, help or parse error load them later
+    assert not ran & slow, sorted(ran & slow)
     # the runtime stays standard-library only
-    outside = {m.partition(".")[0] for m in added} - {"plectic"} - sys.stdlib_module_names
+    outside = {m.partition(".")[0] for m in ran} - {"plectic"} - sys.stdlib_module_names
     assert not outside, sorted(outside)
