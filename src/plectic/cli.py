@@ -401,13 +401,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         command, spec, flags = parse_argv(sys.argv[1:] if argv is None else argv)
         if command is None:
-            sys.stdout.write(usage() + "\n")  # one write, as a reader may close early
+            print(usage(), flush=True)
             return EXIT_OK
         args = SimpleNamespace(**flags)
-        return COMMANDS[command][0](args, load_spec(spec), _Output(args.json))
+        code = COMMANDS[command][0](args, load_spec(spec), _Output(args.json))
+        sys.stdout.flush()  # a reader that closed stdout early is met here, not at exit
+        return code
     except PlecticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:  # the rest of the buffer goes to devnull, so exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .coeff import Exact, Poly, ScalarExpr, add_terms, as_scalar, exact_point, raw_sum
-from .errors import ChartMismatchError, DegreeError, DimensionMismatchError, PlecticError, PoleError
+from .errors import ChartMismatchError, DegreeError, DimensionMismatchError, PlecticError
 from .record import Record
 
 Index = Tuple[int, ...]
@@ -404,7 +404,7 @@ class PointLayout:
         self.denominators = list(
             dict.fromkeys(c.den for _, c in self.variable if not c.den.is_const())
         )
-        self._rows: Dict[object, List[RowLayout]] = {}
+        self._rows: Dict[Tuple[frozenset, int], List[RowLayout]] = {}
 
     def values(self, point: Sequence) -> List[Exact]:
         """Every coefficient's value at a rational point, by term position,
@@ -427,29 +427,26 @@ class PointLayout:
         index left: each term whose index holds S goes to ``read_off_rows``
         with S moved to the front, signed by the parity of that move.  An axis
         off the chart raises DimensionMismatchError."""
-        key = (frozenset(axes), ell) if ell else 0
+        key = (frozenset(axes) if ell else frozenset(), ell)
         rows = self._rows.get(key)
         if rows is not None:
             return rows
-        if not ell:
-            rows = read_off_rows(zip(itertools.count(), self.indices, itertools.repeat(1)))
-        elif not key[0] <= frozenset(range(self.dim)):
+        if not key[0] <= frozenset(range(self.dim)):
             raise DimensionMismatchError(f"axes {sorted(key[0])} are not all on a {self.dim}-dim chart")
-        else:
-            # the orders and signs of each pattern of positions on the axes, found
-            # once: moving positions s to the front passes sum(s[i] - i) others
-            terms, orders, axes = [], {}, key[0]
-            for t, idx in enumerate(self.indices):
-                inside = tuple([pos for pos, axis in enumerate(idx) if axis in axes])
-                if inside not in orders:
-                    orders[inside] = [
-                        (s + tuple([pos for pos in range(len(idx)) if pos not in s]),
-                         -1 if (sum(s) - ell * (ell - 1) // 2) % 2 else 1)
-                        for s in itertools.combinations(inside, ell)
-                    ]
-                for order, sign in orders[inside]:
-                    terms.append((t, tuple([idx[pos] for pos in order]), sign))
-            rows = read_off_rows(terms, ell)
+        # the orders and signs of each pattern of positions on the axes, found
+        # once: moving positions s to the front passes sum(s[i] - i) others
+        terms, orders, axes = [], {}, key[0]
+        for t, idx in enumerate(self.indices):
+            inside = tuple([pos for pos, axis in enumerate(idx) if axis in axes])
+            if inside not in orders:
+                orders[inside] = [
+                    (s + tuple([pos for pos in range(len(idx)) if pos not in s]),
+                     -1 if (sum(s) - ell * (ell - 1) // 2) % 2 else 1)
+                    for s in itertools.combinations(inside, ell)
+                ]
+            for order, sign in orders[inside]:
+                terms.append((t, tuple([idx[pos] for pos in order]), sign))
+        rows = read_off_rows(terms, ell)
         self._rows[key] = rows
         return rows
 
@@ -541,7 +538,7 @@ def interior_multi(fields: Sequence[VectorField], form: Form) -> Form:
 class CoordinateMap:
     """Rational map between charts: one source-coordinate expression per target coordinate."""
 
-    __slots__ = ("source", "target", "components", "_rows", "_dead")
+    __slots__ = ("source", "target", "components", "_rows")
 
     def __init__(self, source: Chart, target: Chart, components: Sequence):
         if len(components) != target.dim:
@@ -550,7 +547,6 @@ class CoordinateMap:
         self.target = target
         self.components = tuple(source.scalar(c) if not isinstance(c, ScalarExpr) else c for c in components)
         self._rows = None
-        self._dead = None
 
     @classmethod
     def identity(cls, chart: Chart) -> "CoordinateMap":
@@ -567,45 +563,18 @@ class CoordinateMap:
         )
 
     def pullback(self, form: Form) -> Form:
-        """Pull a form on the target chart back to the source chart.
-
-        A term with a factor dq^i whose component is constant along the map
-        (an empty differential row, as every fiber row of a zero section is)
-        pulls back to zero, so only the terms whose index misses those axes
-        are composed.  A dropped term still has its denominator composed and
-        raises ``PoleError`` where that vanishes on the image, as composing
-        the whole term would; a denominator shared by several dropped terms
-        is tested once.  A map with no constant component, such as a
-        thickening's ``tau``, composes every term.
-        """
+        """Pull a form on the target chart back to the source chart: compose
+        every coefficient with the components, then ``substitute`` the rows."""
         if form.chart != self.target:
             raise ChartMismatchError(
                 f"form lives on {form.chart.name!r}, map targets {self.target.name!r}"
             )
-        rows, values = self._partial_rows(), self.components
-        terms = form.terms.items()
-        if self._dead:
-            terms = self._kept_terms(terms)
-        composed = ((idx, c.compose(values)) for idx, c in terms)
-        return Form(self.source, form.degree, substitute(composed, rows))
-
-    def _kept_terms(self, terms) -> List[Tuple[Index, ScalarExpr]]:
-        """The terms whose index misses every constant component's axis; the
-        denominators of the others are composed and tested for a pole."""
-        dead, kept, tested = self._dead, [], set()
-        for idx, c in terms:
-            if dead.isdisjoint(idx):
-                kept.append((idx, c))
-            elif not c.den.is_one() and c.den not in tested:
-                tested.add(c.den)
-                if ScalarExpr(c.den).compose(self.components).is_zero():
-                    raise PoleError("substitution lands in the zero set of the denominator")
-        return kept
+        composed = ((idx, c.compose(self.components)) for idx, c in form.terms.items())
+        return Form(self.source, form.degree, substitute(composed, self._partial_rows()))
 
     def _partial_rows(self) -> List[List[Tuple[int, ScalarExpr]]]:
         """The differential of each component as its nonzero (j, d comp / d source_j)
-        pairs, computed at first use and kept (the map is immutable), with the
-        set of target axes whose row is empty.
+        pairs, computed at first use and kept (the map is immutable).
 
         Only the source axes in a component's support are differentiated along.
         """
@@ -615,7 +584,6 @@ class CoordinateMap:
                 row = [(j, comp._diff(j)) for j in comp.support()]
                 rows.append([(j, p) for j, p in row if not p.is_zero()])
             self._rows = rows
-            self._dead = frozenset(i for i, row in enumerate(rows) if not row)
         return self._rows
 
 

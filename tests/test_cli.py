@@ -555,6 +555,27 @@ def test_check_refuses_a_huge_power_in_time(tmp_path):
     assert "power ^64 may have 814385 terms, more than 10000 (at position 12)" in proc.stderr
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_exits_1_without_a_traceback(unbuffered):
+    # the read end is closed before the command starts, so its first write
+    # (unbuffered) or the flush of its output (buffered) meets a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(plectic.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "plectic.cli", "check", fixture_path("scalar_field_2d.json")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 def test_json_is_byte_stable_across_hash_seeds(tmp_path):
     # string hashing changes set and dict order between interpreter runs;
     # neither --json nor the emitted spec may depend on it

@@ -439,9 +439,10 @@ def test_a_map_differentiates_its_components_once():
     assert rows == _jacobian_all_axes(phi)
 
 
-# -- pullback composes only the terms it keeps ---------------------------------
+# -- pullback along constant components ---------------------------------------
 # A term with a factor along a constant component (an empty row) pulls back
-# to zero; the reference composes it anyway and lets substitute drop it.
+# to zero: pullback composes it and substitute drops it, as the reference
+# built on the all-axes Jacobian does.
 
 
 def _pullback_or_pole(pull, phi, form):
@@ -475,7 +476,7 @@ def test_pullback_along_constant_components_matches_composing_every_term():
     assert dropped >= 40 and dropped_poles >= 3
 
 
-def test_pullback_raises_on_a_pole_of_a_dropped_term(monkeypatch):
+def test_pullback_raises_on_a_pole_of_a_dropped_term():
     # (1/p) dp pulls back to zero along p = 0, but its coefficient has no
     # value there: composing the whole term raises, and so does the pullback
     target = Chart("xyp", ("x", "y", "p"))
@@ -486,21 +487,11 @@ def test_pullback_raises_on_a_pole_of_a_dropped_term(monkeypatch):
         with pytest.raises(PoleError, match="zero set of the denominator"):
             along_zero.pullback(form)
     assert CoordinateMap(src, target, ["x", "y", "1"]).pullback(one_over_p).is_zero()
-    # two dropped terms over p + 1, which does not vanish there: one
-    # composition for the kept term and one test of the shared denominator
+    # two dropped terms over p + 1, which does not vanish there
     alpha = Form.from_terms(
         target, 2, [(("p", "x"), "1/(p + 1)"), (("p", "y"), "x/(p + 1)"), (("x", "y"), "x*p + y")]
     )
-    calls = [0]
-    compose = ScalarExpr.compose
-
-    def counted(self, values):
-        calls[0] += 1
-        return compose(self, values)
-
-    monkeypatch.setattr(ScalarExpr, "compose", counted)
     assert along_zero.pullback(alpha) == Form.from_terms(src, 2, [(("x", "y"), "y")])
-    assert calls[0] == 2
 
 
 # -- substitute against the add_term loop --------------------------------------

@@ -22,6 +22,7 @@ from plectic.splitting import (
 )
 from plectic.thicken import (
     DegreeTooLowError,
+    _on_zero_section,
     build_thickening,
     closedness_report,
     enumerate_fiber_coordinates,
@@ -35,6 +36,7 @@ from plectic.thicken import (
 )
 
 from plectic.manifoldspec import load_spec
+from plectic.errors import PoleError
 from plectic.record import FrozenError
 from conftest import fixture_path, pullback_composing_every_term, pushforward_vector
 
@@ -281,14 +283,14 @@ def _term_lists(form):
     ids=["dw_n2", "dw_n3", "dw_n4", "dw_rational_n3"],
 )
 def test_zero_section_composes_only_the_terms_it_keeps(monkeypatch, path, kept, terms, denominators):
-    # every fiber row of the zero section is empty, so a term with a fiber
-    # factor pulls back to zero; only the denominator shared by the dropped
-    # rational terms is composed, to test it for a pole
+    # the zero section's differential is zero on the fibers, so a term with a
+    # fiber factor restricts to zero; only the denominator shared by the
+    # dropped rational terms is composed, to test it for a pole
     thickening = _spec_thickening(path)
-    section, omega_tilde = thickening.zero_section, thickening.omega_tilde
-    want = _term_lists(pullback_composing_every_term(section, omega_tilde))
+    omega_tilde = thickening.omega_tilde
+    want = _term_lists(pullback_composing_every_term(thickening.zero_section, omega_tilde))
     calls = _counting(monkeypatch, ScalarExpr, "compose")
-    pulled = section.pullback(omega_tilde)
+    pulled = _on_zero_section(thickening, omega_tilde)
     assert _term_lists(pulled) == want
     assert pulled == thickening.base.omega
     assert len(omega_tilde.terms) == terms
@@ -299,6 +301,55 @@ def test_zero_section_composes_only_the_terms_it_keeps(monkeypatch, path, kept, 
         c for idx, c in omega_tilde.terms.items() if not fibers.isdisjoint(idx) and not c.den.is_one()
     ]
     assert (len(dropped_rational) > denominators) == bool(denominators)
+
+
+FRAMED_SPECS = [
+    fixture_path(name + ".json")
+    for name in ("r4_premultisymplectic", "r5_thickening", "r6_thickening", "scalar_field_2d",
+                 "scalar_field_2d_nondegenerate")
+] + [
+    _golden(name)
+    for name in ("dw_n3", "dw_n4", "dw_rational_n3", "dw_rational_n4", "dw_rational_n5",
+                 "dw_half_n3", "dw_quad_n3", "dw_rational_n3_u_first", "rational_frame")
+]
+
+
+def test_the_zero_section_restriction_is_the_pullback_composing_every_term():
+    # down to the order of the terms and of every numerator and denominator term
+    specs = [load_spec(path) for path in FRAMED_SPECS]
+    specs = [spec for spec in specs if spec.has_frame()]
+    assert len(specs) == 11
+    for spec in specs:
+        manifold = spec.manifold()
+        thickening = build_thickening(
+            manifold, build_split_frame(manifold, spec.vertical, spec.horizontal)
+        )
+        for form in (thickening.omega_tilde, thickening.theta0):
+            want = pullback_composing_every_term(thickening.zero_section, form)
+            assert _term_lists(_on_zero_section(thickening, form)) == _term_lists(want), spec.path
+
+
+def test_zero_section_check_raises_on_a_pole_of_a_dropped_term(thickening4):
+    # a term with a fiber factor restricts to zero, but 1/p has no value at p = 0
+    big, p = thickening4.big_chart, thickening4.fiber_names[0]
+    omega_tilde = thickening4.omega_tilde
+
+    def with_term(coefficient):
+        extra = Form.from_terms(big, 3, [((p, "t", "x"), coefficient)])
+        return thickening4.replace(omega_tilde=omega_tilde + extra)
+
+    for coefficient in (f"1/{p}", f"x/({p}*t + {p})"):
+        with pytest.raises(PoleError, match="zero set of the denominator"):
+            verify_zero_section_pullback(with_term(coefficient))
+    assert verify_zero_section_pullback(with_term(f"1/({p} + 1)")).verdict == PASS
+
+
+def test_the_zero_section_check_calls_no_pullback(monkeypatch, thickening4):
+    thickenings = [thickening4, _spec_thickening(_golden("dw_rational_n3"))]
+    pullbacks = _counting(monkeypatch, CoordinateMap, "pullback")
+    for thickening in thickenings:
+        assert verify_zero_section_pullback(thickening).verdict == PASS
+    assert pullbacks[0] == 0
 
 
 def test_the_frame_is_rendered_once_per_thickening(monkeypatch, thickening4):
