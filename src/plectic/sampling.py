@@ -1,11 +1,11 @@
 """Deterministic integer sample points for pointwise verification.
 
 Coordinates are drawn uniformly, as ints, from the integers of a closed range
-(default [-5, 5]) with a seeded generator; points where a supplied
-rejection predicate fires (poles) are redrawn.  Every sampled verdict
-echoes what it checked through ``echo``: a SampleConfig (count, seed, range)
-whenever the caller gave one, and ``points_supplied`` only for points that
-came with no config.
+(default [-5, 5]) with a seeded generator, straight from its bits; points
+where a supplied rejection predicate fires (poles) are redrawn.  Every
+sampled verdict echoes what it checked through ``echo``: a SampleConfig
+(count, seed, range) whenever the caller gave one, and ``points_supplied``
+only for points that came with no config.
 """
 
 from __future__ import annotations
@@ -47,12 +47,31 @@ def sample_points(
     config: SampleConfig,
     reject: Optional[Callable[[Tuple[int, ...]], bool]] = None,
 ) -> List[Tuple[int, ...]]:
-    """Draw config.count points in Z^dim, redrawing rejected ones."""
-    rng = random.Random(config.seed)
+    """Draw config.count points in Z^dim, redrawing rejected ones.
+
+    A coordinate is low + r, where r is a k-bit draw of the generator
+    (k = width.bit_length()) redrawn until it falls below the range width:
+    the rejection loop of ``randint`` on CPython 3.10-3.13, so the points
+    are the ones ``randint`` gives there, without its three Python frames
+    a coordinate.  An empty range (low > high) raises ``PlecticError``.
+    """
+    low, high = config.low, config.high
+    width = high - low + 1
+    if width <= 0:
+        # getrandbits(0) is 0, never below an empty width: the loop would spin
+        raise PlecticError(f"empty coordinate range [{low}, {high}]: low exceeds high")
+    k = width.bit_length()
+    getrandbits = random.Random(config.seed).getrandbits
     points = []
     rejects = 0
     while len(points) < config.count:
-        point = tuple(rng.randint(config.low, config.high) for _ in range(dim))
+        coords = []
+        for _ in range(dim):
+            r = getrandbits(k)
+            while r >= width:
+                r = getrandbits(k)
+            coords.append(low + r)
+        point = tuple(coords)
         if reject is not None and reject(point):
             rejects += 1
             if rejects > _MAX_REJECTS:
