@@ -382,9 +382,13 @@ class PointLayout:
     evaluated once, the positions of the other coefficients, and their
     distinct non-constant denominators (the poles ``sampling.pole_rejector``
     tests).  ``rows(axes, ell)`` gives the row layout of V -> i_V i_{e_S} form
-    over the ell-subsets S of the axes, built at its first use and kept;
-    ell = 0 is X -> i_X form.  ``fill_rows`` turns a row layout and the values
-    at a point into sparse rows.
+    over the ell-subsets S of the axes; ell = 0 is X -> i_X form.
+    ``peeled(axes, ell)`` gives the columns whose unit rows those rows span at
+    every point, found from the constant coefficients alone, and the layout
+    of the other rows with those columns deleted: each point fills only
+    these, and ``linalg.rref`` starts from the units.  Both are built together
+    at their first use and kept.  ``fill_rows`` turns a row layout and the
+    values at a point into sparse rows.
     """
 
     __slots__ = ("dim", "indices", "constants", "variable", "denominators", "_rows")
@@ -404,7 +408,8 @@ class PointLayout:
         self.denominators = list(
             dict.fromkeys(c.den for _, c in self.variable if not c.den.is_const())
         )
-        self._rows: Dict[Tuple[frozenset, int], List[RowLayout]] = {}
+        # (axes, ell) -> (rows, units, the rows left)
+        self._rows: Dict[Tuple[frozenset, int], tuple] = {}
 
     def values(self, point: Sequence) -> List[Exact]:
         """Every coefficient's value at a rational point, by term position,
@@ -427,10 +432,27 @@ class PointLayout:
         index left: each term whose index holds S goes to ``read_off_rows``
         with S moved to the front, signed by the parity of that move.  An axis
         off the chart raises DimensionMismatchError."""
+        return self._layouts(axes, ell)[0]
+
+    def peeled(self, axes: Iterable[int], ell: int) -> Tuple[Tuple[int, ...], List[RowLayout]]:
+        """The unit columns of ``rows(axes, ell)`` and the row layout left.
+
+        A row whose one entry off the units found so far is a constant
+        coefficient, a nonzero rational, spans the unit row at its column at
+        every point; passes repeat until one finds no new unit.  The row space
+        at a point is the span of the unit rows plus that of the other rows
+        with the unit columns deleted, which is the layout returned, so
+        ``linalg.rref(fill_rows(rest, values)[0], dim, units)`` is the rref of
+        the filled ``rows(axes, ell)``.  A variable entry is never a unit: it
+        may vanish at a point.
+        """
+        return self._layouts(axes, ell)[1:]
+
+    def _layouts(self, axes: Iterable[int], ell: int) -> tuple:
         key = (frozenset(axes) if ell else frozenset(), ell)
-        rows = self._rows.get(key)
-        if rows is not None:
-            return rows
+        built = self._rows.get(key)
+        if built is not None:
+            return built
         if not key[0] <= frozenset(range(self.dim)):
             raise DimensionMismatchError(f"axes {sorted(key[0])} are not all on a {self.dim}-dim chart")
         # the orders and signs of each pattern of positions on the axes, found
@@ -447,8 +469,26 @@ class PointLayout:
             for order, sign in orders[inside]:
                 terms.append((t, tuple([idx[pos] for pos in order]), sign))
         rows = read_off_rows(terms, ell)
-        self._rows[key] = rows
-        return rows
+        # the rows with one constant entry give most units; the passes over the
+        # others find the rest
+        constants = self.constants
+        units = dict.fromkeys(
+            [entries[0][0] for _, entries in rows if len(entries) == 1 and constants[entries[0][1]]]
+        )
+        rest = [row for row in rows if len(row[1]) > 1 or not constants[row[1][0][1]]]
+        found = True
+        while found:
+            found, pending = False, []
+            for rest_key, entries in rest:
+                entries = [entry for entry in entries if entry[0] not in units]
+                if len(entries) == 1 and constants[entries[0][1]]:
+                    units[entries[0][0]] = None
+                    found = True
+                elif entries:
+                    pending.append((rest_key, entries))
+            rest = pending
+        built = self._rows[key] = (rows, tuple(units), rest)
+        return built
 
 
 def read_off_rows(terms: Iterable[Tuple[int, Index, int]], start: int = 0) -> List[RowLayout]:

@@ -20,12 +20,19 @@ of a point's contraction matrix in the DeDonder-Weyl family have one entry,
 and the peel alone reaches full rank there.  [M | I] has no single-entry
 row unless M has a zero row, so ``invert`` does the same arithmetic as
 without the peel.
+
+Where a single entry is a constant coefficient, a nonzero rational, its
+unit row is in the row space at every point, so ``exterior.PointLayout``
+peels those once per row layout and the pointwise callers pass the unit
+columns to ``rref``, ``rank`` and ``kernel_basis`` as ``units``: the rows
+they hand in are the others, with the unit columns deleted.  The rref is
+unique, so the result is the same.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from .errors import DimensionMismatchError, PlecticError
 
@@ -54,8 +61,14 @@ def _reduce(v: SparseRow, reduced: Dict[int, SparseRow]) -> None:
                 del v[j]
 
 
-def rref(rows: Sequence[SparseRow], ncols: int) -> Dict[int, SparseRow]:
+def rref(rows: Sequence[SparseRow], ncols: int, units: Iterable[int] = ()) -> Dict[int, SparseRow]:
     """Reduced row echelon form of sparse rows, keyed by pivot column.
+
+    ``units`` are columns q whose unit row e_q the caller knows to lie in the
+    row space, as ``exterior.PointLayout.peeled`` knows from constant
+    coefficients: the result is that of the rows with a row {q: 1} added for
+    each, and the elimination starts from them.  It is a fact about the rows,
+    not a setting: a column that is not a unit gives a wrong result.
 
     First the unit rows are peeled off with no arithmetic.  A row left with
     one entry (q, x) spans the unit row e_q, which is x / x at q; deleting
@@ -74,7 +87,7 @@ def rref(rows: Sequence[SparseRow], ncols: int) -> Dict[int, SparseRow]:
     as a certificate that pivots only on units of Q(x), must apply its rule
     to the peel as well.
     """
-    reduced: Dict[int, SparseRow] = {}
+    reduced: Dict[int, SparseRow] = {q: {q: 1} for q in units}
     found = True
     while found:
         found, pending = False, []
@@ -110,20 +123,20 @@ def rref(rows: Sequence[SparseRow], ncols: int) -> Dict[int, SparseRow]:
     return reduced
 
 
-def rank(rows: Sequence[SparseRow], ncols: int) -> int:
-    """Rank of sparse rows with ncols columns."""
-    return len(rref(rows, ncols))
+def rank(rows: Sequence[SparseRow], ncols: int, units: Iterable[int] = ()) -> int:
+    """Rank of sparse rows with ncols columns (``units`` as for ``rref``)."""
+    return len(rref(rows, ncols, units))
 
 
-def kernel_basis(rows: Sequence[SparseRow], ncols: int) -> List[Vector]:
+def kernel_basis(rows: Sequence[SparseRow], ncols: int, units: Iterable[int] = ()) -> List[Vector]:
     """Exact basis of the right null space {v : M v = 0}, as dense vectors.
 
     Basis size always equals ncols - rank(M); basis vectors carry a 1 in
     their defining free coordinate.  Over Q the entries are exact rationals,
     ints or Fractions as the elimination left them, and the 0 and 1 of the
-    free coordinates are ints.
+    free coordinates are ints.  ``units`` are as for ``rref``.
     """
-    reduced = rref(rows, ncols)
+    reduced = rref(rows, ncols, units)
     basis = []
     for fc in range(ncols):
         if fc in reduced:

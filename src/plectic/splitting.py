@@ -13,9 +13,13 @@ indices follow the same order.
 
 Every pointwise check reads its rows V -> i_V i_{e_S} form off term indices
 with ``exterior.read_off_rows`` and fills them with ``fill_rows``:
-``contraction_matrix`` (ell = 0) and ``coordinate_orthogonal`` take them from
-the ``PointLayout`` each form builds at its first pointwise use and keeps, and
-``multisymplectic_orthogonal`` reads them off its contracted values.
+``contraction_matrix`` (ell = 0) and ``peeled_rows`` take them from the
+``PointLayout`` each form builds at its first pointwise use and keeps, and
+``multisymplectic_orthogonal`` reads them off its contracted values.  The
+kernels and ranks at a point (``kernel_at``, ``kernel_dimensions``,
+``coordinate_orthogonal`` and the thickening's non-degeneracy check) go
+through ``peeled_rows``: the unit columns the layout finds from constant
+coefficients are handed to ``linalg`` and only the other rows are filled.
 """
 
 from __future__ import annotations
@@ -89,10 +93,23 @@ def contraction_matrix(form: Form, point: Sequence) -> Tuple[List[linalg.SparseR
     return fill_rows(layout.rows((), 0), layout.values(point))
 
 
+def peeled_rows(
+    form: Form, point: Sequence, axes: Iterable[int] = (), ell: int = 0
+) -> Tuple[List[linalg.SparseRow], Tuple[int, ...]]:
+    """The rows V -> i_V i_{e_S} form at a point, as ``linalg`` takes them:
+    the unit columns of ``PointLayout.peeled(axes, ell)`` and the rows left,
+    filled at the point.  Every non-constant coefficient is evaluated, so a
+    pole raises PoleError even where its entries lie in unit columns."""
+    layout = form.point_layout()
+    units, rest = layout.peeled(axes, ell)
+    rows, _ = fill_rows(rest, layout.values(point))
+    return rows, units
+
+
 def kernel_at(manifold: PreMultisymplecticManifold, point: Sequence[Fraction]) -> List[List[Fraction]]:
     """Exact basis of {X : i_X omega = 0} at a rational point."""
-    rows, _ = contraction_matrix(manifold.omega, point)
-    return linalg.kernel_basis(rows, manifold.chart.dim)
+    rows, units = peeled_rows(manifold.omega, point)
+    return linalg.kernel_basis(rows, manifold.chart.dim, units)
 
 
 def kernel_dimensions(
@@ -102,11 +119,11 @@ def kernel_dimensions(
     dims = []
     for p in points:
         try:
-            rows, _ = contraction_matrix(manifold.omega, p)
+            rows, units = peeled_rows(manifold.omega, p)
         except PoleError:
             dims.append(None)
         else:
-            dims.append(manifold.chart.dim - linalg.rank(rows, manifold.chart.dim))
+            dims.append(manifold.chart.dim - linalg.rank(rows, manifold.chart.dim, units))
     return dims
 
 
@@ -352,15 +369,15 @@ def coordinate_orthogonal(
     """Exact basis of the ell-orthogonal of the coordinate subspace on ``axes``.
 
     For each ell-subset S of the axes, the rows V -> i_V i_{e_S} form are
-    read off the form's terms, with no contraction.  Their layout
-    (``PointLayout.rows(axes, ell)``) is built once per form, axes and ell,
-    and each point fills it with the coefficients' values; an axis off the
-    chart raises DimensionMismatchError when it is built.  A vector lies in
-    the subspace exactly when it vanishes off the axes, so callers test
-    containment on the returned vectors' entries.
+    read off the form's terms, with no contraction.  Their layout and its
+    unit columns (``PointLayout.peeled(axes, ell)``) are built once per form,
+    axes and ell, and each point fills the rows left with the coefficients'
+    values (``peeled_rows``); an axis off the chart raises
+    DimensionMismatchError when it is built.  A vector lies in the subspace
+    exactly when it vanishes off the axes, so callers test containment on
+    the returned vectors' entries.
     """
     if ell < 1:
         raise PlecticError("ell must be >= 1")
-    layout = form.point_layout()
-    rows, _ = fill_rows(layout.rows(axes, ell), layout.values(point))
-    return linalg.kernel_basis(rows, form.chart.dim)
+    rows, units = peeled_rows(form, point, axes, ell)
+    return linalg.kernel_basis(rows, form.chart.dim, units)

@@ -41,8 +41,9 @@ from .sampling import SampleConfig, echo, pole_rejector, sample_points
 from .splitting import (
     PreMultisymplecticManifold,
     SplitFrame,
-    contraction_matrix,
+    contraction_matrix,  # re-exported: callers reach it as thicken.contraction_matrix
     coordinate_orthogonal,
+    peeled_rows,
 )
 
 
@@ -218,7 +219,8 @@ def _degenerate_points(form: Form, points: Sequence[Sequence[Fraction]]) -> List
     """One witness, with a kernel basis, per point where form is degenerate."""
     witnesses = []
     for p in points:
-        kernel = linalg.kernel_basis(contraction_matrix(form, p)[0], form.chart.dim)
+        rows, units = peeled_rows(form, p)
+        kernel = linalg.kernel_basis(rows, form.chart.dim, units)
         if kernel:
             witnesses.append(
                 {

@@ -387,24 +387,23 @@ def test_rref_matches_elimination_alone_on_peelable_matrices(kind):
     for trial in range(150):
         rows, ncols = _peelable_matrix(rng, kind)
         copies = [dict(row) for row in rows]
-        assert rref(rows, ncols) == _reference_rref(rows, ncols), (kind, trial)
+        want = _reference_rref(rows, ncols)
+        assert rref(rows, ncols) == want, (kind, trial)
+        # e_q lies in the row space exactly when the rref's row at q is e_q
+        units = [q for q, row in want.items() if row == {q: 1}]
+        given = rng.sample(units, rng.randint(0, len(units)))
+        assert rref(rows, ncols, given) == want, (kind, trial, given)
         assert rows == copies  # the caller's rows are left as they were
 
 
 @functools.lru_cache(maxsize=None)
-def _dw_rref_inputs(n):
-    """{check: [(rows, ncols) of each rref call]} of the non-degeneracy,
-    coisotropy and tau^* omega kernel checks of DW of base dimension n at one
-    seeded point.  DW n = 5 is the rational golden spec with its first
-    horizontal field made constant again."""
+def _dw_thickening(n):
+    """(thickening, manifold) of DW of base dimension n.  DW n = 5 is the
+    rational golden spec with its first horizontal field made constant
+    again."""
     from plectic.manifoldspec import parse_spec_dict
-    from plectic.sampling import SampleConfig
-    from plectic.splitting import (
-        PreMultisymplecticManifold,
-        build_split_frame,
-        verify_constant_rank,
-    )
-    from plectic.thicken import build_thickening, verify_coisotropic, verify_nondegenerate
+    from plectic.splitting import build_split_frame
+    from plectic.thicken import build_thickening
 
     name = f"dw_n{n}" if n < 5 else f"dw_rational_n{n}"
     with open(os.path.join(os.path.dirname(__file__), "golden", name + ".json")) as fh:
@@ -412,7 +411,20 @@ def _dw_rref_inputs(n):
     data["frame"]["horizontal"][0] = {"x2": "1"}
     spec = parse_spec_dict(data)
     manifold = spec.manifold()
-    th = build_thickening(manifold, build_split_frame(manifold, spec.vertical, spec.horizontal))
+    frame = build_split_frame(manifold, spec.vertical, spec.horizontal)
+    return build_thickening(manifold, frame), manifold
+
+
+@functools.lru_cache(maxsize=None)
+def _dw_rref_inputs(n):
+    """{check: [(rows, ncols, units) of each rref call]} of the
+    non-degeneracy, coisotropy and tau^* omega kernel checks of DW of base
+    dimension n at one seeded point."""
+    from plectic.sampling import SampleConfig
+    from plectic.splitting import PreMultisymplecticManifold, verify_constant_rank
+    from plectic.thicken import verify_coisotropic, verify_nondegenerate
+
+    th, manifold = _dw_thickening(n)
     pulled = PreMultisymplecticManifold(
         th.big_chart, manifold.degree, th.tau.pullback(manifold.omega)
     )
@@ -425,9 +437,9 @@ def _dw_rref_inputs(n):
     for check, run in checks.items():
         calls = []
 
-        def spy(rows, ncols, real=linalg.rref):
-            calls.append((rows, ncols))
-            return real(rows, ncols)
+        def spy(rows, ncols, units=(), real=linalg.rref):
+            calls.append((rows, ncols, units))
+            return real(rows, ncols, units)
 
         with mock.patch.object(linalg, "rref", spy):
             assert run().verdict == "EVIDENCE", (n, check)
@@ -439,22 +451,18 @@ def _dw_rref_inputs(n):
 def test_rref_matches_elimination_alone_on_dw_check_matrices(n):
     for check, calls in _dw_rref_inputs(n).items():
         assert calls, check
-        for rows, ncols in calls:
-            assert rref(rows, ncols) == _reference_rref(rows, ncols), (n, check)
-
-
-class _Opaque:
-    """A nonzero field value that admits no arithmetic but x / x."""
-
-    def __truediv__(self, other):
-        return 1 if other is self else NotImplemented
+        for rows, ncols, units in calls:
+            assert units, check  # every check hands rref the layout's units
+            want = _reference_rref(rows + [{q: 1} for q in units], ncols)
+            assert rref(rows, ncols, units) == want, (n, check)
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_the_peel_ranks_a_dw_non_degeneracy_matrix_with_no_arithmetic(n):
-    # the rows with one entry, then those left with one once the unit
-    # columns are deleted, reach full rank, so values that refuse every
-    # other operation are enough
-    [(rows, ncols)] = _dw_rref_inputs(n)["non-degeneracy"]
-    opaque = [{j: _Opaque() for j in row} for row in rows]
-    assert rref(opaque, ncols) == {q: {q: 1} for q in range(ncols)}
+    # the rows with one constant entry, then those left with one once the
+    # unit columns are deleted, reach full rank from the layout alone, so no
+    # point fills a row or does any arithmetic
+    th, _ = _dw_thickening(n)
+    units, rest = th.omega_tilde.point_layout().peeled((), 0)
+    assert sorted(units) == list(range(th.big_chart.dim)) and rest == []
+    assert len(units) == len(set(units))

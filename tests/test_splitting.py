@@ -20,12 +20,14 @@ from plectic.splitting import (
     coordinate_orthogonal,
     decompose,
     kernel_at,
+    kernel_dimensions,
     multisymplectic_orthogonal,
+    peeled_rows,
     verify_constant_rank,
 )
 from plectic.sampling import SampleConfig, pole_rejector, sample_points
 
-from conftest import random_form, random_poly_expr, random_scalar
+from conftest import fixture_path, random_form, random_poly_expr, random_scalar
 
 F = Fraction
 
@@ -593,6 +595,152 @@ def test_layout_raises_pole_error_at_a_pole():
         assert pole_rejector(form)(point)
     with pytest.raises(linalg.DimensionMismatchError):
         contraction_matrix(Form.from_terms(chart, 1, [(("x",), "3")]), [0, 0])
+
+
+# -- the layout's unit peel ---------------------------------------------------
+# PointLayout.peeled finds the unit columns of a row layout from its constant
+# coefficients; each point fills only the rows left, and linalg.rref starts
+# from the units.  The references fill every row at the point.
+
+
+def _spec_forms():
+    """(name, form, base axes) of every fixture and golden spec's form and,
+    where the spec has a frame, of its thickened form."""
+    from plectic.manifoldspec import load_spec
+    from plectic.thicken import build_thickening
+
+    fixtures = os.path.dirname(fixture_path("scalar_field_2d.json"))
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    paths = [os.path.join(fixtures, name) for name in sorted(os.listdir(fixtures))]
+    paths += [
+        os.path.join(golden, name)
+        for name in sorted(os.listdir(golden))
+        if name.endswith(".json") and not name.startswith("section_")
+    ]
+    for path in paths:
+        spec = load_spec(path)
+        manifold = spec.manifold()
+        name = os.path.basename(path)
+        yield name, manifold.omega, ()
+        if spec.has_frame():
+            frame = build_split_frame(manifold, spec.vertical, spec.horizontal)
+            thickening = build_thickening(manifold, frame)
+            yield name + " thickened", thickening.omega_tilde, range(thickening.base_dim)
+
+
+def _peel_points(form, base_axes, seed):
+    """Seeded points, and the same points with variables of the non-constant
+    coefficients set to 0 (one at a time, a few, and all of them) and, on a
+    thickened chart, with the fibers set to 0."""
+    rng = random.Random(seed)
+    dim = form.chart.dim
+    support = sorted({axis for _, c in form.point_layout().variable for axis in c.support()})
+    for point in sample_points(dim, SampleConfig(2, seed)):
+        yield point
+        for axes in [[a] for a in rng.sample(support, min(4, len(support)))] + [support]:
+            yield [0 if axis in axes else x for axis, x in enumerate(point)]
+        if base_axes:
+            yield [x if axis in base_axes else 0 for axis, x in enumerate(point)]
+
+
+def _check_the_peel(form, point, axes, ell):
+    """Asserts the rref from the layout's units and the rows left equals that
+    of the full rows at the point; returns whether a non-constant coefficient
+    vanished there, or None at a pole."""
+    layout = form.point_layout()
+    try:
+        values = layout.values(point)
+    except PoleError:
+        with pytest.raises(PoleError):
+            peeled_rows(form, point, axes, ell)
+        return None
+    if ell:
+        full, _ = fill_rows(layout.rows(axes, ell), values)
+    else:
+        full, _ = contraction_matrix(form, point)
+    rows, units = peeled_rows(form, point, axes, ell)
+    dim = form.chart.dim
+    assert linalg.rref(rows, dim, units) == linalg.rref(full, dim), (point, axes, ell)
+    assert len(rows) <= len(full) and set(units) == set(layout.peeled(axes, ell)[0])
+    return any(not values[t] for t, _ in layout.variable)
+
+
+def _peel_cases(form, base_axes, rng):
+    yield (), 0
+    if base_axes:
+        yield base_axes, form.degree - 1
+    for ell in range(1, form.degree):
+        size = min(form.chart.dim, ell + 2)
+        yield sorted(rng.sample(range(form.chart.dim), size)), ell
+
+
+def test_the_peel_gives_the_rref_of_the_full_rows_on_every_spec():
+    rng = random.Random(35)
+    vanished = poles = unit_forms = 0
+    for name, form, base_axes in _spec_forms():
+        unit_forms += bool(form.point_layout().peeled((), 0)[0])
+        for axes, ell in _peel_cases(form, base_axes, rng):
+            for point in _peel_points(form, base_axes, rng.randint(0, 999)):
+                result = _check_the_peel(form, point, axes, ell)
+                poles += result is None
+                vanished += bool(result)
+    assert vanished >= 300 and poles >= 1 and unit_forms >= 20, (vanished, poles, unit_forms)
+
+
+def test_the_peel_gives_the_rref_of_the_full_rows_on_random_forms():
+    rng = random.Random(351)
+    chart = Chart("c5", tuple(f"y{i}" for i in range(5)))
+    vanished = with_units = 0
+    for trial in range(80):
+        degree = rng.randint(1, 4)
+        if trial % 2:
+            form = _mixed_form(rng, chart, degree, rational=trial % 4 == 1)
+        else:
+            form = random_form(rng, chart, degree, max_terms=5, rational=trial % 4 == 2)
+        with_units += bool(form.point_layout().peeled((), 0)[0])
+        for axes, ell in _peel_cases(form, (), rng):
+            for point in _peel_points(form, (), trial):
+                vanished += bool(_check_the_peel(form, point, axes, ell))
+    assert vanished >= 100 and with_units >= 20, (vanished, with_units)
+
+
+def test_a_variable_single_entry_is_never_a_unit():
+    # x dx^dy^dz has one entry a row, each x: at x = 0 every vector is in
+    # the kernel
+    chart = Chart("r3", ("x", "y", "z"))
+    manifold = PreMultisymplecticManifold(chart, 3, Form.from_terms(chart, 3, [(("x", "y", "z"), "x")]))
+    units, rest = manifold.omega.point_layout().peeled((), 0)
+    assert units == () and len(rest) == 3
+    assert kernel_dimensions(manifold, [[0, 1, 1], [1, 1, 1], [0, F(1, 2), 3]]) == [3, 0, 3]
+    assert len(kernel_at(manifold, [0, 2, 5])) == 3
+    assert coordinate_orthogonal(manifold.omega, [0, 1, 1], [0], 1) == [
+        [1, 0, 0], [0, 1, 0], [0, 0, 1]
+    ]
+    assert coordinate_orthogonal(manifold.omega, [2, 1, 1], [0], 1) == [[1, 0, 0]]
+
+
+def test_a_pole_in_unit_columns_still_raises():
+    from plectic.thicken import nondegeneracy_report
+
+    # the entries of 1/x lie in unit columns, found from the constant
+    # coefficients, so no row a point fills holds it
+    chart = Chart("r4", ("x", "y", "z", "w"))
+    omega = Form.from_terms(chart, 2, [(("x", "y"), "1"), (("z", "w"), "1"), (("x", "z"), "1/x")])
+    manifold = PreMultisymplecticManifold(chart, 2, omega)
+    layout = omega.point_layout()
+    for axes, ell in (((), 0), (range(4), 1)):
+        units, rest = layout.peeled(axes, ell)
+        assert sorted(units) == [0, 1, 2, 3] and rest == []
+    pole, regular = [0, 1, 2, 3], [1, 1, 2, 3]
+    assert kernel_at(manifold, regular) == []
+    with pytest.raises(PoleError):
+        kernel_at(manifold, pole)
+    with pytest.raises(PoleError):
+        nondegeneracy_report(omega, [regular, pole])
+    with pytest.raises(PoleError):
+        coordinate_orthogonal(omega, pole, range(4), 1)
+    assert kernel_dimensions(manifold, [pole, regular]) == [None, 0]
+    assert nondegeneracy_report(omega, [regular]).verdict == "EVIDENCE"
 
 
 def _count_layouts(monkeypatch):
