@@ -46,6 +46,8 @@ from .thicken import Thickening, build_thickening, present_in_frame_basis, verif
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+# Python's default limit on the digits of an int converted to or from a string
+_MAX_DIGITS = 4300
 
 
 class _Output:
@@ -204,8 +206,14 @@ def _parse_constraints(text: Optional[str], spec: ManifoldSpec) -> Dict[int, Fra
             raise SpecError("--submanifold", f"unknown coordinate {name!r}")
         if spec.chart.axis(name) in out:
             raise SpecError("--submanifold", f"coordinate {name!r} constrained twice")
+        # Fraction writes out 10 ** exponent and the header prints the value:
+        # the text's length plus its exponent bounds the digits of both
+        value = value.strip()
+        exponent = value.lower().partition("e")[2].replace("_", "")
+        if len(value) + (abs(int(exponent)) if exponent.lstrip("+-").isdigit() else 0) > _MAX_DIGITS:
+            raise SpecError("--submanifold", f"constant {value[:20]!r} may have more than {_MAX_DIGITS} digits")
         try:
-            out[spec.chart.axis(name)] = Fraction(value.strip())
+            out[spec.chart.axis(name)] = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise SpecError("--submanifold", f"bad rational constant {value!r}: {exc}")
     if not out:

@@ -18,6 +18,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
+from . import linalg
 from .coeff import Exact, Poly, ScalarExpr, add_terms, as_scalar, exact_point, raw_sum
 from .errors import ChartMismatchError, DegreeError, DimensionMismatchError, PlecticError
 from .record import Record
@@ -370,8 +371,8 @@ def _det(rows: List[List[Fraction]]) -> Fraction:
 
 # -- a form at a point ----------------------------------------------------------
 
-# a row layout: a row key and the (column, term position, sign) of each entry
-RowLayout = Tuple[Index, List[Tuple[int, int, int]]]
+# a row layout: a row key and the {column: (term position, sign)} of its entries
+RowLayout = Tuple[Index, Dict[int, Tuple[int, int]]]
 
 
 class PointLayout:
@@ -384,14 +385,19 @@ class PointLayout:
     tests).  ``rows(axes, ell)`` gives the row layout of V -> i_V i_{e_S} form
     over the ell-subsets S of the axes; ell = 0 is X -> i_X form.
     ``peeled(axes, ell)`` gives the columns whose unit rows those rows span at
-    every point, found from the constant coefficients alone, and the layout
-    of the other rows with those columns deleted: each point fills only
-    these, and ``linalg.rref`` starts from the units.  Both are built together
-    at their first use and kept.  ``fill_rows`` turns a row layout and the
-    values at a point into sparse rows.
+    every point and the rows left with those columns deleted: each point
+    fills only these, and ``linalg.rref`` starts from the units.  Both are
+    built together at their first use and kept.  ``fill_rows`` turns a row
+    layout and the values at a point into sparse rows.
+
+    The peel's rule of what is a unit at every point is ``unit_terms``: a
+    coefficient c / q whose numerator c is constant.  It is nonzero wherever
+    it is defined, and ``values`` raises PoleError where q vanishes.  A
+    coefficient with a variable numerator is never a unit: it may vanish at
+    a point.
     """
 
-    __slots__ = ("dim", "indices", "constants", "variable", "denominators", "_rows")
+    __slots__ = ("dim", "indices", "constants", "unit_terms", "variable", "denominators", "_rows")
 
     def __init__(self, form: Form):
         self.dim = form.chart.dim
@@ -405,6 +411,7 @@ class PointLayout:
             else:
                 self.constants.append(0)
                 self.variable.append((t, c))
+        self.unit_terms = [c.num.is_const() for c in form.terms.values()]
         self.denominators = list(
             dict.fromkeys(c.den for _, c in self.variable if not c.den.is_const())
         )
@@ -434,17 +441,13 @@ class PointLayout:
         off the chart raises DimensionMismatchError."""
         return self._layouts(axes, ell)[0]
 
-    def peeled(self, axes: Iterable[int], ell: int) -> Tuple[Tuple[int, ...], List[RowLayout]]:
-        """The unit columns of ``rows(axes, ell)`` and the row layout left.
-
-        A row whose one entry off the units found so far is a constant
-        coefficient, a nonzero rational, spans the unit row at its column at
-        every point; passes repeat until one finds no new unit.  The row space
-        at a point is the span of the unit rows plus that of the other rows
-        with the unit columns deleted, which is the layout returned, so
-        ``linalg.rref(fill_rows(rest, values)[0], dim, units)`` is the rref of
-        the filled ``rows(axes, ell)``.  A variable entry is never a unit: it
-        may vanish at a point.
+    def peeled(self, axes: Iterable[int], ell: int) -> Tuple[Tuple[int, ...], List[dict]]:
+        """The unit columns of ``rows(axes, ell)`` and the entries of the rows
+        left, with no keys: ``linalg.peel`` of the layout's rows under the
+        rule of ``unit_terms``.  The row space at a point is the span of the
+        unit rows plus that of the rows left, so ``linalg.rref`` of the rows
+        left, filled at a point, from the units is the rref of the filled
+        ``rows(axes, ell)``.
         """
         return self._layouts(axes, ell)[1:]
 
@@ -469,24 +472,8 @@ class PointLayout:
             for order, sign in orders[inside]:
                 terms.append((t, tuple([idx[pos] for pos in order]), sign))
         rows = read_off_rows(terms, ell)
-        # the rows with one constant entry give most units; the passes over the
-        # others find the rest
-        constants = self.constants
-        units = dict.fromkeys(
-            [entries[0][0] for _, entries in rows if len(entries) == 1 and constants[entries[0][1]]]
-        )
-        rest = [row for row in rows if len(row[1]) > 1 or not constants[row[1][0][1]]]
-        found = True
-        while found:
-            found, pending = False, []
-            for rest_key, entries in rest:
-                entries = [entry for entry in entries if entry[0] not in units]
-                if len(entries) == 1 and constants[entries[0][1]]:
-                    units[entries[0][0]] = None
-                    found = True
-                elif entries:
-                    pending.append((rest_key, entries))
-            rest = pending
+        units: Dict[int, dict] = {}
+        rest = linalg.peel([entries for _, entries in rows], units, lambda e: self.unit_terms[e[0]])
         built = self._rows[key] = (rows, tuple(units), rest)
         return built
 
@@ -494,29 +481,29 @@ class PointLayout:
 def read_off_rows(terms: Iterable[Tuple[int, Index, int]], start: int = 0) -> List[RowLayout]:
     """The row layout of V -> i_V over the slots from ``start`` on of the
     terms (term position t, index, sign), keyed by the remaining index in
-    increasing order: entry (axis, t, s) is s times term t's value at column
+    increasing order: entry axis: (t, s) is s times term t's value at column
     axis, s the term's sign times that of moving the axis to slot ``start``.
     ``fill_rows`` fills it with values at a point (rows over Q) or with the
     coefficients (rows over Q(x)) alike."""
-    by_rest: Dict[Index, list] = {}
+    by_rest: Dict[Index, dict] = {}
     for t, idx, sign in terms:
         head, tail = idx[:start], idx[start:]
         if len(tail) % 2 == 0:  # the combinations leave out the last slot first
             sign = -sign
         for axis, rest in zip(reversed(tail), itertools.combinations(tail, len(tail) - 1 if tail else 0)):
-            by_rest.setdefault(head + rest, []).append((axis, t, sign))
+            by_rest.setdefault(head + rest, {})[axis] = (t, sign)
             sign = -sign
     return [(rest, by_rest[rest]) for rest in sorted(by_rest)]
 
 
-def fill_rows(layout: Sequence[RowLayout], values: Sequence[Exact]) -> Tuple[List[dict], List[Index]]:
+def fill_rows(layout: Iterable[RowLayout], values: Sequence[Exact]) -> Tuple[List[dict], List[Index]]:
     """The sparse rows of a row layout at the values of the terms (at a point,
     or the coefficients themselves), with their keys; zero entries and empty
     rows are dropped."""
     rows, keys = [], []
     for key, entries in layout:
         row = {}
-        for axis, t, sign in entries:
+        for axis, (t, sign) in entries.items():
             v = values[t]
             if v:
                 row[axis] = v if sign > 0 else -v

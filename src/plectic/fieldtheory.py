@@ -113,16 +113,6 @@ class EOMResidual(Record):
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.residuals.values())
 
-    def nonzero_directions(self) -> List[str]:
-        return [n for n, f in self.residuals.items() if not f.is_zero()]
-
-    def physical(self) -> Dict[str, Form]:
-        return {
-            n: f for n, f in self.residuals.items() if n not in self.fibered.auxiliary
-        }
-
-    def auxiliary(self) -> Dict[str, Form]:
-        return {n: f for n, f in self.residuals.items() if n in self.fibered.auxiliary}
 
 
 def _check_top_degree(omega_hat: Form, fibered: FiberedChart) -> None:

@@ -11,28 +11,27 @@ checks) and the symbolic inverse of a frame over Q(x), which is the rref of
 [M | I].  Zero rows and zero entries cost nothing.  Dense vectors, such as
 kernel bases, enter through ``sparse``.
 
-Before it eliminates, ``rref`` peels off the unit rows: a row with a single
-entry at column q spans the unit row e_q, and deleting the unit columns
-from the other rows leaves the row space as it is, split as span(e_S) plus
-the span of what is left.  The rref is unique, so the peel changes no rank,
-kernel vector or witness, only how much arithmetic reaches them.  Most rows
-of a point's contraction matrix in the DeDonder-Weyl family have one entry,
-and the peel alone reaches full rank there.  [M | I] has no single-entry
-row unless M has a zero row, so ``invert`` does the same arithmetic as
-without the peel.
+Before it eliminates, ``rref`` peels off the unit rows with ``peel``: a
+row with a single entry at column q spans the unit row e_q, and deleting the
+unit columns from the other rows leaves the row space as it is, split as
+span(e_S) plus the span of what is left.  The rref is unique, so the peel
+changes no rank, kernel vector or witness, only how much arithmetic reaches
+them.  Most rows of a point's contraction matrix in the DeDonder-Weyl family
+have one entry, and the peel alone reaches full rank there.  [M | I] has no
+single-entry row unless M has a zero row, so ``invert`` does the same
+arithmetic as without the peel.
 
-Where a single entry is a constant coefficient, a nonzero rational, its
-unit row is in the row space at every point, so ``exterior.PointLayout``
-peels those once per row layout and the pointwise callers pass the unit
-columns to ``rref``, ``rank`` and ``kernel_basis`` as ``units``: the rows
-they hand in are the others, with the unit columns deleted.  The rref is
-unique, so the result is the same.
+``peel`` is the one unit peel, and what is a unit is its parameter:
+``rref`` peels over a field, and ``exterior.PointLayout`` peels each row
+layout once under its rule of what is a unit at every point.  The pointwise
+callers pass those unit columns to ``rref``, ``rank`` and ``kernel_basis``
+as ``units``, and hand in only the other rows, with those columns deleted.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from .errors import DimensionMismatchError, PlecticError
 
@@ -61,47 +60,59 @@ def _reduce(v: SparseRow, reduced: Dict[int, SparseRow]) -> None:
                 del v[j]
 
 
-def rref(rows: Sequence[SparseRow], ncols: int, units: Iterable[int] = ()) -> Dict[int, SparseRow]:
-    """Reduced row echelon form of sparse rows, keyed by pivot column.
+def peel(
+    rows: Iterable[SparseRow], units: Dict[int, SparseRow], is_unit: Optional[Callable] = None
+) -> List[SparseRow]:
+    """Record in ``units`` the unit columns q of sparse rows, each as the row
+    {q: 1}, and return the rows left with the unit columns deleted.
 
-    ``units`` are columns q whose unit row e_q the caller knows to lie in the
-    row space, as ``exterior.PointLayout.peeled`` knows from constant
-    coefficients: the result is that of the rows with a row {q: 1} added for
-    each, and the elimination starts from them.  It is a fact about the rows,
-    not a setting: a column that is not a unit gives a wrong result.
-
-    First the unit rows are peeled off with no arithmetic.  A row left with
-    one entry (q, x) spans the unit row e_q, which is x / x at q; deleting
-    the unit columns S found so far from the other rows may leave more such
-    rows, so passes repeat until one finds no new unit.  The row space is
-    span(e_S) plus the span of the rows with the columns S deleted, so the
-    rows left are eliminated as before, starting from the units: each is
-    reduced against the rows so far, scaled to 1 at its leading column (the
-    new pivot), and cleared from the earlier rows.  Zero rows vanish, so the
-    rank is the number of rows returned.  The form is unique, so results do
-    not depend on the order of the rows or on how many the peel takes.
-    Works over any field whose values test nonzero with ``bool``: Fraction
-    and ScalarExpr, and ints, which a pivot row scales to Fractions only
-    where it must.  The peel pivots on any nonzero single entry, which is
-    sound over a field; an elimination that admits only some pivots, such
-    as a certificate that pivots only on units of Q(x), must apply its rule
-    to the peel as well.
+    A row left with one entry (q, x) spans e_q where x is a unit: any nonzero
+    x over a field (the default), or where ``is_unit(x)``.  Deleting the unit
+    columns S found so far may leave more such rows, so passes repeat until
+    one finds no new unit.  The row space is span(e_S) plus the span of the
+    rows left.  The caller's rows are not changed: a row left is a copy, or
+    one of the caller's single-entry rows that is not a unit.
     """
-    reduced: Dict[int, SparseRow] = {q: {q: 1} for q in units}
     found = True
     while found:
         found, pending = False, []
         for row in rows:
-            v = row if len(row) == 1 else {j: x for j, x in row.items() if j not in reduced}
+            v = row if len(row) == 1 else {j: x for j, x in row.items() if j not in units}
             if len(v) == 1:
                 ((q, x),) = v.items()
-                if q not in reduced:
-                    reduced[q] = {q: x // x if type(x) is int else x / x}
+                if q in units:
+                    continue
+                if is_unit is None or is_unit(x):
+                    units[q] = {q: 1}
                     found = True
-            elif v:
+                    continue
+            if v:
                 pending.append(v)
         rows = pending
-    for v in rows:  # the peel's own copies
+    return rows
+
+
+def rref(rows: Sequence[SparseRow], ncols: int, units: Iterable[int] = ()) -> Dict[int, SparseRow]:
+    """Reduced row echelon form of sparse rows, keyed by pivot column.
+
+    ``units`` are columns q whose unit row e_q the caller knows to lie in the
+    row space, as ``exterior.PointLayout.peeled`` knows from its row layout:
+    the result is that of the rows with a row {q: 1} added for each, and the
+    elimination starts from them.  It is a fact about the rows, not a
+    setting: a column that is not a unit gives a wrong result.
+
+    First ``peel`` takes the unit rows off with no arithmetic, pivoting on
+    any nonzero single entry.  The rows left are eliminated starting from
+    the units: each is reduced against the rows so far, scaled to 1 at its
+    leading column (the new pivot), and cleared from the earlier rows.  Zero
+    rows vanish, so the rank is the number of rows returned.  The form is
+    unique, so results do not depend on the order of the rows or on how many
+    the peel takes.  Works over any field whose values test nonzero with
+    ``bool``: Fraction and ScalarExpr, and ints, which a pivot row scales to
+    Fractions only where it must.
+    """
+    reduced: Dict[int, SparseRow] = {q: {q: 1} for q in units}
+    for v in peel(rows, reduced):  # the peel's own copies
         if len(reduced) == ncols:
             break
         _reduce(v, reduced)

@@ -18,8 +18,9 @@ with ``exterior.read_off_rows`` and fills them with ``fill_rows``:
 ``multisymplectic_orthogonal`` reads them off its contracted values.  The
 kernels and ranks at a point (``kernel_at``, ``kernel_dimensions``,
 ``coordinate_orthogonal`` and the thickening's non-degeneracy check) go
-through ``peeled_rows``: the unit columns the layout finds from constant
-coefficients are handed to ``linalg`` and only the other rows are filled.
+through ``peeled_rows``: the unit columns the layout's peel finds, under
+its rule that a coefficient with a constant numerator is a unit, are handed
+to ``linalg`` and only the other rows are filled.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ def peeled_rows(
     pole raises PoleError even where its entries lie in unit columns."""
     layout = form.point_layout()
     units, rest = layout.peeled(axes, ell)
-    rows, _ = fill_rows(rest, layout.values(point))
+    # the rows left carry no keys, so their positions stand in for them
+    rows, _ = fill_rows(enumerate(rest), layout.values(point))
     return rows, units
 
 

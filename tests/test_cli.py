@@ -252,6 +252,10 @@ def test_orthogonal_exits_2_when_every_draw_is_a_pole(tmp_path, capsys):
         (["--submanifold", "x5"], "expected name=value"),
         (["--submanifold", "x5=abc"], "bad rational constant"),
         (["--submanifold", ","], "no constraints given"),
+        # 4301 digits, past the int-string limit of the header's str()
+        (["--submanifold", "x5=1e4300"], "--submanifold: constant '1e4300' may have more than"),
+        # 10 ** 100000000 is never built
+        (["--submanifold", "x5=1e100000000"], "may have more than 4300 digits"),
         (["--submanifold", "x5=0", "--ell", "0"], "--ell: must be >= 1"),
     ],
 )
@@ -259,6 +263,16 @@ def test_orthogonal_rejects_bad_flags(capsys, flags, message):
     code, _, err = run(capsys, "orthogonal", fixture_path("r5_thickening.json"), *flags)
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("value,shown", [("1/3", "1/3"), ("-2", "-2"), ("0.5", "1/2"), ("1e3", "1000")])
+def test_orthogonal_takes_rational_constants(capsys, value, shown):
+    code, out, _ = run(
+        capsys, "orthogonal", fixture_path("r5_thickening.json"), "--submanifold", f"x5={value}",
+        "--samples", "1",
+    )
+    assert code == 0
+    assert f"submanifold: {{'x5': '{shown}'}}" in out
 
 
 def test_orthogonal_r5_fixture(capsys):

@@ -396,6 +396,21 @@ def test_rref_matches_elimination_alone_on_peelable_matrices(kind):
         assert rows == copies  # the caller's rows are left as they were
 
 
+def test_the_peel_takes_only_the_entries_its_rule_admits():
+    # under "only 1 is a unit", {0: 2} waits until {1: 1} makes {0: 1, 1: 3}
+    # a unit row at 0, and {2: 5} is left as the caller's own row
+    waiting, kept = {0: 2}, {2: 5}
+    rows = [waiting, {0: 1, 1: 3}, kept, {1: 1}, {2: 4, 1: 7}]
+    units = {}
+    left = linalg.peel(rows, units, lambda x: x == 1)
+    assert units == {1: {1: 1}, 0: {0: 1}}
+    assert left == [{2: 5}, {2: 4}] and left[0] is kept
+    assert rows[1] == {0: 1, 1: 3} and rows[4] == {2: 4, 1: 7}
+    # the field rule takes every single entry
+    units = {}
+    assert linalg.peel(rows, units) == [] and sorted(units) == [0, 1, 2]
+
+
 @functools.lru_cache(maxsize=None)
 def _dw_thickening(n):
     """(thickening, manifold) of DW of base dimension n.  DW n = 5 is the

@@ -598,9 +598,10 @@ def test_layout_raises_pole_error_at_a_pole():
 
 
 # -- the layout's unit peel ---------------------------------------------------
-# PointLayout.peeled finds the unit columns of a row layout from its constant
-# coefficients; each point fills only the rows left, and linalg.rref starts
-# from the units.  The references fill every row at the point.
+# PointLayout.peeled finds the unit columns of a row layout from its
+# coefficients with a constant numerator; each point fills only the rows
+# left, and linalg.rref starts from the units.  The references fill every row
+# at the point.
 
 
 def _spec_forms():
@@ -719,11 +720,42 @@ def test_a_variable_single_entry_is_never_a_unit():
     assert coordinate_orthogonal(manifold.omega, [2, 1, 1], [0], 1) == [[1, 0, 0]]
 
 
+def test_a_constant_numerator_is_a_unit():
+    # (1/x) dx^dy^dz is nonzero wherever it is defined, so its rows peel to
+    # every column, and at x = 0 the pole still raises
+    chart = Chart("r3", ("x", "y", "z"))
+    manifold = PreMultisymplecticManifold(chart, 3, Form.from_terms(chart, 3, [(("x", "y", "z"), "1/x")]))
+    units, rest = manifold.omega.point_layout().peeled((), 0)
+    assert sorted(units) == [0, 1, 2] and rest == []
+    assert kernel_at(manifold, [1, 2, 3]) == []
+    with pytest.raises(PoleError):
+        kernel_at(manifold, [0, 2, 3])
+    with pytest.raises(PoleError):
+        coordinate_orthogonal(manifold.omega, [0, 1, 1], [0], 1)
+    assert kernel_dimensions(manifold, [[0, 1, 1], [F(1, 2), 1, 1]]) == [None, 0]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ("dw_rational_n3", "dw_rational_n3_u_first", "dw_quad_n3", "dw_rational_n4", "dw_rational_n5", "rational_frame"),
+)
+def test_the_rational_golden_thickenings_peel_every_non_degeneracy_row(name):
+    # coefficients with a variable denominator over a constant numerator are
+    # units; a peel on the constant coefficients alone leaves 1 to 205 rows
+    from plectic.manifoldspec import load_spec
+    from plectic.thicken import build_thickening
+
+    spec = load_spec(os.path.join(os.path.dirname(__file__), "golden", name + ".json"))
+    manifold = spec.manifold()
+    thickening = build_thickening(manifold, build_split_frame(manifold, spec.vertical, spec.horizontal))
+    units, rest = thickening.omega_tilde.point_layout().peeled((), 0)
+    assert sorted(units) == list(range(thickening.big_chart.dim)) and rest == []
+
+
 def test_a_pole_in_unit_columns_still_raises():
     from plectic.thicken import nondegeneracy_report
 
-    # the entries of 1/x lie in unit columns, found from the constant
-    # coefficients, so no row a point fills holds it
+    # the entries of 1/x lie in unit columns, so no row a point fills holds it
     chart = Chart("r4", ("x", "y", "z", "w"))
     omega = Form.from_terms(chart, 2, [(("x", "y"), "1"), (("z", "w"), "1"), (("x", "z"), "1/x")])
     manifold = PreMultisymplecticManifold(chart, 2, omega)
