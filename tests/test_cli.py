@@ -252,11 +252,11 @@ def test_orthogonal_exits_2_when_every_draw_is_a_pole(tmp_path, capsys):
         (["--submanifold", "x5"], "expected name=value"),
         (["--submanifold", "x5=abc"], "bad rational constant"),
         (["--submanifold", ","], "no constraints given"),
+        (["--submanifold", "x5=0", "--ell", "0"], "--ell: must be >= 1"),
         # 4301 digits, past the int-string limit of the header's str()
         (["--submanifold", "x5=1e4300"], "--submanifold: constant '1e4300' may have more than"),
         # 10 ** 100000000 is never built
         (["--submanifold", "x5=1e100000000"], "may have more than 4300 digits"),
-        (["--submanifold", "x5=0", "--ell", "0"], "--ell: must be >= 1"),
     ],
 )
 def test_orthogonal_rejects_bad_flags(capsys, flags, message):
