@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from . import linalg
@@ -308,22 +307,6 @@ class Form:
         layout = self.point_layout()
         return {idx: v for idx, v in zip(layout.indices, layout.values(point)) if v}
 
-    def evaluate(self, point: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]]) -> Fraction:
-        """Exact multilinear alternating evaluation on rational tangent vectors;
-        a vector or point of the wrong dimension raises DimensionMismatchError."""
-        if len(vectors) != self.degree:
-            raise DegreeError(
-                f"degree-{self.degree} form applied to {len(vectors)} vectors"
-            )
-        if any(len(v) != self.chart.dim for v in vectors):
-            raise DimensionMismatchError(f"vectors of dimension != {self.chart.dim}")
-        consts = self.eval_coefficients(point)
-        total = Fraction(0)
-        for idx, c in consts.items():
-            rows = [[Fraction(v[i]) for v in vectors] for i in idx]
-            total += c * _det(rows)
-        return total
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -347,28 +330,6 @@ def _is_atomic(s: str) -> bool:
     return not any(ch in s for ch in "+- ") or (s.startswith("-") and not any(ch in s[1:] for ch in "+- "))
 
 
-def _det(rows: List[List[Fraction]]) -> Fraction:
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    m = [row[:] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
-
-
 # -- a form at a point ----------------------------------------------------------
 
 # a row layout: a row key and the {column: (term position, sign)} of its entries
@@ -386,9 +347,10 @@ class PointLayout:
     over the ell-subsets S of the axes; ell = 0 is X -> i_X form.
     ``peeled(axes, ell)`` gives the columns whose unit rows those rows span at
     every point and the rows left with those columns deleted: each point
-    fills only these, and ``linalg.rref`` starts from the units.  Both are
-    built together at their first use and kept.  ``fill_rows`` turns a row
-    layout and the values at a point into sparse rows.
+    fills only these, and ``linalg.rref`` starts from the units.  Only the
+    peel is kept, one entry per axes and ell; the full row layout is read
+    off for it and dropped.  ``fill_rows`` turns a row layout and the values
+    at a point into sparse rows.
 
     The peel's rule of what is a unit at every point is ``unit_terms``: a
     coefficient c / q whose numerator c is constant.  It is nonzero wherever
@@ -415,7 +377,7 @@ class PointLayout:
         self.denominators = list(
             dict.fromkeys(c.den for _, c in self.variable if not c.den.is_const())
         )
-        # (axes, ell) -> (rows, units, the rows left)
+        # (axes, ell) -> (units, the rows left)
         self._rows: Dict[Tuple[frozenset, int], tuple] = {}
 
     def values(self, point: Sequence) -> List[Exact]:
@@ -437,30 +399,15 @@ class PointLayout:
         """The rows V -> i_V i_{e_S} form over every ell-subset S of the axes
         (at ell = 0, of X -> i_X form, whatever the axes), keyed by S and the
         index left: each term whose index holds S goes to ``read_off_rows``
-        with S moved to the front, signed by the parity of that move.  An axis
-        off the chart raises DimensionMismatchError."""
-        return self._layouts(axes, ell)[0]
-
-    def peeled(self, axes: Iterable[int], ell: int) -> Tuple[Tuple[int, ...], List[dict]]:
-        """The unit columns of ``rows(axes, ell)`` and the entries of the rows
-        left, with no keys: ``linalg.peel`` of the layout's rows under the
-        rule of ``unit_terms``.  The row space at a point is the span of the
-        unit rows plus that of the rows left, so ``linalg.rref`` of the rows
-        left, filled at a point, from the units is the rref of the filled
-        ``rows(axes, ell)``.
-        """
-        return self._layouts(axes, ell)[1:]
-
-    def _layouts(self, axes: Iterable[int], ell: int) -> tuple:
-        key = (frozenset(axes) if ell else frozenset(), ell)
-        built = self._rows.get(key)
-        if built is not None:
-            return built
-        if not key[0] <= frozenset(range(self.dim)):
-            raise DimensionMismatchError(f"axes {sorted(key[0])} are not all on a {self.dim}-dim chart")
+        with S moved to the front, signed by the parity of that move.  Read
+        off anew at each call.  An axis off the chart raises
+        DimensionMismatchError."""
+        axes = frozenset(axes) if ell else frozenset()
+        if not axes <= frozenset(range(self.dim)):
+            raise DimensionMismatchError(f"axes {sorted(axes)} are not all on a {self.dim}-dim chart")
         # the orders and signs of each pattern of positions on the axes, found
         # once: moving positions s to the front passes sum(s[i] - i) others
-        terms, orders, axes = [], {}, key[0]
+        terms, orders = [], {}
         for t, idx in enumerate(self.indices):
             inside = tuple([pos for pos, axis in enumerate(idx) if axis in axes])
             if inside not in orders:
@@ -471,10 +418,23 @@ class PointLayout:
                 ]
             for order, sign in orders[inside]:
                 terms.append((t, tuple([idx[pos] for pos in order]), sign))
-        rows = read_off_rows(terms, ell)
-        units: Dict[int, dict] = {}
-        rest = linalg.peel([entries for _, entries in rows], units, lambda e: self.unit_terms[e[0]])
-        built = self._rows[key] = (rows, tuple(units), rest)
+        return read_off_rows(terms, ell)
+
+    def peeled(self, axes: Iterable[int], ell: int) -> Tuple[Tuple[int, ...], List[dict]]:
+        """The unit columns of ``rows(axes, ell)`` and the entries of the rows
+        left, with no keys: ``linalg.peel`` of the layout's rows under the
+        rule of ``unit_terms``, built at the first call and kept.  The row
+        space at a point is the span of the unit rows plus that of the rows
+        left, so ``linalg.rref`` of the rows left, filled at a point, from the
+        units is the rref of the filled ``rows(axes, ell)``.
+        """
+        key = (frozenset(axes) if ell else frozenset(), ell)
+        built = self._rows.get(key)
+        if built is None:
+            units: Dict[int, dict] = {}
+            rows = [entries for _, entries in self.rows(*key)]
+            rest = linalg.peel(rows, units, lambda e: self.unit_terms[e[0]])
+            built = self._rows[key] = (tuple(units), rest)
         return built
 
 
@@ -574,20 +534,6 @@ class CoordinateMap:
         self.target = target
         self.components = tuple(source.scalar(c) if not isinstance(c, ScalarExpr) else c for c in components)
         self._rows = None
-
-    @classmethod
-    def identity(cls, chart: Chart) -> "CoordinateMap":
-        return cls(chart, chart, [ScalarExpr.var(chart.coords, n) for n in chart.coords])
-
-    def after(self, inner: "CoordinateMap") -> "CoordinateMap":
-        """Composition self o inner (inner applied first)."""
-        if inner.target != self.source:
-            raise ChartMismatchError("composition charts do not line up")
-        return CoordinateMap(
-            inner.source,
-            self.target,
-            [c.compose(inner.components) for c in self.components],
-        )
 
     def pullback(self, form: Form) -> Form:
         """Pull a form on the target chart back to the source chart: compose

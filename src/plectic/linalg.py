@@ -96,7 +96,8 @@ def rref(rows: Sequence[SparseRow], ncols: int, units: Iterable[int] = ()) -> Di
     """Reduced row echelon form of sparse rows, keyed by pivot column.
 
     ``units`` are columns q whose unit row e_q the caller knows to lie in the
-    row space, as ``exterior.PointLayout.peeled`` knows from its row layout:
+    row space, as ``splitting.contraction_matrix`` returns them from a form's
+    peeled row layout:
     the result is that of the rows with a row {q: 1} added for each, and the
     elimination starts from them.  It is a fact about the rows, not a
     setting: a column that is not a unit gives a wrong result.
@@ -161,6 +162,7 @@ def kernel_basis(rows: Sequence[SparseRow], ncols: int, units: Iterable[int] = (
     return basis
 
 
+# no caller in src: the bench tracer (perfbench/tracer.py) wraps it by name
 def subspace_contained(span_a: Sequence[Vector], span_b: Sequence[Vector]) -> bool:
     """True iff every dense vector of span_a lies in span(span_b), decided exactly."""
     dims = {len(v) for v in list(span_a) + list(span_b)}

@@ -12,15 +12,14 @@ complement (horizontal) fields.  Coframe covectors and all frame-monomial
 indices follow the same order.
 
 Every pointwise check reads its rows V -> i_V i_{e_S} form off term indices
-with ``exterior.read_off_rows`` and fills them with ``fill_rows``:
-``contraction_matrix`` (ell = 0) and ``peeled_rows`` take them from the
-``PointLayout`` each form builds at its first pointwise use and keeps, and
-``multisymplectic_orthogonal`` reads them off its contracted values.  The
-kernels and ranks at a point (``kernel_at``, ``kernel_dimensions``,
-``coordinate_orthogonal`` and the thickening's non-degeneracy check) go
-through ``peeled_rows``: the unit columns the layout's peel finds, under
-its rule that a coefficient with a constant numerator is a unit, are handed
-to ``linalg`` and only the other rows are filled.
+with ``exterior.read_off_rows`` and fills them with ``fill_rows``.
+``contraction_matrix`` fills the rows the form's ``PointLayout`` keeps after
+its peel, built at the first pointwise use, and returns them with the unit
+columns the peel found, under its rule that a coefficient with a constant
+numerator is a unit.  The kernels and ranks at a point (``kernel_at``,
+``kernel_dimensions``, ``coordinate_orthogonal`` and the thickening's
+non-degeneracy check) hand both to ``linalg``.
+``multisymplectic_orthogonal`` reads its rows off its contracted values.
 """
 
 from __future__ import annotations
@@ -79,28 +78,14 @@ class PreMultisymplecticManifold(Record):
             raise NotClosedError(residual)
 
 
-def contraction_matrix(form: Form, point: Sequence) -> Tuple[List[linalg.SparseRow], List[Index]]:
-    """Matrix of X |-> i_X form at a point, built from its nonzero terms.
-
-    Only nonzero rows are returned: sparse {coordinate position: value} rows,
-    indexed by the strictly increasing (degree-1)-tuples of coordinate
-    positions that carry a nonzero entry (lexicographic order).  The rows are
-    the ell = 0 rows of the form's ``PointLayout``, built once per form,
-    filled with the values of ``PointLayout.values`` (ints where they are
-    integral, so ``linalg.rref`` reduces them on ints); only the non-constant
-    coefficients are evaluated at each point.
-    """
-    layout = form.point_layout()
-    return fill_rows(layout.rows((), 0), layout.values(point))
-
-
-def peeled_rows(
+def contraction_matrix(
     form: Form, point: Sequence, axes: Iterable[int] = (), ell: int = 0
 ) -> Tuple[List[linalg.SparseRow], Tuple[int, ...]]:
     """The rows V -> i_V i_{e_S} form at a point, as ``linalg`` takes them:
-    the unit columns of ``PointLayout.peeled(axes, ell)`` and the rows left,
-    filled at the point.  Every non-constant coefficient is evaluated, so a
-    pole raises PoleError even where its entries lie in unit columns."""
+    the rows left by ``PointLayout.peeled(axes, ell)``, filled at the point,
+    and its unit columns.  At ell = 0 these are the rows of X -> i_X form.
+    Every non-constant coefficient is evaluated, so a pole raises PoleError
+    even where its entries lie in unit columns."""
     layout = form.point_layout()
     units, rest = layout.peeled(axes, ell)
     # the rows left carry no keys, so their positions stand in for them
@@ -110,7 +95,7 @@ def peeled_rows(
 
 def kernel_at(manifold: PreMultisymplecticManifold, point: Sequence[Fraction]) -> List[List[Fraction]]:
     """Exact basis of {X : i_X omega = 0} at a rational point."""
-    rows, units = peeled_rows(manifold.omega, point)
+    rows, units = contraction_matrix(manifold.omega, point)
     return linalg.kernel_basis(rows, manifold.chart.dim, units)
 
 
@@ -121,7 +106,7 @@ def kernel_dimensions(
     dims = []
     for p in points:
         try:
-            rows, units = peeled_rows(manifold.omega, p)
+            rows, units = contraction_matrix(manifold.omega, p)
         except PoleError:
             dims.append(None)
         else:
@@ -371,15 +356,15 @@ def coordinate_orthogonal(
     """Exact basis of the ell-orthogonal of the coordinate subspace on ``axes``.
 
     For each ell-subset S of the axes, the rows V -> i_V i_{e_S} form are
-    read off the form's terms, with no contraction.  Their layout and its
-    unit columns (``PointLayout.peeled(axes, ell)``) are built once per form,
-    axes and ell, and each point fills the rows left with the coefficients'
-    values (``peeled_rows``); an axis off the chart raises
+    read off the form's terms, with no contraction.  Their peel
+    (``PointLayout.peeled(axes, ell)``) is built once per form, axes and
+    ell, and each point fills the rows left with the coefficients' values
+    (``contraction_matrix``); an axis off the chart raises
     DimensionMismatchError when it is built.  A vector lies in the subspace
     exactly when it vanishes off the axes, so callers test containment on
     the returned vectors' entries.
     """
     if ell < 1:
         raise PlecticError("ell must be >= 1")
-    rows, units = peeled_rows(form, point, axes, ell)
+    rows, units = contraction_matrix(form, point, axes, ell)
     return linalg.kernel_basis(rows, form.chart.dim, units)

@@ -41,9 +41,8 @@ from .sampling import SampleConfig, echo, pole_rejector, sample_points
 from .splitting import (
     PreMultisymplecticManifold,
     SplitFrame,
-    contraction_matrix,  # re-exported: callers reach it as thicken.contraction_matrix
+    contraction_matrix,
     coordinate_orthogonal,
-    peeled_rows,
 )
 
 
@@ -92,7 +91,7 @@ class Thickening(Record):
     big_chart: Chart
     fiber_index: Tuple[Index, ...]
     fiber_names: Tuple[str, ...]
-    tau: CoordinateMap
+    tau: CoordinateMap  # no reader in src: the bench (perfbench/) pulls omega back along it
     zero_section: CoordinateMap
     theta0: Form
     omega_tilde: Form
@@ -219,7 +218,7 @@ def _degenerate_points(form: Form, points: Sequence[Sequence[Fraction]]) -> List
     """One witness, with a kernel basis, per point where form is degenerate."""
     witnesses = []
     for p in points:
-        rows, units = peeled_rows(form, p)
+        rows, units = contraction_matrix(form, p)
         kernel = linalg.kernel_basis(rows, form.chart.dim, units)
         if kernel:
             witnesses.append(

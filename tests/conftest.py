@@ -14,7 +14,7 @@ from plectic import (
     build_thickening,
 )
 from plectic.coeff import Poly, exact_point, term_order_key
-from plectic.exterior import substitute
+from plectic.exterior import fill_rows, substitute
 
 
 def fixture_path(name: str) -> str:
@@ -130,6 +130,43 @@ def term_orders(rng: random.Random):
 
 
 # -- references ------------------------------------------------------------------
+
+
+def evaluate(form: Form, point, vectors) -> Fraction:
+    """form(v_1, ..., v_k) at a rational point: each coefficient's value times
+    the determinant of the vectors' entries on its index, with no contraction."""
+    assert len(vectors) == form.degree
+    total = Fraction(0)
+    for idx, c in form.eval_coefficients(point).items():
+        total += c * det([[Fraction(v[i]) for v in vectors] for i in idx])
+    return total
+
+
+def det(rows) -> Fraction:
+    """The determinant of a square matrix of Fractions, by row reduction."""
+    n = len(rows)
+    m = [row[:] for row in rows]
+    out = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            out = -out
+        out *= m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] / m[c][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return out
+
+
+def keyed_rows(form: Form, point):
+    """Every nonzero row of X -> i_X form at a point, with its key: the full
+    row layout, with no peel."""
+    layout = form.point_layout()
+    return fill_rows(layout.rows((), 0), layout.values(point))
 
 
 def pullback_composing_every_term(phi, form: Form) -> Form:

@@ -22,12 +22,11 @@ from plectic.splitting import (
     kernel_at,
     kernel_dimensions,
     multisymplectic_orthogonal,
-    peeled_rows,
     verify_constant_rank,
 )
 from plectic.sampling import SampleConfig, pole_rejector, sample_points
 
-from conftest import fixture_path, random_form, random_poly_expr, random_scalar
+from conftest import evaluate, fixture_path, keyed_rows, random_form, random_poly_expr, random_scalar
 
 F = Fraction
 
@@ -94,19 +93,18 @@ def test_kernel_of_r4_form():
 def test_kernel_of_nondegenerate_form(chart4):
     manifold = PreMultisymplecticManifold(chart4, 3, _hamiltonian_form(chart4))
     # oracle: exact rank of the nonzero rows of the 10x5 contraction matrix
-    from plectic.splitting import contraction_matrix
-
     point = [2, -1, 3, 1, 4]
-    rows, _ = contraction_matrix(manifold.omega, point)
+    rows, _ = keyed_rows(manifold.omega, point)
     assert len(rows) == 9 and all(max(row) < 5 for row in rows)
     assert linalg.rank(rows, 5) == 5
+    peeled, units = contraction_matrix(manifold.omega, point)
+    assert linalg.rank(peeled, 5, units) == 5
     assert kernel_at(manifold, point) == []
 
 
 def test_contraction_matrix_keeps_only_nonzero_rows():
     # oracle: column v of the full matrix is i_{e_v} of the constant form
     from plectic.exterior import contract_constant
-    from plectic.splitting import contraction_matrix
 
     rng = random.Random(8)
     chart = Chart("c6", tuple(f"y{i}" for i in range(6)))
@@ -119,10 +117,13 @@ def test_contraction_matrix_keeps_only_nonzero_rows():
             rest: [columns[v].get(rest, F(0)) for v in range(6)]
             for rest in itertools.combinations(range(6), degree - 1)
         }
-        rows, indices = contraction_matrix(form, point)
+        rows, indices = keyed_rows(form, point)
         assert indices == [rest for rest, row in full.items() if any(row)]
         assert rows == [linalg.sparse(full[rest]) for rest in indices]
         assert all(row and all(row.values()) and max(row) < 6 for row in rows)
+        peeled, units = contraction_matrix(form, point)
+        assert all(row and all(row.values()) for row in peeled)
+        assert linalg.rref(peeled, 6, units) == linalg.rref(rows, 6)
 
 
 def test_rref_of_a_dw_n3_contraction_matrix_holds_only_ints():
@@ -131,7 +132,6 @@ def test_rref_of_a_dw_n3_contraction_matrix_holds_only_ints():
     # deleted, reach full rank: each rref is the identity, in int 1s, and
     # equals the rref of the matrix of Fractions
     from plectic.manifoldspec import load_spec
-    from plectic.splitting import contraction_matrix
     from plectic.thicken import build_thickening
 
     spec = load_spec(os.path.join(os.path.dirname(__file__), "golden", "dw_n3.json"))
@@ -142,7 +142,7 @@ def test_rref_of_a_dw_n3_contraction_matrix_holds_only_ints():
     dim = omega.chart.dim
     int_only = []
     for n, point in enumerate(sample_points(dim, SampleConfig(8, 3), pole_rejector(omega))):
-        rows, _ = contraction_matrix(omega, point)
+        rows, _ = keyed_rows(omega, point)
         assert all(type(x) is int for row in rows for x in row.values())
         reduced = linalg.rref(rows, dim)
         assert reduced == linalg.rref([{j: F(x) for j, x in row.items()} for row in rows], dim)
@@ -416,8 +416,8 @@ def test_orthogonal_nesting():
 
 
 def _brute_force_orthogonal(omega, point, nb, ell):
-    # rows V -> omega(V, W..., e_rest...) read off Form.evaluate, which goes
-    # through its own determinant rather than through term contraction
+    # rows V -> omega(V, W..., e_rest...) read off conftest's evaluate, which
+    # goes through its own determinant rather than through term contraction
     dim, k = omega.chart.dim, omega.degree
     units = [[F(int(i == j)) for i in range(dim)] for j in range(dim)]
     rows = []
@@ -425,7 +425,7 @@ def _brute_force_orthogonal(omega, point, nb, ell):
         for ws in itertools.combinations(nb, ell):
             for rest in itertools.combinations(units, k - 1 - ell):
                 rows.append(linalg.sparse(
-                    [omega.evaluate(point, [units[v], *ws, *rest]) for v in range(dim)]
+                    [evaluate(omega, point, [units[v], *ws, *rest]) for v in range(dim)]
                 ))
     return linalg.kernel_basis(rows, dim)
 
@@ -493,7 +493,8 @@ def test_r4_inside_r5_is_2_coisotropic_at_origin():
 # -- the pointwise layout ------------------------------------------------------
 # contraction_matrix and coordinate_orthogonal fill row layouts that each form
 # builds once; the references below evaluate every coefficient at every point
-# and build the rows from the nonzero values.
+# and build the rows from the nonzero values.  keyed_rows (conftest) fills the
+# full ell = 0 layout, with no peel, and its keys.
 
 
 def _reference_values(form, point):
@@ -562,11 +563,15 @@ def test_layout_rows_match_evaluating_every_coefficient():
             # zero-heavy points, where non-constant coefficients vanish
             point = [rng.choice((0, 0, 0, 1, -1, -2, F(1, 2))) for _ in range(5)]
             want = _or_pole(_reference_contraction_matrix, form, point)
-            got = _or_pole(contraction_matrix, form, point)
+            got = _or_pole(keyed_rows, form, point)
             assert repr(got) == repr(want), (trial, point)
             if want is PoleError:
                 poles += 1
+                with pytest.raises(PoleError):
+                    contraction_matrix(form, point)
                 continue
+            rows, units = contraction_matrix(form, point)
+            assert linalg.rref(rows, 5, units) == linalg.rref(want[0], 5)
             assert form.eval_coefficients(point) == _reference_values(form, point)
             vanished += len(_reference_values(form, point)) < len(form.terms)
             for axes in subsets:
@@ -584,7 +589,7 @@ def test_layout_rows_match_evaluating_every_coefficient():
 def test_layout_raises_pole_error_at_a_pole():
     chart = Chart("c3", ("x", "y", "z"))
     form = Form.from_terms(chart, 2, [(("x", "y"), "2"), (("y", "z"), "y/(x - 1)")])
-    assert contraction_matrix(form, [0, 1, 0])[1] == [(0,), (1,), (2,)]
+    assert keyed_rows(form, [0, 1, 0])[1] == [(0,), (1,), (2,)]
     for point in ([1, 1, 0], [F(1), 0, 5]):
         with pytest.raises(PoleError):
             contraction_matrix(form, point)
@@ -653,13 +658,10 @@ def _check_the_peel(form, point, axes, ell):
         values = layout.values(point)
     except PoleError:
         with pytest.raises(PoleError):
-            peeled_rows(form, point, axes, ell)
+            contraction_matrix(form, point, axes, ell)
         return None
-    if ell:
-        full, _ = fill_rows(layout.rows(axes, ell), values)
-    else:
-        full, _ = contraction_matrix(form, point)
-    rows, units = peeled_rows(form, point, axes, ell)
+    full, _ = fill_rows(layout.rows(axes, ell), values)
+    rows, units = contraction_matrix(form, point, axes, ell)
     dim = form.chart.dim
     assert linalg.rref(rows, dim, units) == linalg.rref(full, dim), (point, axes, ell)
     assert len(rows) <= len(full) and set(units) == set(layout.peeled(axes, ell)[0])
@@ -804,22 +806,26 @@ def test_each_form_builds_its_layout_once(monkeypatch):
     pole_rejector(form)
     layout = form.point_layout()
     assert built == [form] and calls[0] == 2  # the constants, once
-    contraction = layout.rows((), 0)
-    orthogonal = layout.rows([0, 1], 2)
+    contraction = layout.peeled((), 0)
+    orthogonal = layout.peeled([0, 1], 2)
     for point in ([1, 2, 3, 4], [0, 1, 0, 1], [F(1, 2), 3, 0, -1]):
         calls[0] = 0
-        got = contraction_matrix(form, point)
+        rows, units = contraction_matrix(form, point)
         assert calls[0] == 1  # the one non-constant coefficient
-        assert got == _reference_contraction_matrix(form, point)
+        want = _reference_contraction_matrix(form, point)
+        assert keyed_rows(form, point) == want
+        assert linalg.rref(rows, 4, units) == linalg.rref(want[0], 4)
         assert coordinate_orthogonal(form, point, range(2), 2) == (
             _reference_coordinate_orthogonal(form, point, [0, 1], 2)
         )
         form.eval_coefficients(point)
     assert built == [form]
     assert form.point_layout() is layout
-    assert layout.rows((), 0) is contraction
-    assert layout.rows((1, 0), 2) is orthogonal
-    assert layout.rows([0, 1], 1) is not orthogonal
+    assert layout.peeled((), 0) is contraction
+    assert layout.peeled((1, 0), 2) is orthogonal
+    assert layout.peeled([0, 1], 1) is not orthogonal
+    # the layout keeps (units, the rows left) per axes and ell, and no full rows
+    assert [len(entry) for entry in layout._rows.values()] == [2, 2, 2]
 
 
 def test_a_warm_form_makes_a_pole_rejector_without_scanning_its_terms(monkeypatch):
@@ -859,7 +865,7 @@ def test_forms_with_the_same_indices_share_no_layout():
     ]
     point = [1, 2, 3]
     for form in forms:
-        assert contraction_matrix(form, point) == _reference_contraction_matrix(form, point)
+        assert keyed_rows(form, point) == _reference_contraction_matrix(form, point)
         for axes in ([0], [1, 2], [0, 1, 2]):
             assert coordinate_orthogonal(form, point, axes, 1) == (
                 _reference_coordinate_orthogonal(form, point, axes, 1)
@@ -882,7 +888,7 @@ def test_sampled_reports_from_a_cold_and_a_warm_layout_are_identical(manifold4, 
     thickening = build_thickening(manifold4, frame4)
     assert getattr(thickening.omega_tilde, "_layout", None) is None
     cold = reports(thickening)
-    assert thickening.omega_tilde.point_layout().rows((), 0)
+    assert thickening.omega_tilde.point_layout().peeled((), 0)[0]
     assert reports(thickening) == cold
     assert reports(build_thickening(manifold4, frame4)) == cold
 
@@ -948,11 +954,16 @@ def test_the_kernel_rows_are_one_layout_whatever_the_axes():
     chart = Chart("c4", ("a", "b", "c", "d"))
     form = Form.from_terms(chart, 2, [(("a", "b"), "1"), (("c", "d"), "a"), (("b", "d"), "2")])
     layout = form.point_layout()
-    kernel = layout.rows((), 0)
+    kernel, peel = layout.rows((), 0), layout.peeled((), 0)
     for axes in ([0], (1, 2), range(4), [3, 0], iter([2])):
-        assert layout.rows(axes, 0) is kernel
-    assert layout.rows([0, 1], 1) is layout.rows((1, 0), 1) is not kernel
-    assert contraction_matrix(form, [1, 2, 3, 4]) == fill_rows(kernel, layout.values([1, 2, 3, 4]))
+        assert layout.rows(axes, 0) == kernel
+        assert layout.peeled(axes, 0) is peel
+    assert layout.rows([0, 1], 1) == layout.rows((1, 0), 1) != kernel
+    assert layout.peeled([0, 1], 1) is layout.peeled((1, 0), 1) is not peel
+    assert len(layout._rows) == 2
+    rows, units = contraction_matrix(form, [1, 2, 3, 4])
+    full, _ = fill_rows(kernel, layout.values([1, 2, 3, 4]))
+    assert linalg.rref(rows, 4, units) == linalg.rref(full, 4)
 
 
 def test_multisymplectic_orthogonal_of_unit_vectors_is_the_coordinate_orthogonal():

@@ -38,7 +38,7 @@ from plectic.thicken import (
 from plectic.manifoldspec import load_spec
 from plectic.errors import PoleError
 from plectic.record import FrozenError
-from conftest import fixture_path, pullback_composing_every_term, pushforward_vector
+from conftest import evaluate, fixture_path, pullback_composing_every_term, pushforward_vector
 
 F = Fraction
 
@@ -380,14 +380,14 @@ def test_theta0_pointwise_pairing(thickening4):
     for _ in range(10):
         point = [F(rng.randint(-4, 4)) for _ in range(12)]
         vectors = [[F(rng.randint(-3, 3)) for _ in range(12)] for _ in range(2)]
-        direct = thickening4.theta0.evaluate(point, vectors)
+        direct = evaluate(thickening4.theta0, point, vectors)
         base_point = point[:5]
         pushed = [pushforward_vector(thickening4.tau, point, v) for v in vectors]
         paired = F(0)
         for idx, name in zip(thickening4.fiber_index, thickening4.fiber_names):
             p_value = point[thickening4.big_chart.axis(name)]
             monomial = frame.coframe[idx[0]].wedge(frame.coframe[idx[1]])
-            paired += p_value * monomial.evaluate(base_point, pushed)
+            paired += p_value * evaluate(monomial, base_point, pushed)
         assert direct == paired
 
 
