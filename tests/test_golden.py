@@ -56,6 +56,15 @@ coefficient to the jet chart in a new variable order, and reduces it anew.
 Its ``eom --symbolic`` outputs, and those on its thickened spec, were
 generated and committed before ``ScalarExpr.reindex`` replaced
 ``subs_rename``, and pin that the change left them unchanged.
+The ``orthogonal`` cases of ``ORTHOGONAL_BELOW`` take an ``--ell`` below
+the default k - 1, where the ell-subsets of the axes share rows of
+i_X omega: ``--ell 1`` on the three coordinate fixtures, and ``--ell 1``
+and ``2`` on the zero section of thickened DW n = 3 (every fiber
+coordinate 0, ``ZERO_SECTION``).  Their files are named with an
+``_ell<ell>`` suffix.  They were generated and committed before
+``exterior.read_off_rows`` read these rows off as the rows of X -> i_X
+omega whose key holds ell of the axes, and pin that the change left them
+unchanged.
 After an intended output change, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -93,6 +102,16 @@ ORTHOGONAL = (
     ("r4_premultisymplectic", ["--submanifold", "x4=0"], 1),
     ("r5_thickening", ["--submanifold", "x5=0", "--ell", "2"], 0),
     ("r6_thickening", ["--submanifold", "x5=0,x6=0", "--ell", "2"], 0),
+)
+# the zero section of a thickened spec: every fiber coordinate set to 0
+ZERO_SECTION = "<fibers>=0"
+# (spec, submanifold, ell, exit code) with ell below k - 1
+ORTHOGONAL_BELOW = (
+    ("r4_premultisymplectic", "x4=0", 1, 1),
+    ("r5_thickening", "x5=0", 1, 0),
+    ("r6_thickening", "x5=0,x6=0", 1, 0),
+    ("dw_n3_thickened", ZERO_SECTION, 1, 0),
+    ("dw_n3_thickened", ZERO_SECTION, 2, 0),
 )
 THICKEN = ("scalar_field_2d", "r4_premultisymplectic")
 GOLDEN_SPECS = (
@@ -152,6 +171,8 @@ def _cases():
     yield "eom", "dw_quad_n3_thickened", ["--symbolic"], None, 0
     yield "eom", "dw_rational_n3_u_first", ["--symbolic"], None, 0
     yield "eom", "dw_rational_n3_u_first_thickened", ["--symbolic"], None, 0
+    for name, submanifold, ell, code in ORTHOGONAL_BELOW:
+        yield "orthogonal", name, ["--submanifold", submanifold, "--ell", str(ell)], None, code
     for section, code in SECTIONS:
         section_path = os.path.join(GOLDEN_DIR, section + ".json")
         yield "eom", "scalar_field_2d", ["--section", section_path], None, code
@@ -160,7 +181,18 @@ def _cases():
 def _case_name(command, name, extra, seed):
     if extra[:1] == ["--section"]:
         name += "_" + os.path.splitext(os.path.basename(extra[1]))[0]
+    if "--ell" in extra:
+        ell = int(extra[extra.index("--ell") + 1])
+        if ell < _degree(name) - 1:
+            name += f"_ell{ell}"
     return f"{command}_{name}_{'spec_seed' if seed is None else f'seed{seed}'}"
+
+
+def _degree(name):
+    """The form degree of a spec; a thickened spec has its base's."""
+    base = name[: -len("_thickened")] if name.endswith("_thickened") else name
+    with open(_spec(base, None), encoding="utf-8") as fh:
+        return json.load(fh)["form"]["degree"]
 
 
 def _run(argv):
@@ -187,7 +219,12 @@ def _spec(name, workdir):
 
 def _argv(command, name, extra, seed, workdir):
     seed_argv = [] if seed is None else ["--seed", str(seed)]
-    return [command, _spec(name, workdir), *extra, *seed_argv]
+    spec = _spec(name, workdir)
+    if ZERO_SECTION in extra:
+        with open(spec, encoding="utf-8") as fh:
+            fibers = json.load(fh)["fibration"]["auxiliary"]
+        extra = [",".join(f"{f}=0" for f in fibers) if a == ZERO_SECTION else a for a in extra]
+    return [command, spec, *extra, *seed_argv]
 
 
 def _outputs(command, name, extra, seed, workdir):
