@@ -343,8 +343,8 @@ class PointLayout:
     Built by ``Form.point_layout``: the values of the constant coefficients,
     evaluated once, the positions of the other coefficients, and their
     distinct non-constant denominators (the poles ``sampling.pole_rejector``
-    tests).  ``rows(axes, ell)`` gives the row layout of V -> i_V i_{e_S} form
-    over the ell-subsets S of the axes; ell = 0 is X -> i_X form.
+    tests).  ``rows(axes, ell)`` gives the rows of X -> i_X form whose key
+    holds at least ell of the axes; at ell = 0 that is all of them.
     ``peeled(axes, ell)`` gives the columns whose unit rows those rows span at
     every point and the rows left with those columns deleted: each point
     fills only these, and ``linalg.rref`` starts from the units.  Only the
@@ -396,37 +396,21 @@ class PointLayout:
         return values
 
     def rows(self, axes: Iterable[int], ell: int) -> List[RowLayout]:
-        """The rows V -> i_V i_{e_S} form over every ell-subset S of the axes
-        (at ell = 0, of X -> i_X form, whatever the axes), keyed by S and the
-        index left: each term whose index holds S goes to ``read_off_rows``
-        with S moved to the front, signed by the parity of that move.  Read
-        off anew at each call.  An axis off the chart raises
-        DimensionMismatchError."""
+        """The rows of X -> i_X form whose key holds at least ell of the axes:
+        those of V -> i_V i_{e_S} form over the ell-subsets S of the axes
+        (``read_off_rows``).  Read off anew at each call.  An axis off the
+        chart raises DimensionMismatchError."""
         axes = frozenset(axes) if ell else frozenset()
         if not axes <= frozenset(range(self.dim)):
             raise DimensionMismatchError(f"axes {sorted(axes)} are not all on a {self.dim}-dim chart")
-        # the orders and signs of each pattern of positions on the axes, found
-        # once: moving positions s to the front passes sum(s[i] - i) others
-        terms, orders = [], {}
-        for t, idx in enumerate(self.indices):
-            inside = tuple([pos for pos, axis in enumerate(idx) if axis in axes])
-            if inside not in orders:
-                orders[inside] = [
-                    (s + tuple([pos for pos in range(len(idx)) if pos not in s]),
-                     -1 if (sum(s) - ell * (ell - 1) // 2) % 2 else 1)
-                    for s in itertools.combinations(inside, ell)
-                ]
-            for order, sign in orders[inside]:
-                terms.append((t, tuple([idx[pos] for pos in order]), sign))
-        return read_off_rows(terms, ell)
+        return read_off_rows(enumerate(self.indices), axes, ell)
 
     def peeled(self, axes: Iterable[int], ell: int) -> Tuple[Tuple[int, ...], List[dict]]:
         """The unit columns of ``rows(axes, ell)`` and the entries of the rows
-        left, with no keys: ``linalg.peel`` of the layout's rows under the
-        rule of ``unit_terms``, built at the first call and kept.  The row
-        space at a point is the span of the unit rows plus that of the rows
-        left, so ``linalg.rref`` of the rows left, filled at a point, from the
-        units is the rref of the filled ``rows(axes, ell)``.
+        left, with no keys: ``linalg.peel`` under the rule of ``unit_terms``,
+        built at the first call and kept.  ``linalg.rref`` of the rows left,
+        filled at a point, from the units is the rref of the filled
+        ``rows(axes, ell)``.
         """
         key = (frozenset(axes) if ell else frozenset(), ell)
         built = self._rows.get(key)
@@ -438,20 +422,28 @@ class PointLayout:
         return built
 
 
-def read_off_rows(terms: Iterable[Tuple[int, Index, int]], start: int = 0) -> List[RowLayout]:
-    """The row layout of V -> i_V over the slots from ``start`` on of the
-    terms (term position t, index, sign), keyed by the remaining index in
-    increasing order: entry axis: (t, s) is s times term t's value at column
-    axis, s the term's sign times that of moving the axis to slot ``start``.
-    ``fill_rows`` fills it with values at a point (rows over Q) or with the
-    coefficients (rows over Q(x)) alike."""
+def read_off_rows(
+    terms: Iterable[Tuple[int, Index]], axes: frozenset = frozenset(), ell: int = 0
+) -> List[RowLayout]:
+    """The row layout of X -> i_X over the terms (term position t, index),
+    keyed by the index left in increasing order, and kept where the key
+    holds at least ``ell`` of the ``axes``: entry axis: (t, s) is s times
+    term t's value at column axis, s the sign of moving the axis to the
+    front.  ``fill_rows`` fills it with values at a point (rows over Q) or
+    with the coefficients (rows over Q(x)) alike.
+
+    The rows kept are those of V -> i_V i_{e_S} over the ell-subsets S of
+    the axes, up to sign and repetition: the row of S and the index left R
+    is V -> form(e_S, V, e_R) = +-form(V, e_{S u R}), one sign for the whole
+    row, so it is the row keyed S u R, and every key holding ell axes has
+    such an S."""
     by_rest: Dict[Index, dict] = {}
-    for t, idx, sign in terms:
-        head, tail = idx[:start], idx[start:]
-        if len(tail) % 2 == 0:  # the combinations leave out the last slot first
-            sign = -sign
-        for axis, rest in zip(reversed(tail), itertools.combinations(tail, len(tail) - 1 if tail else 0)):
-            by_rest.setdefault(head + rest, {})[axis] = (t, sign)
+    for t, idx in terms:
+        inside = len(axes.intersection(idx))
+        sign = 1 if len(idx) % 2 else -1  # the combinations leave out the last slot first
+        for axis, rest in zip(reversed(idx), itertools.combinations(idx, len(idx) - 1 if idx else 0)):
+            if inside - (axis in axes) >= ell:
+                by_rest.setdefault(rest, {})[axis] = (t, sign)
             sign = -sign
     return [(rest, by_rest[rest]) for rest in sorted(by_rest)]
 

@@ -11,14 +11,13 @@ Frame order convention: kernel (vertical) fields first, then the chosen
 complement (horizontal) fields.  Coframe covectors and all frame-monomial
 indices follow the same order.
 
-Every pointwise check reads its rows V -> i_V i_{e_S} form off term indices
-with ``exterior.read_off_rows`` and fills them with ``fill_rows``.
+Every pointwise check reads its rows of X -> i_X form off term indices with
+``exterior.read_off_rows`` and fills them with ``fill_rows``; an
+ell-orthogonal keeps the rows whose key holds ell of the axes.
 ``contraction_matrix`` fills the rows the form's ``PointLayout`` keeps after
-its peel, built at the first pointwise use, and returns them with the unit
-columns the peel found, under its rule that a coefficient with a constant
-numerator is a unit.  The kernels and ranks at a point (``kernel_at``,
-``kernel_dimensions``, ``coordinate_orthogonal`` and the thickening's
-non-degeneracy check) hand both to ``linalg``.
+its peel and returns them with the unit columns, which the kernels and ranks
+at a point (``kernel_at``, ``kernel_dimensions``, ``coordinate_orthogonal``
+and the thickening's non-degeneracy check) hand to ``linalg``.
 ``multisymplectic_orthogonal`` reads its rows off its contracted values.
 """
 
@@ -81,9 +80,9 @@ class PreMultisymplecticManifold(Record):
 def contraction_matrix(
     form: Form, point: Sequence, axes: Iterable[int] = (), ell: int = 0
 ) -> Tuple[List[linalg.SparseRow], Tuple[int, ...]]:
-    """The rows V -> i_V i_{e_S} form at a point, as ``linalg`` takes them:
-    the rows left by ``PointLayout.peeled(axes, ell)``, filled at the point,
-    and its unit columns.  At ell = 0 these are the rows of X -> i_X form.
+    """The rows of X -> i_X form whose key holds ell of the axes, at a point,
+    as ``linalg`` takes them: the rows left by ``PointLayout.peeled(axes,
+    ell)``, filled at the point, and its unit columns.
     Every non-constant coefficient is evaluated, so a pole raises PoleError
     even where its entries lie in unit columns."""
     layout = form.point_layout()
@@ -344,7 +343,7 @@ def multisymplectic_orthogonal(
         c = consts
         for w in ws:
             c = contract_constant(n_basis[w], c)
-        layout += read_off_rows(zip(itertools.count(len(values)), c, itertools.repeat(1)))
+        layout += read_off_rows(zip(itertools.count(len(values)), c))
         values += c.values()
     rows, _ = fill_rows(layout, values)
     return linalg.kernel_basis(rows, dim)
@@ -355,14 +354,13 @@ def coordinate_orthogonal(
 ) -> List[List[Fraction]]:
     """Exact basis of the ell-orthogonal of the coordinate subspace on ``axes``.
 
-    For each ell-subset S of the axes, the rows V -> i_V i_{e_S} form are
-    read off the form's terms, with no contraction.  Their peel
+    The rows are those of X -> i_X form whose key holds ell of the axes,
+    read off the form's terms with no contraction.  Their peel
     (``PointLayout.peeled(axes, ell)``) is built once per form, axes and
-    ell, and each point fills the rows left with the coefficients' values
-    (``contraction_matrix``); an axis off the chart raises
-    DimensionMismatchError when it is built.  A vector lies in the subspace
-    exactly when it vanishes off the axes, so callers test containment on
-    the returned vectors' entries.
+    ell, and each point fills the rows left (``contraction_matrix``); an
+    axis off the chart raises DimensionMismatchError when it is built.  A
+    vector lies in the subspace exactly when it vanishes off the axes, so
+    callers test containment on the returned vectors' entries.
     """
     if ell < 1:
         raise PlecticError("ell must be >= 1")

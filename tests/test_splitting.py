@@ -10,7 +10,7 @@ import pytest
 from plectic import linalg
 from plectic.coeff import ScalarExpr, exact_point
 from plectic.errors import PlecticError, PoleError
-from plectic.exterior import Chart, Form, PointLayout, VectorField, fill_rows
+from plectic.exterior import Chart, Form, PointLayout, VectorField, fill_rows, interior_multi
 from plectic.splitting import (
     FrameError,
     NotClosedError,
@@ -988,15 +988,89 @@ def test_multisymplectic_orthogonal_of_unit_vectors_is_the_coordinate_orthogonal
     assert compared >= 600 and proper >= 150, (compared, proper)
 
 
+def _axes_cases(form, base_axes, rng):
+    """(axes, ell) for ell from 1 to k: the coisotropy axes, where the form
+    is a thickening's, and ell + 2 random axes."""
+    for ell in range(1, form.degree + 1):
+        if base_axes:
+            yield list(base_axes), ell
+        yield sorted(rng.sample(range(form.chart.dim), min(form.chart.dim, ell + 2))), ell
+
+
+def test_the_orthogonal_rows_are_the_kernel_rows_whose_key_holds_ell_axes():
+    rng = random.Random(38)
+    cases = 0
+    for name, form, base_axes in _spec_forms():
+        layout = form.point_layout()
+        kernel = layout.rows((), 0)
+        for axes, ell in _axes_cases(form, base_axes, rng):
+            want = [(key, entries) for key, entries in kernel if len(set(axes).intersection(key)) >= ell]
+            assert layout.rows(axes, ell) == want, (name, axes, ell)
+            cases += bool(want) and len(want) < len(kernel)
+    assert cases >= 60, cases
+
+
+def test_the_rows_of_v_to_i_v_i_e_s_form_are_the_kernel_rows_keyed_s_and_the_index_left(manifold4):
+    # each row V -> (i_V i_{e_S} form)(e_R), read off Form.interior, is +-
+    # the row of X -> i_X form keyed S u R, and those keys are the ones
+    # ``rows(axes, ell)`` keeps
+    rng = random.Random(1999)
+    chart = Chart("c5", tuple(f"y{i}" for i in range(5)))
+    forms = [manifold4.omega] + [
+        _mixed_form(rng, chart, rng.randint(1, 4), rational=trial % 2 == 1) for trial in range(30)
+    ]
+    compared = 0
+    for form in forms:
+        layout = form.point_layout()
+        rows, keys = fill_rows(layout.rows((), 0), list(form.terms.values()))
+        kernel = dict(zip(keys, rows))
+        fields = [VectorField.coordinate(form.chart, name) for name in form.chart.coords]
+        for axes, ell in _axes_cases(form, (), rng):
+            by_s_and_rest = {}
+            for s in itertools.combinations(axes, ell):
+                inner = interior_multi([fields[axis] for axis in s], form)
+                if not inner.degree:  # ell = k: no V is left to contract
+                    continue
+                for column, field in enumerate(fields):
+                    for rest, c in inner.interior(field).terms.items():
+                        by_s_and_rest.setdefault((s, rest), {})[column] = c
+            for (s, rest), row in by_s_and_rest.items():
+                want = kernel[tuple(sorted(s + rest))]
+                assert row in (want, {column: -c for column, c in want.items()}), (form, s, rest)
+                compared += 1
+            kept = {tuple(sorted(s + rest)) for s, rest in by_s_and_rest}
+            assert kept == {key for key, _ in layout.rows(axes, ell)}, (form, axes, ell)
+    assert compared >= 300, compared
+
+
+def test_multisymplectic_orthogonal_of_unit_vectors_is_the_coordinate_orthogonal_on_every_spec():
+    rng = random.Random(1982)
+    compared = proper = 0
+    for name, form, base_axes in _spec_forms():
+        dim = form.chart.dim
+        (point,) = sample_points(dim, SampleConfig(1, rng.randint(0, 999)), pole_rejector(form))
+        points = [point]
+        if base_axes:  # on the zero section
+            points.append([x if axis in base_axes else 0 for axis, x in enumerate(point)])
+        for point in points:
+            for axes, ell in _axes_cases(form, base_axes, rng):
+                units = [[int(i == a) for i in range(dim)] for a in axes]
+                got = multisymplectic_orthogonal(form, point, units, ell)
+                assert got == coordinate_orthogonal(form, point, axes, ell), (name, point, axes, ell)
+                compared += 1
+                proper += 0 < len(got) < dim
+    assert compared >= 200 and proper >= 100, (compared, proper)
+
+
 def test_every_pointwise_check_reads_its_rows_with_the_one_read_off(monkeypatch):
     from plectic import exterior, splitting
 
-    starts = []
+    ells = []
     read_off_rows = exterior.read_off_rows
 
-    def counted(terms, start=0):
-        starts.append(start)
-        return read_off_rows(terms, start)
+    def counted(terms, axes=frozenset(), ell=0):
+        ells.append(ell)
+        return read_off_rows(terms, axes, ell)
 
     # splitting imports the name, so both bindings are patched
     monkeypatch.setattr(exterior, "read_off_rows", counted)
@@ -1007,12 +1081,12 @@ def test_every_pointwise_check_reads_its_rows_with_the_one_read_off(monkeypatch)
         lambda form: coordinate_orthogonal(form, point, [0, 1], 1),
         lambda form: multisymplectic_orthogonal(form, point, [[1, 0, 0, 0], [0, 1, 0, 0]], 1),
     ]
-    # one call for the kernel, one for all S groups (S in front, read off
-    # after it), and one per contracted tuple
+    # one call for the kernel, one for all S groups (the kernel rows whose
+    # key holds ell axes), and one per contracted tuple
     for check, want in zip(checks, ([0], [1], [0, 0])):
-        starts.clear()
+        ells.clear()
         check(_r4_manifold().omega)  # a fresh form, so its layout is built now
-        assert starts == want
+        assert ells == want
     assert not hasattr(splitting, "_contraction_rows")
     assert not hasattr(PointLayout, "contraction_rows")
     assert not hasattr(PointLayout, "orthogonal_rows")
