@@ -396,10 +396,10 @@ class PointLayout:
         return values
 
     def rows(self, axes: Iterable[int], ell: int) -> List[RowLayout]:
-        """The rows of X -> i_X form whose key holds at least ell of the axes:
-        those of V -> i_V i_{e_S} form over the ell-subsets S of the axes
-        (``read_off_rows``).  Read off anew at each call.  An axis off the
-        chart raises DimensionMismatchError."""
+        """The rows of X -> i_X form whose key holds at least ell of the axes,
+        which ``read_off_rows`` shows are those of V -> i_V i_{e_S} form over
+        the ell-subsets S of the axes.  Read off anew at each call.  An axis
+        off the chart raises DimensionMismatchError."""
         axes = frozenset(axes) if ell else frozenset()
         if not axes <= frozenset(range(self.dim)):
             raise DimensionMismatchError(f"axes {sorted(axes)} are not all on a {self.dim}-dim chart")

@@ -966,6 +966,15 @@ def test_the_kernel_rows_are_one_layout_whatever_the_axes():
     assert linalg.rref(rows, 4, units) == linalg.rref(full, 4)
 
 
+def _axes_cases(form, base_axes, rng):
+    """(axes, ell) for ell from 1 to k: the coisotropy axes, where the form
+    is a thickening's, and ell + 2 random axes."""
+    for ell in range(1, form.degree + 1):
+        if base_axes:
+            yield list(base_axes), ell
+        yield sorted(rng.sample(range(form.chart.dim), min(form.chart.dim, ell + 2))), ell
+
+
 def test_multisymplectic_orthogonal_of_unit_vectors_is_the_coordinate_orthogonal():
     rng = random.Random(1999)
     chart = Chart("c5", tuple(f"y{i}" for i in range(5)))
@@ -986,15 +995,23 @@ def test_multisymplectic_orthogonal_of_unit_vectors_is_the_coordinate_orthogonal
                     compared += 1
                     proper += 0 < len(got) < 5
     assert compared >= 600 and proper >= 150, (compared, proper)
-
-
-def _axes_cases(form, base_axes, rng):
-    """(axes, ell) for ell from 1 to k: the coisotropy axes, where the form
-    is a thickening's, and ell + 2 random axes."""
-    for ell in range(1, form.degree + 1):
+    # every fixture, golden spec and thickening, at a seeded point and, for
+    # a thickening, on its zero section
+    compared = proper = 0
+    for name, form, base_axes in _spec_forms():
+        dim = form.chart.dim
+        (point,) = sample_points(dim, SampleConfig(1, rng.randint(0, 999)), pole_rejector(form))
+        points = [point]
         if base_axes:
-            yield list(base_axes), ell
-        yield sorted(rng.sample(range(form.chart.dim), min(form.chart.dim, ell + 2))), ell
+            points.append([x if axis in base_axes else 0 for axis, x in enumerate(point)])
+        for point in points:
+            for axes, ell in _axes_cases(form, base_axes, rng):
+                units = [[int(i == a) for i in range(dim)] for a in axes]
+                got = multisymplectic_orthogonal(form, point, units, ell)
+                assert got == coordinate_orthogonal(form, point, axes, ell), (name, point, axes, ell)
+                compared += 1
+                proper += 0 < len(got) < dim
+    assert compared >= 200 and proper >= 100, (compared, proper)
 
 
 def test_the_orthogonal_rows_are_the_kernel_rows_whose_key_holds_ell_axes():
@@ -1043,25 +1060,6 @@ def test_the_rows_of_v_to_i_v_i_e_s_form_are_the_kernel_rows_keyed_s_and_the_ind
     assert compared >= 300, compared
 
 
-def test_multisymplectic_orthogonal_of_unit_vectors_is_the_coordinate_orthogonal_on_every_spec():
-    rng = random.Random(1982)
-    compared = proper = 0
-    for name, form, base_axes in _spec_forms():
-        dim = form.chart.dim
-        (point,) = sample_points(dim, SampleConfig(1, rng.randint(0, 999)), pole_rejector(form))
-        points = [point]
-        if base_axes:  # on the zero section
-            points.append([x if axis in base_axes else 0 for axis, x in enumerate(point)])
-        for point in points:
-            for axes, ell in _axes_cases(form, base_axes, rng):
-                units = [[int(i == a) for i in range(dim)] for a in axes]
-                got = multisymplectic_orthogonal(form, point, units, ell)
-                assert got == coordinate_orthogonal(form, point, axes, ell), (name, point, axes, ell)
-                compared += 1
-                proper += 0 < len(got) < dim
-    assert compared >= 200 and proper >= 100, (compared, proper)
-
-
 def test_every_pointwise_check_reads_its_rows_with_the_one_read_off(monkeypatch):
     from plectic import exterior, splitting
 
@@ -1081,7 +1079,7 @@ def test_every_pointwise_check_reads_its_rows_with_the_one_read_off(monkeypatch)
         lambda form: coordinate_orthogonal(form, point, [0, 1], 1),
         lambda form: multisymplectic_orthogonal(form, point, [[1, 0, 0, 0], [0, 1, 0, 0]], 1),
     ]
-    # one call for the kernel, one for all S groups (the kernel rows whose
+    # one call for the kernel, one for the orthogonal (the kernel rows whose
     # key holds ell axes), and one per contracted tuple
     for check, want in zip(checks, ([0], [1], [0, 0])):
         ells.clear()
